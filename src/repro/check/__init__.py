@@ -11,21 +11,17 @@ arguments).  Run it as ``python -m repro.check lint src`` — CI does on
 every push.  Suppress a finding with ``# repro: noqa[RC101]`` (several
 codes comma-separate: ``# repro: noqa[RC101, RC106]``).
 
-**Static protocol analysis** (:mod:`repro.check.proto`): symbolic
-per-rank execution of SPMD program functions at concrete rank counts,
-matching the extracted communication graphs across ranks — unmatched
-messages, tag/peer mismatches, recv cycles, collective divergence and
-zero-copy aliasing hazards (RC2xx) before anything runs.  Run it as
-``python -m repro.check proto repro.check.entries --ranks 2,4,8``.
-
 **Dynamic** (:mod:`repro.check.verifier` plus the wait-for-graph
 analysis inside :mod:`repro.comm.runtime`): with
 ``run_spmd(..., verify=True)`` or ``REPRO_VERIFY=1`` the runtime
 cross-checks every rank's collective call sequence and reports the
 first divergent call with both ranks' traces; unreceived messages at
-finalize become errors.  Deadlocks are always diagnosed exactly from
-the rank→(source, tag) wait-for graph — reporting the actual cycle —
-rather than by a wall-clock stall heuristic.
+finalize become errors; received arrays arrive read-only, so writing
+one in place raises at the offending line; and an ``isend`` buffer
+written before its ``wait()`` raises there.  Deadlocks are always
+diagnosed exactly from the rank→(source, tag) wait-for graph —
+reporting the actual cycle and any near-miss tag or peer — rather
+than by a wall-clock stall heuristic.
 
 See docs/CHECKING.md for the rule catalog and diagnostics reference.
 """
@@ -37,13 +33,7 @@ from .linter import (
     lint_paths,
     lint_source,
 )
-from .proto import (
-    ProgramRun,
-    analyze_path,
-    analyze_target,
-    render_explain,
-)
-from .rules import ALL_RULE_IDS, RULES, WARNING_RULE_IDS, Rule, get_rule
+from .rules import ALL_RULE_IDS, RULES, Rule, get_rule
 from .sarif import render_sarif, to_sarif
 from .verifier import CollectiveRecord, SpmdVerifier
 
@@ -53,14 +43,9 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
-    "ProgramRun",
-    "analyze_path",
-    "analyze_target",
-    "render_explain",
     "Rule",
     "RULES",
     "ALL_RULE_IDS",
-    "WARNING_RULE_IDS",
     "get_rule",
     "render_sarif",
     "to_sarif",

@@ -1,22 +1,13 @@
-"""Command-line entry point for the SPMD correctness analyzer.
+"""Command-line entry point for the SPMD lint pass.
 
 Usage::
 
     python -m repro.check lint [PATH ...] [--format text|json|sarif]
-    python -m repro.check proto TARGET --ranks P[,P2,...]
-                                [--program NAME ...] [--explain]
-                                [--format text|json|sarif] [--strict]
     python -m repro.check rules
 
 ``lint`` exits 0 when clean and 1 when it produced findings (2 on bad
 usage), so it slots directly into CI next to ruff.  PATH defaults to
 ``src``.
-
-``proto`` symbolically executes every SPMD program function of TARGET
-(a module dotted name or file path) once per rank for each requested
-rank count, matching the extracted communication graphs across ranks.
-It exits 1 only on *error*-severity findings (RC201-RC206); advisory
-RC200/RC207 analyzability warnings exit 0 unless ``--strict``.
 """
 
 from __future__ import annotations
@@ -34,7 +25,7 @@ __all__ = ["main"]
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check",
-        description="SPMD correctness analyzer (static passes).",
+        description="SPMD correctness lint.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -46,35 +37,12 @@ def main(argv: list[str] | None = None) -> int:
     lint_p.add_argument("--hints", action="store_true",
                         help="append each rule's fix hint to its findings")
 
-    proto_p = sub.add_parser(
-        "proto",
-        help="statically match per-rank communication graphs",
-    )
-    proto_p.add_argument("target",
-                         help="module dotted name or .py file to analyze")
-    proto_p.add_argument("--ranks", default="2",
-                         help="comma-separated rank counts (default: 2)")
-    proto_p.add_argument("--program", action="append", default=None,
-                         metavar="NAME",
-                         help="restrict to specific program function(s)")
-    proto_p.add_argument("--explain", action="store_true",
-                         help="print the derived per-rank event sequences")
-    proto_p.add_argument("--format", choices=("text", "json", "sarif"),
-                         default="text",
-                         help="output format (default: text)")
-    proto_p.add_argument("--strict", action="store_true",
-                         help="exit 1 on RC200/RC207 warnings too")
-    proto_p.add_argument("--timeout", type=float, default=None,
-                         help="per-(program, P) wall-clock budget, seconds")
-
     sub.add_parser("rules", help="print the rule catalog")
 
     args = parser.parse_args(argv)
     if args.command == "rules":
         print(render_catalog())
         return 0
-    if args.command == "proto":
-        return _proto(args)
 
     findings = lint_paths(args.paths)
     if args.format == "json":
@@ -82,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.format == "sarif":
         from .sarif import render_sarif
 
-        print(render_sarif(findings, tool_name="repro.check lint"))
+        print(render_sarif(findings))
     else:
         for finding in findings:
             print(finding.format(hint=args.hints))
@@ -91,67 +59,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"repro.check: {n} {tag} in {', '.join(args.paths)}",
               file=sys.stderr)
     return 1 if findings else 0
-
-
-def _proto(args: argparse.Namespace) -> int:
-    from .proto import RUN_TIMEOUT, analyze_target, render_explain
-
-    try:
-        ranks = sorted({int(p.strip()) for p in args.ranks.split(",")
-                        if p.strip()})
-    except ValueError:
-        print(f"repro.check proto: bad --ranks value {args.ranks!r}",
-              file=sys.stderr)
-        return 2
-    if not ranks or min(ranks) < 1:
-        print("repro.check proto: --ranks needs positive integers",
-              file=sys.stderr)
-        return 2
-    try:
-        runs = analyze_target(args.target, ranks, programs=args.program,
-                              timeout=args.timeout or RUN_TIMEOUT)
-    except (FileNotFoundError, ValueError, SyntaxError) as exc:
-        print(f"repro.check proto: {exc}", file=sys.stderr)
-        return 2
-    if not runs:
-        print(f"repro.check proto: no SPMD program functions (first "
-              f"parameter 'comm') found in {args.target}",
-              file=sys.stderr)
-        return 2
-
-    errors = sum(len(run.errors) for run in runs)
-    warnings = sum(len(run.warnings) for run in runs)
-    if args.format == "json":
-        print(json.dumps([run.to_dict() for run in runs], indent=2))
-    elif args.format == "sarif":
-        from .sarif import render_sarif
-
-        findings = [f for run in runs for f in run.findings]
-        print(render_sarif(findings, tool_name="repro.check proto"))
-    else:
-        for run in runs:
-            if args.explain:
-                print(render_explain(run))
-            else:
-                status = "clean" if not run.findings else (
-                    f"{len(run.errors)} error(s), "
-                    f"{len(run.warnings)} warning(s)"
-                )
-                print(f"{run.program} @ P={run.nranks}: {status} "
-                      f"({run.seconds:.2f}s)")
-                for f in run.findings:
-                    print("  " + f.format())
-        total = sum(run.seconds for run in runs)
-        print(
-            f"repro.check proto: {len(runs)} run(s), {errors} error(s), "
-            f"{warnings} warning(s) in {total:.2f}s",
-            file=sys.stderr,
-        )
-    if errors:
-        return 1
-    if args.strict and warnings:
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

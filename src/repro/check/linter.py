@@ -62,24 +62,17 @@ _NOQA_RE = re.compile(
 
 @dataclasses.dataclass(frozen=True)
 class Finding:
-    """One finding: rule id, location, message, severity.
-
-    ``severity`` is ``"error"`` for proven defects and ``"warning"``
-    for advisory findings (the protocol analyzer's analyzability
-    notes); the lint pass only ever emits errors.
-    """
+    """One finding: rule id, location, message."""
 
     rule_id: str
     path: str
     line: int
     col: int
     message: str
-    severity: str = "error"
 
     def format(self, *, hint: bool = False) -> str:
-        sev = "" if self.severity == "error" else f" {self.severity}:"
         text = (
-            f"{self.path}:{self.line}:{self.col}:{sev} "
+            f"{self.path}:{self.line}:{self.col}: "
             f"{self.rule_id} {self.message}"
         )
         if hint:
@@ -110,11 +103,7 @@ def _suppressions(source: str) -> dict[int, frozenset[str] | None]:
 def apply_suppressions(
     findings: Iterable[Finding], source: str
 ) -> list[Finding]:
-    """Drop findings silenced by a ``# repro: noqa[...]`` on their line.
-
-    Shared by the lint pass and the protocol analyzer (which attributes
-    findings to lines of the modules it interpreted symbolically).
-    """
+    """Drop findings silenced by a ``# repro: noqa[...]`` on their line."""
     suppress = _suppressions(source)
     kept = []
     for finding in findings:

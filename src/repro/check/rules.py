@@ -3,7 +3,9 @@
 Every finding produced by :mod:`repro.check.linter` carries the id of
 one of the rules below.  Ids are stable — suppression comments
 (``# repro: noqa[RC101]``), docs/CHECKING.md and CI output all refer to
-them — so rules are never renumbered, only added.
+them — so rules are never renumbered, only added.  RC200-RC207 belonged
+to the retired symbolic protocol analyzer and are not reused; their
+verdicts now come from ``run_spmd(verify=True)`` (docs/CHECKING.md).
 
 The rules encode *this repository's* correctness contracts rather than
 generic style: the SPMD solvers in :mod:`repro.core` are only correct
@@ -20,7 +22,6 @@ __all__ = [
     "Rule",
     "RULES",
     "ALL_RULE_IDS",
-    "WARNING_RULE_IDS",
     "get_rule",
     "render_catalog",
 ]
@@ -140,97 +141,8 @@ RULES: dict[str, Rule] = {
             "Enter the span with `with span(...):` (or use "
             "Tracer.closed_span for an already-measured interval).",
         ),
-        Rule(
-            "RC200",
-            "proto-analysis-error",
-            "The protocol analyzer could not complete symbolic execution "
-            "of this program (interpreter failure or step budget "
-            "exhausted); the communication graph was not fully checked.",
-            "Simplify the entry point (see docs/CHECKING.md, "
-            "'What makes a program analyzable'), or wrap the solver in a "
-            "composition driver like repro.check.entries does.",
-        ),
-        Rule(
-            "RC201",
-            "unmatched-message",
-            "A send has no matching receive (the message would trip the "
-            "finalize sweep), or a receive has no matching send (the "
-            "rank would block forever).",
-            "Make the send/recv pair symmetric: same communicator, "
-            "matching source/dest and tag, on a code path both ranks "
-            "actually execute at this rank count.",
-        ),
-        Rule(
-            "RC202",
-            "tag-or-peer-mismatch",
-            "A blocked receive and a pending send almost match: same "
-            "rank pair but different tag, or same tag but the send "
-            "targets / the receive names the wrong peer.",
-            "Align the tag and peer arguments of the send/recv pair; "
-            "per-level tags must use the same level arithmetic on both "
-            "sides.",
-        ),
-        Rule(
-            "RC203",
-            "send-recv-deadlock",
-            "A cycle of ranks each blocked in recv waiting on the next "
-            "(e.g. a ring of recv-then-send): deadlocks immediately here "
-            "and under MPI rendezvous semantics even when rewritten as "
-            "blocking sends.",
-            "Break the cycle: stagger the order by parity (even ranks "
-            "send first), or use isend/irecv so one side's operation is "
-            "posted before blocking.",
-        ),
-        Rule(
-            "RC204",
-            "collective-divergence",
-            "Ranks of one communicator diverge in their collective "
-            "sequence: different op at the same position, mismatched "
-            "root, or a collective entered by only a subset of the "
-            "ranks.",
-            "Every rank of the communicator must call the same "
-            "collectives in the same order with the same root; hoist "
-            "collectives out of rank-dependent branches.",
-        ),
-        Rule(
-            "RC205",
-            "mutate-in-flight",
-            "An array is mutated between isend() and the matching "
-            "Request.wait(): the runtime sends payloads by reference "
-            "(zero-copy), so the receiver can observe the torn write.",
-            "Complete the request (req.wait()) before writing to the "
-            "buffer, or send a copy: comm.isend(buf.copy(), ...).",
-        ),
-        Rule(
-            "RC206",
-            "mutate-received-view",
-            "A payload received from another rank is mutated in place: "
-            "received objects are zero-copy views of the sender's "
-            "buffers (shared-memory backend: views into the shm "
-            "segment), so the write corrupts the sender's data.",
-            "Copy before writing: x = comm.recv(...).copy() — or treat "
-            "received payloads as read-only.",
-        ),
-        Rule(
-            "RC207",
-            "proto-unanalyzable",
-            "Symbolic execution hit a rank-dependent condition or loop "
-            "bound it could not fold while communication happens inside "
-            "it, or an unresolvable peer/tag expression: the analyzer "
-            "proceeded under an assumption, so protocol defects behind "
-            "this point may be missed (warning, not an error).",
-            "Make the rank expression foldable (derive it from "
-            "comm.rank/comm.size and constants), hoist the comm call "
-            "out of the unanalyzable region, or pass concrete arguments "
-            "via a composition driver (see repro.check.entries).",
-        ),
     )
 }
-
-#: Rules whose findings are advisory: they flag analyzer blind spots,
-#: not proven protocol defects.  ``repro.check proto`` exits 0 when only
-#: these fire (unless ``--strict``).
-WARNING_RULE_IDS: frozenset[str] = frozenset({"RC200", "RC207"})
 
 ALL_RULE_IDS: frozenset[str] = frozenset(RULES)
 

@@ -3,9 +3,8 @@
 Emits the minimal static-analysis interchange document GitHub's code
 scanning ingests (``github/codeql-action/upload-sarif``): one run with
 a tool descriptor carrying the rule catalog, and one result per
-finding with the rule id, level, message and physical location.  Both
-the lint pass and the protocol analyzer share this renderer via
-``--format sarif``.
+finding with the rule id, level, message and physical location
+(``python -m repro.check lint --format sarif``).
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ def _rel(path: str, base: pathlib.Path) -> str:
         return pathlib.PurePath(path).as_posix()
 
 
-def to_sarif(findings: Iterable[Finding], *, tool_name: str = "repro.check"
-             ) -> dict:
+def to_sarif(findings: Iterable[Finding]) -> dict:
     """Build the SARIF document as a plain dict."""
     findings = list(findings)
     base = pathlib.Path.cwd().resolve()
@@ -49,34 +47,25 @@ def to_sarif(findings: Iterable[Finding], *, tool_name: str = "repro.check"
         for rule_id in used
         if rule_id in RULES
     ]
-    results = []
-    seen = set()
-    for f in findings:
-        uri = _rel(f.path, base)
-        key = (f.rule_id, uri, f.line, f.col)
-        if key in seen:
-            # Multi-P proto runs repeat a finding at the same site with
-            # slightly different rank lists; one annotation per site.
-            continue
-        seen.add(key)
-        results.append(
-            {
-                "ruleId": f.rule_id,
-                "level": "warning" if f.severity == "warning" else "error",
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": uri},
-                            "region": {
-                                "startLine": f.line,
-                                "startColumn": max(f.col, 0) + 1,
-                            },
-                        }
+    results = [
+        {
+            "ruleId": f.rule_id,
+            "level": "error",
+            "message": {"text": f.message},
+            "locations": [
+                {
+                    "physicalLocation": {
+                        "artifactLocation": {"uri": _rel(f.path, base)},
+                        "region": {
+                            "startLine": f.line,
+                            "startColumn": max(f.col, 0) + 1,
+                        },
                     }
-                ],
-            }
-        )
+                }
+            ],
+        }
+        for f in findings
+    ]
     return {
         "$schema": _SCHEMA,
         "version": "2.1.0",
@@ -84,7 +73,7 @@ def to_sarif(findings: Iterable[Finding], *, tool_name: str = "repro.check"
             {
                 "tool": {
                     "driver": {
-                        "name": tool_name,
+                        "name": "repro.check lint",
                         "rules": rules,
                     }
                 },
@@ -94,6 +83,5 @@ def to_sarif(findings: Iterable[Finding], *, tool_name: str = "repro.check"
     }
 
 
-def render_sarif(findings: Iterable[Finding], *,
-                 tool_name: str = "repro.check") -> str:
-    return json.dumps(to_sarif(findings, tool_name=tool_name), indent=2)
+def render_sarif(findings: Iterable[Finding]) -> str:
+    return json.dumps(to_sarif(findings), indent=2)

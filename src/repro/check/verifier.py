@@ -22,6 +22,17 @@ drift apart, not by program length.  Each rank additionally maintains a
 rolling BLAKE2b digest of its full sequence; matching digests in the
 reports make "these ranks agreed up to here" auditable at a glance.
 
+Two aliasing checks ride on the same switch; the communicator calls
+them on every message of a verified run:
+
+- :func:`freeze_payload` marks every array of a received payload
+  read-only, so an in-place write to it raises ``ValueError`` at the
+  offending line.  Under ``copy_messages=False`` such a write would
+  corrupt the sender's buffer.
+- :func:`payload_digest` fingerprints an ``isend`` payload when it is
+  posted and again at ``Request.wait()``; a difference means the sender
+  wrote the buffer while the send was in flight.
+
 The exact wait-for-graph deadlock analysis — the other dynamic check —
 lives in :mod:`repro.comm.runtime` itself because it needs the
 runtime's inbox state; it is always on.  See docs/CHECKING.md.
@@ -34,9 +45,12 @@ import hashlib
 import threading
 from typing import Any
 
+import numpy as np
+
 from ..exceptions import SpmdDivergenceError
 
-__all__ = ["CollectiveRecord", "SpmdVerifier"]
+__all__ = ["CollectiveRecord", "SpmdVerifier", "freeze_payload",
+           "payload_digest"]
 
 #: How many recent collectives per rank are kept for divergence reports.
 HISTORY_LIMIT = 12
@@ -142,3 +156,53 @@ class SpmdVerifier:
         """Hex digest of ``rank``'s collective sequence so far."""
         with self._lock:
             return self._digests[rank].hexdigest()
+
+
+_LEAVES = (str, bytes, int, float, complex, type(None), np.generic, type)
+
+
+def _payload_arrays(obj: Any) -> list[np.ndarray]:
+    """Every ndarray reachable from message payload ``obj``.
+
+    Walks tuples, lists, dicts and object attributes (``__dict__`` and
+    ``__slots__``), which covers what the solvers send: bare arrays,
+    :class:`~repro.prefix.affine.AffinePair`,
+    :class:`~repro.linalg.blockops.BatchedLU` and dataclass records.
+    The order is deterministic for a given payload structure.
+    """
+    found: list[np.ndarray] = []
+    seen: set[int] = set()
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _LEAVES) or id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        else:
+            stack.extend(getattr(item, "__dict__", {}).values())
+            for cls in type(item).__mro__:
+                slots = getattr(cls, "__slots__", ())
+                for name in (slots,) if isinstance(slots, str) else slots:
+                    if not name.startswith("__"):
+                        stack.append(getattr(item, name, None))
+    return found
+
+
+def freeze_payload(obj: Any) -> None:
+    """Mark every array of a received payload read-only."""
+    for array in _payload_arrays(obj):
+        array.flags.writeable = False
+
+
+def payload_digest(obj: Any) -> bytes:
+    """Fingerprint of the contents of every array in ``obj``."""
+    digest = hashlib.blake2b(digest_size=16)
+    for array in _payload_arrays(obj):
+        digest.update(array.tobytes())
+    return digest.digest()

@@ -30,13 +30,7 @@ from .costmodel import CostModel, DEFAULT_COST_MODEL, payload_nbytes
 from .clock import VirtualClock
 from .fastcopy import fastcopy, fastcopy_counted
 from .matching import WaitInfo, deadlock_report, find_wait_cycle, match_in, peek_in
-from .optable import (
-    COLLECTIVE_OPS,
-    NONBLOCKING_OPS,
-    OP_TABLE,
-    OpSpec,
-    POINT_TO_POINT_OPS,
-)
+from .optable import COLLECTIVE_OPS
 from .runtime import CommAborted, run_spmd
 from .stats import RankStats, SimulationResult
 
@@ -60,11 +54,7 @@ __all__ = [
     "peek_in",
     "find_wait_cycle",
     "deadlock_report",
-    "OpSpec",
-    "OP_TABLE",
     "COLLECTIVE_OPS",
-    "POINT_TO_POINT_OPS",
-    "NONBLOCKING_OPS",
     "CommAborted",
     "run_spmd",
     "RankStats",

@@ -10,7 +10,10 @@ Differences from real MPI, by design:
 - sends are *eager* (buffered): ``send`` never blocks, so there are no
   rendezvous deadlocks from send/send cycles;
 - payloads are passed by value (copied at send time) unless the runtime
-  was created with ``copy_messages=False``;
+  was created with ``copy_messages=False``; a verified run
+  (``run_spmd(verify=True)``) always copies, delivers received arrays
+  read-only and checks that ``isend`` buffers are not written before
+  ``wait()`` (docs/CHECKING.md);
 - collectives are implemented on top of point-to-point with the
   standard tree / recursive-doubling schedules (see
   :mod:`repro.comm.collectives`), so modelled collective costs follow
@@ -23,7 +26,7 @@ import dataclasses
 from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Sequence
 
-from ..exceptions import RankError, TagError
+from ..exceptions import CommError, RankError, TagError
 from .costmodel import payload_nbytes
 from .runtime import RankContext, Runtime, _Message
 
@@ -108,6 +111,38 @@ class Request:
     def waitall(requests: Sequence["Request"]) -> list[Any]:
         """Wait on every request; return their values in order."""
         return [req.wait() for req in requests]
+
+
+class _VerifiedSend(Request):
+    """An ``isend`` request of a verified run.
+
+    Digests the payload's arrays when posted; :meth:`wait` digests them
+    again and raises :class:`~repro.exceptions.CommError` if the sender
+    wrote them while the send was in flight.
+    """
+
+    __slots__ = ("_payload", "_digest", "_where")
+
+    def __init__(self, payload: Any, where: str):
+        from ..check.verifier import payload_digest  # deferred: cycle
+
+        super().__init__()
+        self._payload = payload
+        self._digest = payload_digest(payload)
+        self._where = where
+
+    def wait(self) -> Any:
+        if self._payload is not None:
+            from ..check.verifier import payload_digest  # deferred: cycle
+
+            payload, self._payload = self._payload, None
+            if payload_digest(payload) != self._digest:
+                raise CommError(
+                    f"{self._where}: payload arrays were modified between "
+                    f"isend() and wait(); complete the request before "
+                    f"writing the buffer, or send a copy"
+                )
+        return super().wait()
 
 
 class Communicator:
@@ -197,12 +232,24 @@ class Communicator:
                                   source_world=source_world)
         if status is not None:
             status._fill(msg)
+        if self._runtime.verifier is not None:
+            from ..check.verifier import freeze_payload  # deferred: cycle
+
+            freeze_payload(msg.payload)
         return msg.payload
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send (identical to :meth:`send`; born complete)."""
+        """Nonblocking send (identical to :meth:`send`; born complete).
+
+        In a verified run the returned request's :meth:`Request.wait`
+        raises if ``obj``'s arrays changed since this call.
+        """
         self.send(obj, dest, tag)
-        return Request()
+        if self._runtime.verifier is None:
+            return Request()
+        return _VerifiedSend(
+            obj, f"rank {self._rank}: isend to dest {dest} (tag {tag})"
+        )
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Nonblocking receive; the match happens in ``Request.wait``."""

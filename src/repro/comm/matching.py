@@ -14,9 +14,13 @@ cycle when one exists.  This module holds the shared pieces:
   pending buffer.
 - :class:`WaitInfo` describes what a blocked rank is matching — the
   node payload of the wait-for graph.
+- :class:`Unmatched` describes a message nobody received; both
+  backends hand these to the reports (the process backend ships them
+  from its workers inside heartbeats).
 - :func:`find_wait_cycle` extracts one cycle from a wait-for graph
   (rank → awaited world rank), and :func:`deadlock_report` renders the
-  full diagnostic.
+  full diagnostic, with a ``near miss:`` line wherever a blocked
+  receive and an unmatched message differ only in tag or only in peer.
 
 Matched objects only need ``comm_key`` / ``source`` / ``tag``
 attributes; both backends' message envelopes provide them.
@@ -24,10 +28,10 @@ attributes; both backends' message envelopes provide them.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
-__all__ = ["match_in", "peek_in", "WaitInfo", "find_wait_cycle",
-           "deadlock_report"]
+__all__ = ["match_in", "peek_in", "WaitInfo", "Unmatched",
+           "find_wait_cycle", "deadlock_report"]
 
 
 def match_in(pending: list, comm_key, source: int, tag: int) -> Any | None:
@@ -96,6 +100,60 @@ class WaitInfo:
         return cls(*t)
 
 
+class Unmatched(NamedTuple):
+    """A message still sitting in ``dest``'s mailbox.
+
+    ``source`` is the sender's rank within ``comm_key`` (what a receive
+    names); ``source_world`` and ``dest`` are world ranks.
+    """
+
+    comm_key: tuple
+    source: int
+    source_world: int
+    dest: int
+    tag: int
+    nbytes: int
+
+    @classmethod
+    def of(cls, msg: Any, dest: int) -> "Unmatched":
+        """Describe envelope ``msg`` pending at world rank ``dest``."""
+        return cls(msg.comm_key, msg.source, msg.source_world, dest,
+                   msg.tag, msg.nbytes)
+
+    def describe(self) -> str:
+        return (f"message: rank {self.source_world} -> rank {self.dest} "
+                f"(tag {self.tag}, {self.nbytes} bytes) on communicator "
+                f"{self.comm_key!r}")
+
+
+def _near_misses(waiting: dict[int, WaitInfo],
+                 unmatched: Sequence[Unmatched]) -> list[str]:
+    """Blocked receives that an unmatched message misses by one field."""
+    lines = []
+    for rank in sorted(waiting):
+        wait = waiting[rank]
+        peer = (wait.source_world if wait.source_world is not None
+                else wait.source)
+        for msg in unmatched:
+            if msg.dest != rank or msg.comm_key != wait.comm_key:
+                continue
+            same_peer = wait.source < 0 or msg.source == wait.source
+            same_tag = wait.tag < 0 or msg.tag == wait.tag
+            if same_peer and not same_tag:
+                lines.append(
+                    f"near miss: rank {rank} waits for tag {wait.tag}; "
+                    f"rank {msg.source_world} sent it tag {msg.tag} "
+                    f"(same rank pair, different tag)"
+                )
+            elif same_tag and not same_peer:
+                lines.append(
+                    f"near miss: rank {rank} waits for rank {peer}; "
+                    f"rank {msg.source_world} sent it tag {msg.tag} "
+                    f"(same tag, different peer)"
+                )
+    return lines
+
+
 def find_wait_cycle(waiting: dict[int, WaitInfo]) -> list[int] | None:
     """Find one cycle in the wait-for graph (rank → awaited rank)."""
     graph = {
@@ -121,7 +179,7 @@ def find_wait_cycle(waiting: dict[int, WaitInfo]) -> list[int] | None:
 
 
 def deadlock_report(waiting: dict[int, WaitInfo], n_blocked: int,
-                    unmatched_lines: Sequence[str] = (),
+                    unmatched: Sequence[Unmatched] = (),
                     headline: str | None = None) -> str:
     """Render the full deadlock diagnostic shared by both backends."""
     lines = [
@@ -135,6 +193,8 @@ def deadlock_report(waiting: dict[int, WaitInfo], n_blocked: int,
         lines.append(f"  wait-for cycle: {hops}")
     for rank in sorted(waiting):
         lines.append("  " + waiting[rank].describe(rank))
-    for line in unmatched_lines:
-        lines.append("  unmatched " + line)
+    for msg in unmatched:
+        lines.append("  unmatched " + msg.describe())
+    for line in _near_misses(waiting, unmatched):
+        lines.append("  " + line)
     return "\n".join(lines)

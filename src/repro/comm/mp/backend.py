@@ -53,7 +53,7 @@ from ...obs.context import current_trace_context, new_trace_context
 from ...obs.log import active_log
 from .. import shm
 from ..costmodel import CostModel
-from ..matching import WaitInfo, deadlock_report
+from ..matching import Unmatched, WaitInfo, deadlock_report
 from ..stats import SimulationResult
 from .worker import FINALIZE, FLIGHTREC_DUMP, JobSpec, worker_main
 
@@ -193,8 +193,8 @@ class _Monitor:
         self.nranks = nranks
         self.verifier = verifier
         self.done: dict[int, tuple] = {}
-        self.finalized: dict[int, list[str]] = {}
-        # rank -> [wait_tuple, progress, pending_lines, repeats,
+        self.finalized: dict[int, list[Unmatched]] = {}
+        # rank -> [wait_tuple, progress, unmatched, repeats,
         #          sent_to, inbox_received]
         self.waiting: dict[int, list] = {}
         # Liveness bookkeeping for worker-death diagnostics: wall time
@@ -214,14 +214,14 @@ class _Monitor:
             if msg[7] is not None:  # sent_to of the done report
                 self.last_counts[rank] = (msg[7], msg[8])
         elif kind == "wait":
-            _, rank, wait_tuple, progress, lines, sent_to, received = msg
+            _, rank, wait_tuple, progress, pending, sent_to, received = msg
             self.last_counts[rank] = (sent_to, received)
             entry = self.waiting.get(rank)
             if entry is not None and entry[0] == wait_tuple and entry[1] == progress:
-                entry[2] = lines
+                entry[2] = pending
                 entry[3] += 1
             else:
-                self.waiting[rank] = [wait_tuple, progress, lines, 1,
+                self.waiting[rank] = [wait_tuple, progress, pending, 1,
                                       sent_to, received]
         elif kind == "wake":
             self.waiting.pop(msg[1], None)
@@ -304,10 +304,10 @@ class _Monitor:
             r: WaitInfo.from_tuple(self.waiting[r][0]) for r in unfinished
         }
         unmatched = [
-            line for r in sorted(unfinished) for line in self.waiting[r][2]
+            m for r in sorted(unfinished) for m in self.waiting[r][2]
         ]
         raise DeadlockError(deadlock_report(
-            waiting, len(unfinished), unmatched_lines=unmatched,
+            waiting, len(unfinished), unmatched=unmatched,
         ))
 
     def _raise_first_error(self) -> None:
@@ -520,14 +520,12 @@ def run_spmd_processes(
             for rank in range(nranks):
                 for line in monitor.done[rank][3]:
                     sink.write_raw(line)
-        strays = [
-            line for r in range(nranks) for line in monitor.finalized[r]
-        ]
+        strays = [m for r in range(nranks) for m in monitor.finalized[r]]
 
     if strays:
         report = (
             f"simulation finalized with {len(strays)} unreceived "
-            f"message(s):\n  " + "\n  ".join(strays)
+            f"message(s):\n  " + "\n  ".join(m.describe() for m in strays)
         )
         if verify:
             err = UnconsumedMessageError(report)

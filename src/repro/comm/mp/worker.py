@@ -59,7 +59,7 @@ from ...obs.tracer import kernel_time, tracing
 from ...util.flops import counting_flops
 from .. import shm
 from ..costmodel import payload_nbytes
-from ..matching import WaitInfo, match_in
+from ..matching import Unmatched, WaitInfo, match_in
 from ..runtime import RankContext, _Message
 
 __all__ = ["MpRuntime", "VerifierProxy", "JobSpec", "worker_main",
@@ -279,7 +279,7 @@ class MpRuntime:
                 # out in-flight envelopes (queue feeder threads deliver
                 # asynchronously) before declaring deadlock.
                 self._conn.send(("wait", self._rank, wait.to_tuple(),
-                                 self.progress, self._pending_lines(),
+                                 self.progress, self._unmatched(),
                                  tuple(self.sent_to), self.inbox_received))
                 sent_hb = True
                 continue
@@ -310,16 +310,11 @@ class MpRuntime:
 
     # -- finalize --------------------------------------------------------
 
-    def _pending_lines(self) -> list[str]:
-        return [
-            f"message: rank {m.source_world} -> rank {self._rank} "
-            f"(tag {m.tag}, {m.nbytes} bytes) on communicator "
-            f"{m.comm_key!r}"
-            for m in self._pending
-        ]
+    def _unmatched(self) -> list[Unmatched]:
+        return [Unmatched.of(m, self._rank) for m in self._pending]
 
-    def absorb_finalize(self) -> list[str]:
-        """Complete the exact-finalize handshake; return stray lines.
+    def absorb_finalize(self) -> list[Unmatched]:
+        """Complete the exact-finalize handshake; return the strays.
 
         Blocks for the parent's ``(FINALIZE, outstanding)`` sentinel,
         then absorbs exactly ``outstanding`` in-flight envelopes (the
@@ -348,12 +343,12 @@ class MpRuntime:
             outstanding = item[1] - self.inbox_received
             if outstanding < 0:  # pragma: no cover - protocol
                 raise CommError("finalize accounting underflow")
-        lines = self._pending_lines()
+        strays = self._unmatched()
         for m in self._pending:
             if isinstance(m.payload, shm.ShmPacked) and m.payload.shm_name:
                 shm.release_segment(m.payload.shm_name)
         self._pending.clear()
-        return lines
+        return strays
 
 
 def _capture_logs(spec: JobSpec) -> io.StringIO | None:

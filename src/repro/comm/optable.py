@@ -1,141 +1,19 @@
-"""Machine-readable description of the Communicator's public op surface.
+"""The Communicator's collective operations, by method name.
 
-One :class:`OpSpec` per communication operation, keyed by method name.
-This is the single source of truth consumed by the static tooling in
-:mod:`repro.check` — the linter's collective-sequence rule (RC101) and
-the protocol analyzer (``repro.check.proto``) both read this table
-instead of hard-coding method names, so a new Communicator op only has
-to be described once to be covered by every static pass.
-
-The table is descriptive, not executable: :class:`~.communicator.
-Communicator` does not consult it at runtime.  A conformance test
-(tests/test_proto.py) asserts the table matches the actual
-``Communicator`` surface so the two cannot drift apart.
+Linter rule RC101 (:mod:`repro.check.linter`) reads this set to
+recognise a collective called under a rank-conditional branch.  The
+set is descriptive, not executable: :class:`~.communicator.Communicator`
+does not consult it at runtime.  A drift test (tests/test_check.py)
+asserts it equals the Communicator's public methods minus the
+point-to-point and local ones, so a new collective cannot escape RC101.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-__all__ = [
-    "OpSpec",
-    "OP_TABLE",
-    "COLLECTIVE_OPS",
-    "POINT_TO_POINT_OPS",
-    "NONBLOCKING_OPS",
-]
-
-
-@dataclasses.dataclass(frozen=True)
-class OpSpec:
-    """Static description of one Communicator operation.
-
-    Attributes
-    ----------
-    name:
-        Method name on :class:`~repro.comm.communicator.Communicator`.
-    kind:
-        ``"p2p"`` (matched point-to-point), ``"collective"`` (must be
-        called by every rank of the communicator in the same sequence),
-        or ``"local"`` (completes without any partner).
-    blocking:
-        Whether the call can block waiting for a partner.  Sends are
-        eager in this runtime (buffered, never block); receives and
-        collectives block.
-    returns:
-        ``"none"``, ``"payload"``, ``"request"``, ``"comm"`` (a derived
-        communicator, possibly ``None``), or ``"varies"``.
-    payload_param / peer_param / tag_param / root_param:
-        Positional index (into the method's non-``self`` parameters) of
-        the outbound payload, the peer rank, the message tag, and the
-        collective root — ``None`` where the op has no such parameter.
-        Keyword names match the parameter name at that index.
-    params:
-        The non-``self`` parameter names in declaration order, for
-        keyword-argument resolution.
-    direction:
-        ``"send"``, ``"recv"``, ``"both"`` or ``""`` — which way the
-        payload moves, used by alias tracking to decide whether the
-        payload enters an in-flight window (send side) or arrives as a
-        zero-copy view (receive side).
-    """
-
-    name: str
-    kind: str
-    blocking: bool
-    returns: str
-    params: tuple[str, ...] = ()
-    payload_param: int | None = None
-    peer_param: int | None = None
-    tag_param: int | None = None
-    root_param: int | None = None
-    direction: str = ""
-
-
-OP_TABLE: dict[str, OpSpec] = {
-    spec.name: spec
-    for spec in (
-        # -- point to point ------------------------------------------------
-        OpSpec("send", "p2p", blocking=False, returns="none",
-               params=("obj", "dest", "tag"),
-               payload_param=0, peer_param=1, tag_param=2, direction="send"),
-        OpSpec("recv", "p2p", blocking=True, returns="payload",
-               params=("source", "tag", "status"),
-               peer_param=0, tag_param=1, direction="recv"),
-        OpSpec("isend", "p2p", blocking=False, returns="request",
-               params=("obj", "dest", "tag"),
-               payload_param=0, peer_param=1, tag_param=2, direction="send"),
-        OpSpec("irecv", "p2p", blocking=False, returns="request",
-               params=("source", "tag"),
-               peer_param=0, tag_param=1, direction="recv"),
-        OpSpec("sendrecv", "p2p", blocking=True, returns="payload",
-               params=("obj", "dest", "sendtag", "source", "recvtag",
-                       "status"),
-               payload_param=0, peer_param=1, tag_param=2, direction="both"),
-        # -- collectives ---------------------------------------------------
-        OpSpec("barrier", "collective", blocking=True, returns="none"),
-        OpSpec("bcast", "collective", blocking=True, returns="payload",
-               params=("obj", "root"),
-               payload_param=0, root_param=1, direction="both"),
-        OpSpec("gather", "collective", blocking=True, returns="payload",
-               params=("obj", "root"),
-               payload_param=0, root_param=1, direction="both"),
-        OpSpec("allgather", "collective", blocking=True, returns="payload",
-               params=("obj",), payload_param=0, direction="both"),
-        OpSpec("scatter", "collective", blocking=True, returns="payload",
-               params=("objs", "root"),
-               payload_param=0, root_param=1, direction="both"),
-        OpSpec("alltoall", "collective", blocking=True, returns="payload",
-               params=("objs",), payload_param=0, direction="both"),
-        OpSpec("reduce", "collective", blocking=True, returns="payload",
-               params=("obj", "op", "root"),
-               payload_param=0, root_param=2, direction="both"),
-        OpSpec("allreduce", "collective", blocking=True, returns="payload",
-               params=("obj", "op"), payload_param=0, direction="both"),
-        OpSpec("scan", "collective", blocking=True, returns="payload",
-               params=("obj", "op"), payload_param=0, direction="both"),
-        OpSpec("exscan", "collective", blocking=True, returns="payload",
-               params=("obj", "op"), payload_param=0, direction="both"),
-        OpSpec("split", "collective", blocking=True, returns="comm",
-               params=("color", "key")),
-        OpSpec("dup", "collective", blocking=True, returns="comm"),
-        # -- local ---------------------------------------------------------
-        OpSpec("advance_clock", "local", blocking=False, returns="none",
-               params=("seconds",)),
-    )
-}
+__all__ = ["COLLECTIVE_OPS"]
 
 #: Collective operations whose call sequence must match across ranks.
-COLLECTIVE_OPS: frozenset[str] = frozenset(
-    name for name, spec in OP_TABLE.items() if spec.kind == "collective"
-)
-
-#: Matched point-to-point operations.
-POINT_TO_POINT_OPS: frozenset[str] = frozenset(
-    name for name, spec in OP_TABLE.items() if spec.kind == "p2p"
-)
-
-#: Operations returning a Request that must later be waited.
-NONBLOCKING_OPS: frozenset[str] = frozenset(
-    name for name, spec in OP_TABLE.items() if spec.returns == "request"
-)
+COLLECTIVE_OPS: frozenset[str] = frozenset({
+    "barrier", "bcast", "gather", "allgather", "scatter", "alltoall",
+    "reduce", "allreduce", "scan", "exscan", "split", "dup",
+})

@@ -34,16 +34,19 @@ Key properties
   cross-checks every rank's collective call sequence, reporting the
   first divergent collective, and messages left unreceived at finalize
   raise :class:`~repro.exceptions.UnconsumedMessageError` (they warn in
-  default mode).  See docs/CHECKING.md.
+  default mode).  The communicator adds the aliasing checks: received
+  arrays arrive read-only, and an ``isend`` buffer written before its
+  ``wait()`` raises.  See docs/CHECKING.md.
 - **Value semantics.**  Message payloads are copied at send time by
   default, so in-process sharing cannot mask bugs that real distributed
-  memory would expose.
+  memory would expose.  Verification copies even for
+  ``copy_messages=False`` callers, so its read-only receive buffers
+  never freeze the sender's arrays.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 import warnings
@@ -67,7 +70,7 @@ from ..util.flops import FlopCounter, counting_flops
 from .clock import VirtualClock
 from .costmodel import CostModel, DEFAULT_COST_MODEL, payload_nbytes
 from .fastcopy import fastcopy_counted
-from .matching import WaitInfo, deadlock_report, match_in, peek_in
+from .matching import Unmatched, WaitInfo, deadlock_report, match_in, peek_in
 from .stats import RankStats, SimulationResult
 
 __all__ = ["Runtime", "RankContext", "run_spmd", "CommAborted"]
@@ -204,7 +207,7 @@ class Runtime:
             raise CommError(f"destination {dest_world} out of range")
         ctx.clock.sync_compute()
         ctx.clock.charge_overhead()
-        if self.copy_messages:
+        if self.copy_messages or self.verifier is not None:
             with kernel_time("comm.copy"):
                 payload, ndeep = fastcopy_counted(payload)
             ctx.stats.payload_copies += 1
@@ -311,19 +314,16 @@ class Runtime:
                        wait.tag):
                 return  # that rank will wake and match within poll_interval
         err = DeadlockError(deadlock_report(
-            self._waiting, self._n_live,
-            unmatched_lines=self._unconsumed_lines(),
+            self._waiting, self._n_live, unmatched=self._unconsumed(),
         ))
         self._abort = err
         self._cond.notify_all()
         raise err
 
-    def _unconsumed_lines(self) -> list[str]:
-        """Describe every message still sitting in an inbox."""
+    def _unconsumed(self) -> list[Unmatched]:
+        """Every message still sitting in an inbox."""
         return [
-            f"message: rank {msg.source_world} -> rank {dest} "
-            f"(tag {msg.tag}, {msg.nbytes} bytes) on communicator "
-            f"{msg.comm_key!r}"
+            Unmatched.of(msg, dest)
             for dest, box in enumerate(self._inboxes)
             for msg in box
         ]
@@ -373,7 +373,8 @@ def run_spmd(
         Copy payloads at send time (distributed-memory semantics).
         Disable only for trusted benchmark inner loops.  The process
         backend always has value semantics (payloads cross a process
-        boundary), so it ignores ``copy_messages=False``.
+        boundary), so it ignores ``copy_messages=False``; so does a
+        verified run, whose received arrays are read-only.
     rank_args:
         Optional per-rank extra positional arguments: ``rank_args[r]``
         is appended after ``args`` for rank ``r``.
@@ -395,8 +396,13 @@ def run_spmd(
         first mismatched collective, and messages left unreceived at
         finalize raise
         :class:`~repro.exceptions.UnconsumedMessageError` (without
-        verification they only warn).  ``None`` (the default) defers
-        to the ``REPRO_VERIFY`` environment variable.
+        verification they only warn).  Received arrays are delivered
+        read-only, so an in-place write raises ``ValueError`` at the
+        offending line, and ``Request.wait()`` on an ``isend`` raises
+        :class:`~repro.exceptions.CommError` if the payload's arrays
+        changed in flight.  ``None`` (the default) defers to the
+        ``REPRO_VERIFY`` environment variable (``0``/``off``/``false``/
+        ``no`` or empty: off).
     backend:
         ``"threads"`` (reference, virtual-time) or ``"processes"``
         (true multi-core via :mod:`repro.comm.mp`).  ``None`` (the
@@ -419,7 +425,7 @@ def run_spmd(
     """
     import dataclasses as _dc
 
-    from ..config import get_config, install_config
+    from ..config import env_flag, get_config, install_config
     from .communicator import Communicator  # deferred: avoids import cycle
 
     if "deadlock_timeout" in kwargs:
@@ -444,9 +450,7 @@ def run_spmd(
             f"rank_args has {len(rank_args)} entries for {nranks} ranks"
         )
     if verify is None:
-        verify = os.environ.get("REPRO_VERIFY", "").strip().lower() not in (
-            "", "0", "false", "no",
-        )
+        verify = env_flag("REPRO_VERIFY", default=False)
     if backend == "processes" and nranks > 1:
         from . import mp  # deferred: spawn machinery only when selected
 
@@ -551,11 +555,11 @@ def run_spmd(
     if aborted is not None:
         capture(aborted)
         raise aborted
-    leftover = runtime._unconsumed_lines()
+    leftover = runtime._unconsumed()
     if leftover:
         report = (
             f"simulation finalized with {len(leftover)} unreceived "
-            f"message(s):\n  " + "\n  ".join(leftover)
+            f"message(s):\n  " + "\n  ".join(m.describe() for m in leftover)
         )
         if runtime.verifier is not None:
             err = UnconsumedMessageError(report)

@@ -29,7 +29,7 @@ __all__ = ["ReproConfig", "get_config", "set_config", "install_config",
            "config_context", "BLOCKOPS_BACKENDS", "RECURRENCE_MODES",
            "COMM_BACKENDS", "DEFAULT_VECTOR_SOLVE_MAX_WORK",
            "DEFAULT_LEVELWISE_MIN_ROWS", "DEFAULT_LEVELWISE_MAX_BLOCK",
-           "DEFAULT_LEVELWISE_MAX_RHS", "TUNABLE_THRESHOLDS"]
+           "DEFAULT_LEVELWISE_MAX_RHS", "TUNABLE_THRESHOLDS", "env_flag"]
 
 #: Valid values of :attr:`ReproConfig.blockops_backend`.
 BLOCKOPS_BACKENDS = frozenset({"batched", "scipy_loop"})
@@ -79,10 +79,20 @@ def _default_comm_backend() -> str:
     return os.environ.get("REPRO_COMM_BACKEND", "").strip() or "threads"
 
 
+def env_flag(name: str, default: bool) -> bool:
+    """Read boolean environment switch ``name``.
+
+    Unset or empty gives ``default``; ``0``, ``off``, ``false`` and
+    ``no`` (any case) are false; any other value is true.
+    """
+    value = os.environ.get(name, "").strip().lower()
+    if not value:
+        return default
+    return value not in ("0", "off", "false", "no")
+
+
 def _default_flightrec() -> bool:
-    return os.environ.get("REPRO_FLIGHTREC", "").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
+    return env_flag("REPRO_FLIGHTREC", default=True)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -52,8 +52,8 @@ See docs/PLANNER.md.
 ``run``/``all``/``trace``/``serve-bench`` accept ``--verify``: every
 simulated solve runs with the SPMD runtime verifier enabled
 (equivalent to setting ``REPRO_VERIFY=1``; see docs/CHECKING.md), so a
-divergent collective or an unreceived message fails the experiment
-with a precise diagnostic.  Every subcommand also accepts
+divergent collective, an unreceived message or a write to a received
+or in-flight array fails the experiment with a precise diagnostic.  Every subcommand also accepts
 ``--backend {threads,processes}`` (equivalent to
 ``REPRO_COMM_BACKEND``; see docs/BACKENDS.md) to pick the SPMD
 execution backend: ``threads`` keeps the in-process virtual-time
@@ -81,7 +81,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--verify", action="store_true",
         help="run all simulated solves with the SPMD runtime verifier "
-        "(collective lockstep + finalize checks; same as REPRO_VERIFY=1)",
+        "(collective lockstep, finalize and aliasing checks; same as "
+        "REPRO_VERIFY=1)",
     )
     parser.add_argument(
         "--backend", choices=("threads", "processes"), default=None,

@@ -5,12 +5,16 @@ the equivalent clean code, honours ``# repro: noqa[...]``, and the
 shipped ``src/`` tree lints clean (the same gate CI enforces).
 
 Dynamic layer: adversarial SPMD programs — divergent collectives, a
-send with no matching receive, a true receive cycle — must produce the
-precise diagnostic (ranks, ops, tags) under both ``verify=True`` and
-default mode, never a generic timeout; and real solves stay clean
-under verification.
+send with no matching receive, a true receive cycle, a tag or peer
+that almost matches — must produce the precise diagnostic (ranks, ops,
+tags) under both ``verify=True`` and default mode, never a generic
+timeout; and every shipped SPMD solver runs clean under verification
+at P=2, 4 and 8.  The aliasing checks of a verified run are exercised
+on both backends in tests/test_comm_conformance.py.
 """
 
+import inspect
+import json
 import pathlib
 import textwrap
 import time
@@ -21,7 +25,8 @@ import pytest
 from repro.check import RULES, lint_paths, lint_source
 from repro.check.__main__ import main as check_main
 from repro.check.verifier import SpmdVerifier
-from repro.comm import run_spmd
+from repro.comm import Communicator, run_spmd
+from repro.comm.optable import COLLECTIVE_OPS
 from repro.exceptions import (
     DeadlockError,
     SpmdDivergenceError,
@@ -109,6 +114,17 @@ class TestRankConditionalCollective:
             """
         )
         assert findings == []
+
+    def test_collective_ops_cover_every_communicator_collective(self):
+        # RC101 only knows the names in COLLECTIVE_OPS: a new collective
+        # method must land there too, or it escapes the rule.
+        point_to_point = {"send", "recv", "isend", "irecv", "sendrecv"}
+        local = {"advance_clock", "payload_nbytes"}
+        public = {
+            name for name, member in vars(Communicator).items()
+            if not name.startswith("_") and inspect.isfunction(member)
+        }
+        assert COLLECTIVE_OPS == public - point_to_point - local
 
 
 class TestUnwaitedRequest:
@@ -564,8 +580,6 @@ class TestTreeAndCli:
         assert rule_id in capsys.readouterr().out
 
     def test_cli_json_format(self, tmp_path, capsys):
-        import json
-
         f = tmp_path / "seeded.py"
         f.write_text("def f(x=[]):\n    return x\n")
         assert check_main(["lint", "--format", "json", str(f)]) == 1
@@ -573,11 +587,29 @@ class TestTreeAndCli:
         assert payload[0]["rule_id"] == "RC106"
         assert payload[0]["line"] == 1
 
+    def test_lint_sarif_format(self, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "def p(comm):\n"
+            "    if comm.rank:\n"
+            "        comm.barrier()\n",
+            encoding="utf-8",
+        )
+        assert check_main(["lint", str(bad), "--format", "sarif"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["runs"][0]["results"][0]["ruleId"] == "RC101"
+
     def test_cli_rules_catalog(self, capsys):
         assert check_main(["rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in RULES:
             assert rule_id in out
+
+    def test_cli_offers_only_lint_and_rules(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            check_main(["proto", "repro.core", "--ranks", "2"])
+        assert exc_info.value.code == 2
+        assert "{lint,rules}" in capsys.readouterr().err
 
 
 def diverging_program(comm):
@@ -638,6 +670,11 @@ class TestCollectiveDivergence:
 
     def test_env_var_zero_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_VERIFY", "0")
+        with pytest.raises(DeadlockError):
+            run_spmd(diverging_program, 2)
+
+    def test_env_var_off_disables(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VERIFY", "off")
         with pytest.raises(DeadlockError):
             run_spmd(diverging_program, 2)
 
@@ -716,6 +753,23 @@ class TestExactDeadlockDetection:
             assert "tag 2" in message  # what rank 1 waits for
             assert "tag 1" in message  # the unmatched message in its inbox
             assert "rank 0 -> rank 1" in message
+            assert ("near miss: rank 1 waits for tag 2; rank 0 sent it "
+                    "tag 1 (same rank pair, different tag)") in message
+
+    def test_wrong_peer_names_near_miss(self):
+        def program(comm):
+            if comm.rank == 1:
+                comm.send("x", 2, tag=5)
+            elif comm.rank == 2:
+                return comm.recv(source=0, tag=5)
+
+        for verify in (False, True):
+            with pytest.raises(DeadlockError) as exc_info:
+                run_spmd(program, 3, verify=verify)
+            message = str(exc_info.value)
+            assert "rank 1 -> rank 2 (tag 5" in message
+            assert ("near miss: rank 2 waits for rank 0; rank 1 sent it "
+                    "tag 5 (same tag, different peer)") in message
 
     def test_long_compute_phase_is_not_deadlock(self):
         # The false-positive fix: a rank grinding through local work is
@@ -810,3 +864,39 @@ class TestVerifiedSolves:
         b = random_rhs(16, 3, nrhs=1, seed=3).astype(matrix.dtype)
         x = solve(matrix, b, method="rd", nranks=4)
         assert matrix.residual(x, b) < 1e-8
+
+
+class TestSolverGate:
+    """Every shipped SPMD solver runs clean under verification.
+
+    The solvers pass ``copy_messages=False``, so a received array would
+    otherwise be the sender's array; verification copies it anyway and
+    delivers it read-only, so any in-place write to a received payload
+    (or to an ``isend`` buffer before its wait) fails here.
+    """
+
+    def test_solvers_clean_at_2_4_8_under_verification(self, monkeypatch):
+        from repro import solve
+        from repro.core.bcyclic import bcyclic_solve
+        from repro.workloads import helmholtz_block_system, random_rhs
+
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        start = time.monotonic()
+        for p in (2, 4, 8):
+            matrix, _ = helmholtz_block_system(2 * p, 3)
+            b = random_rhs(2 * p, 3, nrhs=2, seed=p)
+            for method in ("rd", "ard", "spike"):
+                x, info = solve(matrix, b, method=method, nranks=p,
+                                return_info=True)
+                assert matrix.residual(x, b) < 1e-10, (method, p)
+                # Verification copies even for copy_messages=False.
+                copies = sum(s.payload_copies for s in info.solve_result.stats)
+                assert copies > 0, (method, p)
+            matrix, _ = helmholtz_block_system(p, 3)
+            b = random_rhs(p, 3, nrhs=2, seed=p)
+            x, result = bcyclic_solve(matrix, b)
+            assert result.nranks == p
+            assert matrix.residual(x, b) < 1e-10, ("bcyclic", p)
+            assert sum(s.payload_copies for s in result.stats) > 0
+        elapsed = time.monotonic() - start
+        assert elapsed < 5.0, f"solver gate took {elapsed:.2f}s"

@@ -10,7 +10,8 @@ silently fall back to threads (defeating the point of the matrix).
 
 The cross-backend *bitwise parity* checks on the real solvers live in
 ``test_mp_backend.py``; this file is about the communication API
-contract itself.
+contract itself, including the aliasing checks a verified run
+(``verify=True``) adds on both backends.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 
 from repro.comm import ANY_SOURCE, ANY_TAG, MAX, SUM, Status, run_spmd
 from repro.comm.mp import shutdown_pool
+from repro.exceptions import CommError, DeadlockError
 
 BACKENDS = ("threads", "processes")
 
@@ -151,6 +153,79 @@ def prog_rank_extra(comm, base, extra):
     return base + extra
 
 
+def prog_tag_near_miss(comm):
+    if comm.rank == 0:
+        comm.send("x", 1, tag=1)
+        return None
+    return comm.recv(source=0, tag=2)
+
+
+def _ring(comm):
+    return (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+
+
+def prog_write_inflight(comm):
+    right, left = _ring(comm)
+    buf = np.zeros(4)
+    req = comm.isend(buf, right, tag=9)
+    buf[0] = 1.0
+    req.wait()
+    return comm.recv(source=left, tag=9)
+
+
+def prog_write_inflight_view(comm):
+    right, left = _ring(comm)
+    buf = np.zeros(4)
+    view = buf.reshape(2, 2)
+    req = comm.isend(buf, right, tag=9)
+    view[0] = 1.0
+    req.wait()
+    return comm.recv(source=left, tag=9)
+
+
+def prog_write_after_wait(comm):
+    right, left = _ring(comm)
+    buf = np.zeros(4)
+    req = comm.isend(buf, right, tag=9)
+    got = comm.recv(source=left, tag=9)
+    req.wait()
+    buf[0] = 1.0
+    return got
+
+
+def prog_write_sent_copy_source(comm):
+    right, left = _ring(comm)
+    buf = np.zeros(4)
+    req = comm.isend(buf.copy(), right, tag=9)
+    buf[0] = 1.0
+    req.wait()
+    return comm.recv(source=left, tag=9)
+
+
+def prog_write_received(comm):
+    right, left = _ring(comm)
+    comm.send(np.zeros(4), right, tag=11)
+    got = comm.recv(source=left, tag=11)
+    got[0] = 2.0
+    return got
+
+
+def prog_write_bcast_result(comm):
+    x = np.zeros(3) if comm.rank == 0 else None
+    x = comm.bcast(x, root=0)
+    if comm.rank == 1:
+        x += 1.0
+    return x
+
+
+def prog_write_received_copy(comm):
+    right, left = _ring(comm)
+    comm.send(np.zeros(4), right, tag=11)
+    got = comm.recv(source=left, tag=11).copy()
+    got[0] = 2.0
+    return got
+
+
 # ---------------------------------------------------------------------------
 # conformance tests
 # ---------------------------------------------------------------------------
@@ -271,3 +346,57 @@ def test_stats_and_virtual_time_match_reference(backend):
         reference.virtual_time, rel=1e-12)
     assert result.total_msgs_sent == reference.total_msgs_sent
     assert result.total_bytes_sent == reference.total_bytes_sent
+
+
+def test_deadlock_report_names_near_miss(backend):
+    with pytest.raises(DeadlockError) as exc_info:
+        run_spmd(prog_tag_near_miss, 2, backend=backend)
+    report = str(exc_info.value)
+    assert "unmatched message: rank 0 -> rank 1 (tag 1" in report
+    assert ("near miss: rank 1 waits for tag 2; rank 0 sent it tag 1 "
+            "(same rank pair, different tag)") in report
+
+
+# ---------------------------------------------------------------------------
+# aliasing checks of a verified run (formerly static rules RC205/RC206)
+# ---------------------------------------------------------------------------
+
+#: ``copy_messages`` settings worth running per backend: the process
+#: backend always copies, so ``False`` would only repeat ``True``.
+COPY_MODES = {"threads": (True, False), "processes": (True,)}
+
+
+@pytest.mark.parametrize("program", [prog_write_inflight,
+                                     prog_write_inflight_view],
+                         ids=["buffer", "reshape_view"])
+def test_verify_flags_isend_buffer_written_before_wait(backend, program):
+    for copy_messages in COPY_MODES[backend]:
+        with pytest.raises(CommError, match=r"isend to dest \d \(tag 9\)"):
+            run_spmd(program, 2, backend=backend, verify=True,
+                     copy_messages=copy_messages)
+
+
+@pytest.mark.parametrize("program,line", [
+    (prog_write_received, "got[0] = 2.0"),
+    (prog_write_bcast_result, "x += 1.0"),
+], ids=["recv", "bcast"])
+def test_verify_flags_write_to_received_array(backend, program, line):
+    for copy_messages in COPY_MODES[backend]:
+        with pytest.raises(ValueError, match="read-only") as exc_info:
+            run_spmd(program, 2, backend=backend, verify=True,
+                     copy_messages=copy_messages)
+        if backend == "threads":  # the process backend ships no traceback
+            assert str(exc_info.traceback[-1].statement).strip() == line
+
+
+@pytest.mark.parametrize("program,expected", [
+    (prog_write_after_wait, 0.0),
+    (prog_write_sent_copy_source, 0.0),
+    (prog_write_received_copy, 2.0),
+], ids=["write_after_wait", "send_copy", "copy_received"])
+def test_verify_near_misses_run_clean(backend, program, expected):
+    for copy_messages in COPY_MODES[backend]:
+        result = _run(program, 2, backend, verify=True,
+                      copy_messages=copy_messages)
+        for got in result.values:
+            assert got[0] == expected and not got[1:].any()

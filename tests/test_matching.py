@@ -1,9 +1,9 @@
 """Unit tests for repro.comm.matching in isolation.
 
 The mailbox matching, wait-for-graph and deadlock-report helpers were
-extracted from the runtime so both execution backends (and now the
-static protocol analyzer) share one matching contract; until now they
-were only exercised indirectly through backend conformance tests.
+extracted from the runtime so both execution backends share one
+matching contract; until now they were only exercised indirectly
+through backend conformance tests.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.comm.matching import (
+    Unmatched,
     WaitInfo,
     deadlock_report,
     find_wait_cycle,
@@ -159,15 +160,45 @@ class TestDeadlockReport:
     def test_report_lists_every_blocked_rank_and_cycle(self):
         waiting = {0: wait_on(1), 1: wait_on(0)}
         text = deadlock_report(waiting, n_blocked=2,
-                               unmatched_lines=["message rank 0 -> rank 1 "
-                                                "tag 9"])
+                               unmatched=[Unmatched(WORLD, 0, 0, 1, 9, 8)])
         assert "2 unfinished rank(s)" in text
         assert "wait-for cycle" in text
         assert "rank 0" in text and "rank 1" in text
-        assert "unmatched message rank 0 -> rank 1 tag 9" in text
+        assert "unmatched message: rank 0 -> rank 1 (tag 9, 8 bytes)" in text
 
     def test_custom_headline(self):
         text = deadlock_report({0: wait_on(None)}, n_blocked=1,
                                headline="all stuck")
         assert text.splitlines()[0] == "all stuck"
         assert "any rank" in text
+
+
+class TestNearMiss:
+    def _report(self, wait: WaitInfo, msg: Unmatched) -> str:
+        return deadlock_report({1: wait}, n_blocked=1, unmatched=[msg])
+
+    def test_same_pair_different_tag(self):
+        text = self._report(WaitInfo(WORLD, 0, 2, 0, None),
+                            Unmatched(WORLD, 0, 0, 1, 7, 8))
+        assert ("near miss: rank 1 waits for tag 2; rank 0 sent it tag 7 "
+                "(same rank pair, different tag)") in text
+
+    def test_same_tag_different_peer(self):
+        text = self._report(WaitInfo(WORLD, 0, 2, 0, None),
+                            Unmatched(WORLD, 2, 2, 1, 2, 8))
+        assert ("near miss: rank 1 waits for rank 0; rank 2 sent it tag 2 "
+                "(same tag, different peer)") in text
+
+    def test_wildcard_source_with_wrong_tag(self):
+        text = self._report(WaitInfo(WORLD, -1, 2, None, None),
+                            Unmatched(WORLD, 3, 3, 1, 5, 8))
+        assert "waits for tag 2; rank 3 sent it tag 5" in text
+
+    def test_no_hint_when_both_differ_or_other_comm(self):
+        wait = WaitInfo(WORLD, 0, 2, 0, None)
+        assert "near miss" not in self._report(
+            wait, Unmatched(WORLD, 2, 2, 1, 7, 8))
+        assert "near miss" not in self._report(
+            wait, Unmatched(SUB, 0, 0, 1, 7, 8))
+        assert "near miss" not in self._report(
+            wait, Unmatched(WORLD, 0, 0, 2, 7, 8))  # another rank's inbox

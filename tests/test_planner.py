@@ -7,8 +7,9 @@ than silently trusted, dtype fallback demotes its evidence to
 ``provenance="model"``, interpolation has bounded reach, and the
 ``method="auto"`` dispatch in :func:`repro.core.api.solve` follows the
 installed table.  Also the drift tests pinning the planner portfolio
-against the API's method lists (the OP_TABLE conformance pattern from
-``test_proto.py``) and the tunable-threshold config plumbing.
+against the API's method lists (the same drift-test pattern as the
+collective-op set in ``test_check.py``) and the tunable-threshold
+config plumbing.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ class TestAutoDispatch:
 
 
 class TestPortfolioDrift:
-    """OP_TABLE-style conformance: the method lists cannot drift apart."""
+    """Drift conformance: the method lists cannot drift apart."""
 
     def test_plan_methods_partition_solve_methods(self):
         assert set(PLAN_METHODS) == (
