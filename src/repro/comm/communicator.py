@@ -28,7 +28,7 @@ from typing import Any, Callable, Sequence
 
 from ..exceptions import CommError, RankError, TagError
 from .costmodel import payload_nbytes
-from .runtime import RankContext, Runtime, _Message
+from .runtime import Fabric, RankContext, _Message
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Status", "Request", "Communicator", "SUM", "MAX", "MIN"]
 
@@ -153,7 +153,7 @@ class Communicator:
     is bound to one rank's context: each rank holds its own instance.
     """
 
-    def __init__(self, runtime: Runtime, ctx: RankContext, comm_key: tuple,
+    def __init__(self, runtime: Fabric, ctx: RankContext, comm_key: tuple,
                  group: list[int], rank: int):
         self._runtime = runtime
         self._ctx = ctx

@@ -341,12 +341,13 @@ def _collect_rings(pool: ProcessPool, monitor: _Monitor, nranks: int,
                    deadline: float = 1.5) -> dict[int, Any]:
     """Gather every rank's flight-recorder ring for an incident bundle.
 
-    A rank that failed already shipped its ring on its ``done``
-    message; live ranks (blocked in ``match`` or in the finalize
-    handshake) are asked with a :data:`~repro.comm.mp.worker.FLIGHTREC_DUMP`
-    inbox sentinel and answered over the control pipes within
-    ``deadline`` seconds.  Dead or unresponsive ranks map to ``None``
-    (the bundle marks their ring as lost).
+    A rank that failed ships its ring on its ``done`` message, whether
+    the monitor read it already or it arrives during collection; live
+    ranks (blocked in ``match`` or in the finalize handshake) are asked
+    with a :data:`~repro.comm.mp.worker.FLIGHTREC_DUMP` inbox sentinel
+    and answered over the control pipes within ``deadline`` seconds.
+    Dead or unresponsive ranks map to ``None`` (the bundle marks their
+    ring as lost).
     """
     rings: dict[int, Any] = {}
     for r, d in monitor.done.items():
@@ -383,6 +384,12 @@ def _collect_rings(pool: ProcessPool, monitor: _Monitor, nranks: int,
                 continue
             if msg[0] == "flightrec":
                 rings[msg[1]] = msg[2]
+                outstanding.discard(msg[1])
+            elif msg[0] == "done" and msg[6] is not None:
+                # The rank failed after the dump request went out: its
+                # error report carries the ring, and it will never read
+                # its inbox again.
+                rings[msg[1]] = msg[9]
                 outstanding.discard(msg[1])
             # Anything else is stale wait/wake/coll traffic from the
             # failing job; the pool is being torn down, so drop it.

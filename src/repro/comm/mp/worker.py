@@ -4,11 +4,11 @@ Each pool worker runs :func:`worker_main`: a loop that receives job
 descriptors over its control pipe, executes the SPMD function for its
 rank, and ships results (value, stats, trace, buffered log records)
 back to the parent.  Inside a job the worker builds an
-:class:`MpRuntime` — a duck-type of the thread backend's
-:class:`repro.comm.runtime.Runtime` mailbox contract (``post`` /
-``match`` / ``verifier`` / ``cost_model`` / ``trace_ctx`` / ``trace``)
-— so the unchanged :class:`repro.comm.communicator.Communicator` and
-every collective schedule run on top of it.
+:class:`MpRuntime`, the process transport under the same
+:class:`repro.comm.runtime.Fabric` ``post``/``match`` path the thread
+backend uses, so the unchanged
+:class:`repro.comm.communicator.Communicator` and every collective
+schedule run on top of it.
 
 Transport: envelopes are the same :class:`repro.comm.runtime._Message`
 objects the thread backend uses, except the payload crosses the process
@@ -27,7 +27,7 @@ Two protocol properties matter for correctness:
   exactly how many envelopes it must still absorb before declaring its
   mailbox drained.  Messages never bleed between jobs, and unreceived
   messages are detected deterministically.
-- **Deadlock visibility.**  A worker blocked in :meth:`MpRuntime.match`
+- **Deadlock visibility.**  A worker blocked in a receive
   longer than the heartbeat interval reports its
   :class:`~repro.comm.matching.WaitInfo`, a progress counter, and its
   send/receive totals to the parent, which runs the shared
@@ -47,20 +47,15 @@ import io
 import os
 import pickle
 import queue as queue_mod
-import time
 import traceback
 from typing import Any
 
 from ...exceptions import CommError
-from ...obs.context import trace_context
-from ...obs.flightrec import flight_recording
 from ...obs.log import configure_logging, disable_logging
-from ...obs.tracer import kernel_time, tracing
-from ...util.flops import counting_flops
+from ...obs.tracer import kernel_time
 from .. import shm
-from ..costmodel import payload_nbytes
 from ..matching import Unmatched, WaitInfo, match_in
-from ..runtime import RankContext, _Message
+from ..runtime import Fabric, RankContext, _Message
 
 __all__ = ["MpRuntime", "VerifierProxy", "JobSpec", "worker_main",
            "FINALIZE", "FLIGHTREC_DUMP", "HEARTBEAT_INTERVAL"]
@@ -78,12 +73,6 @@ FINALIZE = "__mp_finalize__"
 #: is ``("flightrec", rank, snapshot)`` and the sentinel never counts
 #: toward message or finalize accounting.
 FLIGHTREC_DUMP = "__flightrec_dump__"
-
-#: Per-send sequence space: world rank ``r`` issues seqs in
-#: ``[r * _SEQ_STRIDE, (r+1) * _SEQ_STRIDE)`` so cross-rank send/recv
-#: ids never collide without coordination (critpath matches on them).
-_SEQ_STRIDE = 1 << 40
-
 
 class JobSpec:
     """One SPMD job as shipped to a worker (all fields picklable).
@@ -136,30 +125,28 @@ class VerifierProxy:
         return index
 
 
-class MpRuntime:
-    """One rank's view of the cross-process mailbox fabric.
+class MpRuntime(Fabric):
+    """One rank's transport over the cross-process mailbox fabric.
 
-    Duck-types the thread backend's ``Runtime`` contract used by
-    :class:`~repro.comm.communicator.Communicator` and
-    :class:`~repro.comm.runtime.RankContext`; there is no shared-state
-    object — each rank owns its inbox queue and a pending buffer, and
-    matching runs locally through :func:`repro.comm.matching.match_in`.
+    :class:`~repro.comm.runtime.Fabric` keeps the send and receive
+    bookkeeping; this class only packs payloads through
+    :mod:`repro.comm.shm`, puts envelopes into the destination's queue,
+    and blocks on its own queue with heartbeats.  There is no
+    shared-state object — each rank owns its inbox queue and a pending
+    buffer, and matching runs locally through
+    :func:`repro.comm.matching.match_in`.
     """
 
     def __init__(self, rank: int, nranks: int, inboxes, conn, cost_model,
                  *, trace, trace_ctx, verify, prefix: str):
-        self.nranks = nranks
-        self.cost_model = cost_model
-        self.trace = trace
-        self.trace_ctx = trace_ctx
-        self.copy_messages = True  # value semantics are structural here
-        self.verifier = VerifierProxy(conn, rank) if verify else None
+        super().__init__(nranks, cost_model,
+                         VerifierProxy(conn, rank) if verify else None,
+                         trace=trace, trace_ctx=trace_ctx)
         self._rank = rank
         self._inboxes = inboxes
         self._inbox = inboxes[rank]
         self._conn = conn
         self._pending: list[_Message] = []
-        self._seq = rank * _SEQ_STRIDE
         # Message churn counter (posts, arrivals, matches): a repeated
         # heartbeat with unchanged progress tells the parent this rank
         # cannot have satisfied anyone since the last report.
@@ -169,29 +156,13 @@ class MpRuntime:
         self.sent_to = [0] * nranks
         self.inbox_received = 0
         self._prefix = prefix
-        from ...config import get_config  # deferred: matches Runtime
+        self.ctx = RankContext(rank, self)
 
-        cfg = get_config()
-        self.flightrec_capacity = (cfg.flightrec_capacity
-                                   if cfg.flightrec else 0)
-        # The rank's FlightRecorder, shared with its RankContext so the
-        # FLIGHTREC_DUMP sentinel can snapshot it mid-block.
-        self._flightrec = None
+    # -- transport -------------------------------------------------------
 
-    # -- sending ---------------------------------------------------------
-
-    def post(self, ctx: RankContext, comm_key, dest_world: int,
-             source_commrank: int, tag: int, payload: Any) -> None:
-        """Pack the payload and deposit it in ``dest_world``'s queue."""
-        if not 0 <= dest_world < self.nranks:
-            raise CommError(f"destination {dest_world} out of range")
-        ctx.clock.sync_compute()
-        ctx.clock.charge_overhead()
-        # Modelled size/arrival come from the *original* payload so the
-        # virtual timeline is bitwise the thread backend's; the packed
-        # wire size is accounted separately (shm_bytes).
-        nbytes = payload_nbytes(payload)
-        arrival = ctx.clock.now + self.cost_model.message_time(nbytes)
+    def _pack(self, ctx: RankContext, payload: Any, nbytes: int):
+        # The packed wire size is accounted separately (shm_bytes); the
+        # modelled size stays the original payload's.
         with kernel_time("comm.copy"):
             packed, used_shm = shm.pack(payload, prefix=self._prefix)
         ctx.stats.payload_copies += 1
@@ -203,20 +174,9 @@ class MpRuntime:
             # through a full pickle copy: the slow path analogous to
             # fastcopy's deepcopy fallback.
             ctx.stats.payload_deepcopies += 1
-        ctx.stats.bytes_sent += nbytes
-        ctx.stats.msgs_sent += 1
-        self._seq += 1
-        seq = self._seq
-        if ctx.tracer is not None:
-            ctx.tracer.instant("send", dest=dest_world, tag=tag,
-                               nbytes=nbytes, seq=seq, arrival=arrival)
-        fr = ctx.flightrec
-        if fr is not None:
-            fr.record_send(dest_world, tag, seq, nbytes)
-        msg = _Message(comm_key, source_commrank, tag, packed, nbytes,
-                       arrival, seq, self._rank,
-                       trace_id=(ctx.trace_ctx.trace_id
-                                 if ctx.trace_ctx is not None else None))
+        return packed
+
+    def _deliver(self, dest_world: int, msg: _Message) -> None:
         self.progress += 1
         if dest_world == self._rank:
             self._pending.append(msg)
@@ -224,11 +184,9 @@ class MpRuntime:
             self.sent_to[dest_world] += 1
             self._inboxes[dest_world].put(msg)
 
-    # -- receiving -------------------------------------------------------
-
     def _dump_ring(self) -> None:
         """Reply to a FLIGHTREC_DUMP sentinel with this rank's ring."""
-        fr = self._flightrec
+        fr = self.ctx.flightrec
         self._conn.send(("flightrec", self._rank,
                          fr.snapshot() if fr is not None else None))
 
@@ -242,71 +200,47 @@ class MpRuntime:
         self.inbox_received += 1
         self.progress += 1
 
-    def _drain_inbox_nowait(self) -> None:
+    def _take(self, comm_key, source: int, tag: int) -> _Message | None:
+        msg = match_in(self._pending, comm_key, source, tag)
+        if msg is not None:
+            self.progress += 1
+            msg.payload = shm.unpack(msg.payload)
+        return msg
+
+    def _poll(self, rank: int, comm_key, source: int,
+              tag: int) -> _Message | None:
         while True:
             try:
                 item = self._inbox.get_nowait()
             except queue_mod.Empty:
-                return
+                return self._take(comm_key, source, tag)
             self._admit(item)
 
-    def match(self, ctx: RankContext, comm_key, source: int, tag: int, *,
-              source_world: int | None = None) -> _Message:
-        """Block until a matching message arrives; return it unpacked."""
-        v_wait = ctx.clock.sync_compute()
-        w_wait = time.perf_counter() if ctx.tracer is not None else 0.0
-        self._drain_inbox_nowait()
-        msg = match_in(self._pending, comm_key, source, tag)
-        if msg is None:
-            fr = ctx.flightrec
-            if fr is not None:
-                # Recorded *before* blocking so a stuck rank's ring ends
-                # with the wait it is stuck in (mirrors the thread
-                # backend).
-                fr.record_wait(
-                    ctx.current_coll or "recv",
-                    source_world if source_world is not None else source,
-                    tag,
-                )
+    def _block(self, rank: int, wait: WaitInfo) -> _Message:
         sent_hb = False
+        msg = None
         while msg is None:
             try:
                 item = self._inbox.get(timeout=HEARTBEAT_INTERVAL)
             except queue_mod.Empty:
-                wait = WaitInfo(comm_key, source, tag, source_world,
-                                ctx.current_coll)
                 # Send/receive totals ride along so the parent can rule
                 # out in-flight envelopes (queue feeder threads deliver
                 # asynchronously) before declaring deadlock.
-                self._conn.send(("wait", self._rank, wait.to_tuple(),
+                self._conn.send(("wait", rank, wait.to_tuple(),
                                  self.progress, self._unmatched(),
                                  tuple(self.sent_to), self.inbox_received))
                 sent_hb = True
                 continue
             self._admit(item)
-            msg = match_in(self._pending, comm_key, source, tag)
+            msg = self._take(wait.comm_key, wait.source, wait.tag)
         if sent_hb:
-            self._conn.send(("wake", self._rank, self.progress))
-        self.progress += 1
-        msg.payload = shm.unpack(msg.payload)
-        ctx.clock.charge_overhead()
-        ctx.clock.advance_to(msg.arrival_time)
-        fr = ctx.flightrec
-        if fr is not None:
-            fr.record_recv(msg.source_world, msg.tag, msg.seq, msg.nbytes)
-            if msg.source_world == self._rank:
-                # Self-sends retire locally; cross-process sends stay
-                # registered in-flight (conservative drop accounting).
-                fr.mark_consumed(msg.seq)
-        if ctx.tracer is not None:
-            ctx.tracer.closed_span(
-                "recv", "comm", v_wait, ctx.clock.now,
-                w_wait, time.perf_counter(),
-                source=msg.source, tag=msg.tag, nbytes=msg.nbytes,
-                seq=msg.seq, source_world=msg.source_world,
-                arrival=msg.arrival_time,
-            )
+            self._conn.send(("wake", rank, self.progress))
         return msg
+
+    def _sender_ring(self, world: int):
+        # Self-sends retire locally; cross-process sends stay registered
+        # in-flight in the sender's ring (conservative drop accounting).
+        return self.ctx.flightrec if world == self._rank else None
 
     # -- finalize --------------------------------------------------------
 
@@ -380,7 +314,6 @@ def _pack_error(exc: BaseException) -> tuple:
 
 def _run_job(spec: JobSpec, rank: int, inboxes, conn) -> None:
     from ...config import install_config
-    from ..communicator import Communicator
 
     install_config(spec.config)
     log_buffer = _capture_logs(spec)
@@ -389,28 +322,12 @@ def _run_job(spec: JobSpec, rank: int, inboxes, conn) -> None:
         trace=spec.trace, trace_ctx=spec.trace_ctx, verify=spec.verify,
         prefix=spec.prefix,
     )
-    ctx = RankContext(rank, runtime)
-    runtime._flightrec = ctx.flightrec
-    comm = Communicator(runtime, ctx, comm_key=("world",),
-                        group=list(range(spec.nranks)), rank=rank)
+    ctx = runtime.ctx
     fn, args, kwargs, extra = shm.unpack(spec.payload)
     value: Any = None
     error: tuple | None = None
-
-    def call() -> Any:
-        with flight_recording(ctx.flightrec):
-            if ctx.tracer is not None:
-                with tracing(ctx.tracer):
-                    return fn(comm, *args, *extra, **kwargs)
-            return fn(comm, *args, *extra, **kwargs)
-
     try:
-        with counting_flops(ctx.counter):
-            if ctx.trace_ctx is not None:
-                with trace_context(ctx.trace_ctx):
-                    value = call()
-            else:
-                value = call()
+        value = ctx.run(fn, *args, *extra, **kwargs)
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
         error = _pack_error(exc)
     stats = ctx.finalize_stats()

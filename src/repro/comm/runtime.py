@@ -11,8 +11,11 @@ This thread backend is the *reference semantics*; ``run_spmd`` can
 alternatively dispatch the same program to the process backend
 (:mod:`repro.comm.mp`) for true multi-core execution — select it with
 ``backend="processes"`` or the ``comm_backend`` config field (see
-docs/BACKENDS.md).  Matching and deadlock reporting are shared between
-backends through :mod:`repro.comm.matching`.
+docs/BACKENDS.md).  Both backends subclass :class:`Fabric`, whose one
+``post`` and one ``match`` keep the clocks, ``seq`` ids, statistics,
+tracer and flight-recorder records; each backend supplies only its
+transport.  Matching and deadlock reporting are shared through
+:mod:`repro.comm.matching`.
 
 Key properties
 --------------
@@ -50,6 +53,7 @@ import itertools
 import threading
 import time
 import warnings
+from contextlib import nullcontext
 from typing import Any, Callable, Sequence
 
 from ..exceptions import (
@@ -73,7 +77,7 @@ from .fastcopy import fastcopy_counted
 from .matching import Unmatched, WaitInfo, deadlock_report, match_in, peek_in
 from .stats import RankStats, SimulationResult
 
-__all__ = ["Runtime", "RankContext", "run_spmd", "CommAborted"]
+__all__ = ["Fabric", "Runtime", "RankContext", "run_spmd", "CommAborted"]
 
 
 class CommAborted(CommError):
@@ -92,7 +96,7 @@ class _Message:
                  "arrival_time", "seq", "source_world", "trace_id")
 
     def __init__(self, comm_key, source, tag, payload, nbytes, arrival_time,
-                 seq, source_world, trace_id=None):
+                 seq, source_world, trace_id):
         self.comm_key = comm_key
         self.source = source
         self.tag = tag
@@ -106,13 +110,23 @@ class _Message:
         self.trace_id = trace_id
 
 
+#: Send sequence space: world rank ``r`` issues seqs in
+#: ``[r * _SEQ_STRIDE, (r+1) * _SEQ_STRIDE)``, so every message gets an
+#: id unique across ranks without coordination (critpath pairs on it).
+_SEQ_STRIDE = 1 << 40
+
+
 class RankContext:
-    """Per-rank simulation state: clock, flop counter, statistics."""
+    """Per-rank simulation state: clock, flop counter, statistics, and
+    the tracer and flight recorder every message is recorded on."""
 
     __slots__ = ("rank", "clock", "counter", "stats", "runtime", "tracer",
-                 "trace_ctx", "coll_depth", "current_coll", "flightrec")
+                 "trace_ctx", "coll_depth", "current_coll", "flightrec",
+                 "seqs")
 
-    def __init__(self, rank: int, runtime: "Runtime"):
+    def __init__(self, rank: int, runtime: "Fabric"):
+        from ..config import get_config  # deferred: avoids import cycle
+
         self.rank = rank
         self.runtime = runtime
         self.counter = FlopCounter()
@@ -133,15 +147,69 @@ class RankContext:
         )
         # Always-on flight recorder (black-box ring; see
         # repro.obs.flightrec) — None when disabled by config.
-        cap = runtime.flightrec_capacity
-        self.flightrec = (FlightRecorder(rank, cap, clock=self.clock)
-                          if cap else None)
+        cfg = get_config()
+        self.flightrec = (
+            FlightRecorder(rank, cfg.flightrec_capacity, clock=self.clock)
+            if cfg.flightrec else None
+        )
+        self.seqs = itertools.count(rank * _SEQ_STRIDE)
         # Collective nesting depth: user-facing collectives compose
         # (allgather = gather + bcast), so only depth-0 entries count.
         self.coll_depth = 0
         # Name of the outermost collective this rank is inside, if any;
         # read by deadlock reports to say what op a blocked rank was in.
         self.current_coll: str | None = None
+
+    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Run the rank program ``fn(world, *args, **kwargs)``.
+
+        The flop counter, trace context, flight recorder and tracer are
+        installed on the calling thread for the duration of the call.
+        """
+        from .communicator import Communicator  # deferred: import cycle
+
+        world = Communicator(self.runtime, self, ("world",),
+                             list(range(self.runtime.nranks)), self.rank)
+        ctx = (trace_context(self.trace_ctx)
+               if self.trace_ctx is not None else nullcontext())
+        tr = tracing(self.tracer) if self.tracer is not None else nullcontext()
+        with counting_flops(self.counter), ctx, \
+                flight_recording(self.flightrec), tr:
+            return fn(world, *args, **kwargs)
+
+    # -- the one record of each message event -----------------------------
+
+    def record_send(self, dest: int, tag: int, seq: int, nbytes: int,
+                    arrival: float) -> None:
+        self.stats.bytes_sent += nbytes
+        self.stats.msgs_sent += 1
+        if self.tracer is not None:
+            # ``seq`` is the cross-rank happens-before edge: the matched
+            # receive records the same value, so repro.obs.critpath can
+            # reconstruct the send->recv DAG.
+            self.tracer.instant("send", dest=dest, tag=tag, nbytes=nbytes,
+                                seq=seq, arrival=arrival)
+        if self.flightrec is not None:
+            self.flightrec.record_send(dest, tag, seq, nbytes)
+
+    def record_wait(self, source: int, tag: int) -> None:
+        if self.flightrec is not None:
+            self.flightrec.record_wait(self.current_coll or "recv", source,
+                                       tag)
+
+    def record_recv(self, msg: "_Message", v_wait: float,
+                    w_wait: float) -> None:
+        if self.tracer is not None:
+            self.tracer.closed_span(
+                "recv", "comm", v_wait, self.clock.now,
+                w_wait, time.perf_counter(),
+                source=msg.source, tag=msg.tag, nbytes=msg.nbytes,
+                seq=msg.seq, source_world=msg.source_world,
+                arrival=msg.arrival_time,
+            )
+        if self.flightrec is not None:
+            self.flightrec.record_recv(msg.source_world, msg.tag, msg.seq,
+                                       msg.nbytes)
 
     def finalize_stats(self) -> RankStats:
         self.clock.sync_compute()
@@ -151,92 +219,50 @@ class RankContext:
         return self.stats
 
 
-class Runtime:
-    """Mailbox fabric shared by all ranks of one simulation.
+class Fabric:
+    """The backend-independent half of every message: :meth:`post` and
+    :meth:`match`.
 
-    Not constructed directly by users; :func:`run_spmd` owns the
-    lifecycle.  All shared state is guarded by a single condition
-    variable — message granularity in this library is coarse (block
-    matrices), so one lock is not a bottleneck.
+    Both backends share the clock, cost-model, ``seq``, statistics,
+    tracer and flight-recorder steps here.  A subclass supplies only
+    the transport:
+
+    - ``_pack(ctx, payload, nbytes)`` — the send-side copy (or wire form);
+    - ``_deliver(dest_world, msg)`` — hand the envelope to the destination;
+    - ``_poll(rank, comm_key, source, tag)`` — a matching envelope with
+      its payload ready, or ``None`` without blocking;
+    - ``_block(rank, wait)`` — block until a message matching ``wait``
+      (a :class:`~repro.comm.matching.WaitInfo`) arrives and return it;
+    - ``_sender_ring(world)`` — the sender's flight recorder when this
+      process holds it (its in-flight send is retired on receipt).
     """
 
-    def __init__(
-        self,
-        nranks: int,
-        cost_model: CostModel,
-        *,
-        copy_messages: bool = True,
-        poll_interval: float = 0.05,
-        trace: bool = False,
-        verify: bool = False,
-        trace_ctx: TraceContext | None = None,
-    ):
-        if nranks <= 0:
-            raise CommError(f"nranks must be positive, got {nranks}")
+    def __init__(self, nranks: int, cost_model: CostModel, verifier: Any,
+                 *, trace: bool, trace_ctx: TraceContext | None):
         self.nranks = nranks
         self.cost_model = cost_model
-        self.copy_messages = copy_messages
+        self.verifier = verifier
         self.trace = trace
         self.trace_ctx = trace_ctx
-        self.poll_interval = poll_interval
-        if verify:
-            from ..check.verifier import SpmdVerifier  # deferred: cycle
 
-            self.verifier: Any | None = SpmdVerifier(nranks)
-        else:
-            self.verifier = None
-        self._cond = threading.Condition()
-        self._inboxes: list[list[_Message]] = [[] for _ in range(nranks)]
-        self._n_live = nranks
-        self._waiting: dict[int, WaitInfo] = {}
-        self._abort: BaseException | None = None
-        self._seq = itertools.count()
-        from ..config import get_config  # deferred: avoids import cycle
-
-        cfg = get_config()
-        self.flightrec_capacity = (cfg.flightrec_capacity
-                                   if cfg.flightrec else 0)
-        self.contexts = [RankContext(r, self) for r in range(nranks)]
-
-    # -- sending ---------------------------------------------------------
-
-    def post(self, ctx: RankContext, comm_key, dest_world: int, source_commrank: int,
-             tag: int, payload: Any) -> None:
-        """Deposit a message into ``dest_world``'s inbox (eager send)."""
+    def post(self, ctx: RankContext, comm_key, dest_world: int,
+             source_commrank: int, tag: int, payload: Any) -> None:
+        """Eager send: deposit a message for ``dest_world`` and return."""
         if not 0 <= dest_world < self.nranks:
             raise CommError(f"destination {dest_world} out of range")
         ctx.clock.sync_compute()
         ctx.clock.charge_overhead()
-        if self.copy_messages or self.verifier is not None:
-            with kernel_time("comm.copy"):
-                payload, ndeep = fastcopy_counted(payload)
-            ctx.stats.payload_copies += 1
-            ctx.stats.payload_deepcopies += ndeep
+        # Modelled size and arrival come from the original payload, so
+        # the virtual timeline never depends on the transport.
         nbytes = payload_nbytes(payload)
         arrival = ctx.clock.now + self.cost_model.message_time(nbytes)
-        ctx.stats.bytes_sent += nbytes
-        ctx.stats.msgs_sent += 1
-        seq = next(self._seq)
-        if ctx.tracer is not None:
-            # The ``seq`` identifier is the cross-rank happens-before
-            # edge: the matched receive records the same value, so
-            # repro.obs.critpath can reconstruct the send->recv DAG.
-            ctx.tracer.instant("send", dest=dest_world, tag=tag,
-                               nbytes=nbytes, seq=seq, arrival=arrival)
-        fr = ctx.flightrec
-        if fr is not None:
-            fr.record_send(dest_world, tag, seq, nbytes)
-        msg = _Message(comm_key, source_commrank, tag, payload, nbytes, arrival,
-                       seq, ctx.rank,
-                       trace_id=(ctx.trace_ctx.trace_id
-                                 if ctx.trace_ctx is not None else None))
-        with self._cond:
-            if self._abort is not None:
-                raise CommAborted("simulation aborted") from self._abort
-            self._inboxes[dest_world].append(msg)
-            self._cond.notify_all()
-
-    # -- receiving -------------------------------------------------------
+        wire = self._pack(ctx, payload, nbytes)
+        seq = next(ctx.seqs)
+        ctx.record_send(dest_world, tag, seq, nbytes, arrival)
+        self._deliver(dest_world, _Message(
+            comm_key, source_commrank, tag, wire, nbytes, arrival, seq,
+            ctx.rank,
+            ctx.trace_ctx.trace_id if ctx.trace_ctx is not None else None))
 
     def match(self, ctx: RankContext, comm_key, source: int, tag: int, *,
               source_world: int | None = None) -> _Message:
@@ -245,57 +271,111 @@ class Runtime:
         ``source``/``tag`` of ``-1`` act as wildcards (ANY_SOURCE /
         ANY_TAG).  Matching is in arrival order among candidates.
         ``source_world`` is the awaited sender's world rank when the
-        caller knows it; it feeds the wait-for graph used for exact
-        deadlock detection and its diagnostics.
+        caller knows it; it feeds the wait-for graph used for deadlock
+        detection and its diagnostics.
         """
         v_wait = ctx.clock.sync_compute()
         w_wait = time.perf_counter() if ctx.tracer is not None else 0.0
-        inbox = self._inboxes[ctx.rank]
-        with self._cond:
-            if self._abort is not None:
-                raise CommAborted("simulation aborted") from self._abort
-            msg = match_in(inbox, comm_key, source, tag)
-            if msg is None:
-                fr = ctx.flightrec
-                if fr is not None:
-                    # Recorded *before* blocking so a deadlocked rank's
-                    # ring ends with the wait it is stuck in.
-                    fr.record_wait(
-                        ctx.current_coll or "recv",
-                        source_world if source_world is not None else source,
-                        tag,
-                    )
-                self._waiting[ctx.rank] = WaitInfo(
-                    comm_key, source, tag, source_world, ctx.current_coll
-                )
-                try:
-                    while True:
-                        self._check_deadlock_locked()
-                        self._cond.wait(timeout=self.poll_interval)
-                        if self._abort is not None:
-                            raise CommAborted("simulation aborted") from self._abort
-                        msg = match_in(inbox, comm_key, source, tag)
-                        if msg is not None:
-                            break
-                finally:
-                    del self._waiting[ctx.rank]
+        msg = self._poll(ctx.rank, comm_key, source, tag)
+        if msg is None:
+            # Recorded *before* blocking so a stuck rank's ring ends
+            # with the wait it is stuck in.
+            ctx.record_wait(
+                source_world if source_world is not None else source, tag)
+            msg = self._block(ctx.rank, WaitInfo(
+                comm_key, source, tag, source_world, ctx.current_coll))
         ctx.clock.charge_overhead()
         ctx.clock.advance_to(msg.arrival_time)
-        if ctx.tracer is not None:
-            ctx.tracer.closed_span(
-                "recv", "comm", v_wait, ctx.clock.now,
-                w_wait, time.perf_counter(),
-                source=msg.source, tag=msg.tag, nbytes=msg.nbytes,
-                seq=msg.seq, source_world=msg.source_world,
-                arrival=msg.arrival_time,
-            )
-        fr = ctx.flightrec
-        if fr is not None:
-            fr.record_recv(msg.source_world, msg.tag, msg.seq, msg.nbytes)
-            sender_fr = self.contexts[msg.source_world].flightrec
-            if sender_fr is not None:
-                sender_fr.mark_consumed(msg.seq)
+        ctx.record_recv(msg, v_wait, w_wait)
+        sender = self._sender_ring(msg.source_world)
+        if sender is not None:
+            sender.mark_consumed(msg.seq)
         return msg
+
+
+class Runtime(Fabric):
+    """In-process mailbox fabric shared by all ranks of one simulation.
+
+    Not constructed directly by users; :func:`run_spmd` owns the
+    lifecycle.  All shared state is guarded by a single condition
+    variable — message granularity in this library is coarse (block
+    matrices), so one lock is not a bottleneck.  Every change a blocked
+    rank could be waiting for (a delivery, a finished rank, an abort)
+    notifies it, so waits need no timeout.
+    """
+
+    def __init__(
+        self,
+        nranks: int,
+        cost_model: CostModel,
+        *,
+        copy_messages: bool = True,
+        trace: bool = False,
+        verify: bool = False,
+        trace_ctx: TraceContext | None = None,
+    ):
+        if nranks <= 0:
+            raise CommError(f"nranks must be positive, got {nranks}")
+        verifier = None
+        if verify:
+            from ..check.verifier import SpmdVerifier  # deferred: cycle
+
+            verifier = SpmdVerifier(nranks)
+        super().__init__(nranks, cost_model, verifier, trace=trace,
+                         trace_ctx=trace_ctx)
+        self.copy_messages = copy_messages
+        self._cond = threading.Condition()
+        self._inboxes: list[list[_Message]] = [[] for _ in range(nranks)]
+        self._n_live = nranks
+        self._waiting: dict[int, WaitInfo] = {}
+        self._abort: BaseException | None = None
+        self.contexts = [RankContext(r, self) for r in range(nranks)]
+
+    # -- transport -------------------------------------------------------
+
+    def _pack(self, ctx: RankContext, payload: Any, nbytes: int) -> Any:
+        if not self.copy_messages and self.verifier is None:
+            return payload
+        with kernel_time("comm.copy"):
+            payload, ndeep = fastcopy_counted(payload)
+        ctx.stats.payload_copies += 1
+        ctx.stats.payload_deepcopies += ndeep
+        return payload
+
+    def _check_abort_locked(self) -> None:
+        if self._abort is not None:
+            raise CommAborted("simulation aborted") from self._abort
+
+    def _deliver(self, dest_world: int, msg: _Message) -> None:
+        with self._cond:
+            self._check_abort_locked()
+            self._inboxes[dest_world].append(msg)
+            self._cond.notify_all()
+
+    def _poll(self, rank: int, comm_key, source: int,
+              tag: int) -> _Message | None:
+        with self._cond:
+            self._check_abort_locked()
+            return match_in(self._inboxes[rank], comm_key, source, tag)
+
+    def _block(self, rank: int, wait: WaitInfo) -> _Message:
+        inbox = self._inboxes[rank]
+        with self._cond:
+            self._waiting[rank] = wait
+            try:
+                while True:
+                    self._check_abort_locked()
+                    msg = match_in(inbox, wait.comm_key, wait.source,
+                                   wait.tag)
+                    if msg is not None:
+                        return msg
+                    self._check_deadlock_locked()
+                    self._cond.wait()
+            finally:
+                del self._waiting[rank]
+
+    def _sender_ring(self, world: int) -> FlightRecorder | None:
+        return self.contexts[world].flightrec
 
     def _check_deadlock_locked(self) -> None:
         """Abort with a precise report when no progress is possible.
@@ -312,7 +392,7 @@ class Runtime:
         for rank, wait in self._waiting.items():
             if peek_in(self._inboxes[rank], wait.comm_key, wait.source,
                        wait.tag):
-                return  # that rank will wake and match within poll_interval
+                return  # that rank was notified and will match
         err = DeadlockError(deadlock_report(
             self._waiting, self._n_live, unmatched=self._unconsumed(),
         ))
@@ -426,7 +506,6 @@ def run_spmd(
     import dataclasses as _dc
 
     from ..config import env_flag, get_config, install_config
-    from .communicator import Communicator  # deferred: avoids import cycle
 
     if "deadlock_timeout" in kwargs:
         # Removed after one release as a deprecated no-op.  Without this
@@ -483,24 +562,11 @@ def run_spmd(
 
     def worker(rank: int) -> None:
         ctx = runtime.contexts[rank]
-        comm = Communicator(runtime, ctx, comm_key=("world",), group=list(range(nranks)), rank=rank)
         extra = tuple(rank_args[rank]) if rank_args is not None else ()
         previous_config = get_config()
         install_config(worker_config)
-        def call() -> Any:
-            with flight_recording(ctx.flightrec):
-                if ctx.tracer is not None:
-                    with tracing(ctx.tracer):
-                        return fn(comm, *args, *extra, **kwargs)
-                return fn(comm, *args, *extra, **kwargs)
-
         try:
-            with counting_flops(ctx.counter):
-                if ctx.trace_ctx is not None:
-                    with trace_context(ctx.trace_ctx):
-                        values[rank] = call()
-                else:
-                    values[rank] = call()
+            values[rank] = ctx.run(fn, *args, *extra, **kwargs)
         except CommAborted as exc:
             errors[rank] = exc
         except BaseException as exc:  # noqa: BLE001 - reported to caller
@@ -528,7 +594,7 @@ def run_spmd(
     def capture(exc: BaseException) -> None:
         # Incident bundle on any failure path (see repro.obs.postmortem);
         # must never mask the original exception.
-        if not runtime.flightrec_capacity:
+        if not config.flightrec:
             return
         try:
             from ..obs.postmortem import record_failure

@@ -128,7 +128,9 @@ def pack(obj: Any, *, threshold: int = DEFAULT_SHM_THRESHOLD,
     views = [b.raw() for b in buffers]
     total = sum(v.nbytes for v in views)
     if total < threshold or total == 0:
-        inline = tuple(bytes(v) for v in views)
+        # bytearray, not bytes: the receiver's arrays must be writeable,
+        # as they are on the shared-memory path and the thread backend.
+        inline = tuple(bytearray(v) for v in views)
         return ShmPacked(data, (), None, 0, inline), False
     name = f"{prefix}.{os.getpid() & 0xFFFFFF:x}.{next(_seq):x}"
     seg = shared_memory.SharedMemory(name=name, create=True, size=total)

@@ -3,14 +3,15 @@
 A traced SPMD run (``run_spmd(..., trace=True)``) yields one
 :class:`~repro.obs.tracer.RankTrace` per rank: phase spans tiling the
 rank's virtual timeline, ``recv`` wait spans, and ``send`` instant
-events.  The runtime stamps every message with a monotonically
-increasing ``seq`` identifier, recorded on *both* the send event and
-the matched receive span — exactly one cross-rank happens-before edge
-per message.  This module reassembles those per-rank timelines plus the
-message edges into the execution DAG and answers the question the
-per-rank :class:`~repro.obs.report.PhaseReport` cannot: *which chain of
-work actually determined the makespan, and what was every other rank
-doing meanwhile?*
+events.  The runtime stamps every message with a ``seq`` identifier,
+unique per message and rank-strided (each rank allocates from its own
+range), recorded on *both* the send event and the matched receive
+span — exactly one cross-rank happens-before edge per message.  This
+module reassembles those per-rank timelines plus the message edges
+into the execution DAG and answers the question the per-rank
+:class:`~repro.obs.report.PhaseReport` cannot: *which chain of work
+actually determined the makespan, and what was every other rank doing
+meanwhile?*
 
 Model
 -----
@@ -79,8 +80,8 @@ class MessageEdge:
     segment:
         Label of the traced segment the edge belongs to.
     seq:
-        Runtime-assigned message sequence id (``-1`` for edges matched
-        by the legacy FIFO fallback on traces without ``seq`` attrs).
+        Runtime-assigned message id: unique per message, rank-strided
+        (each sending rank allocates from its own range).
     src / dst:
         World ranks of the sender and receiver.
     tag / nbytes:
@@ -130,9 +131,9 @@ class EdgeSet:
     """Matched message edges of one traced segment, plus the leftovers.
 
     ``unmatched_sends`` / ``unmatched_recvs`` count trace records that
-    could not be paired (e.g. traces produced before ``seq`` stamping,
-    mixed with new ones) — a nonzero count degrades the critical-path
-    walk, which simply treats such waits as local time.
+    could not be paired (no ``seq``, or no partner with the same
+    ``seq``) — a nonzero count degrades the critical-path walk, which
+    simply treats such waits as local time.
     """
 
     edges: list[MessageEdge]
@@ -183,11 +184,9 @@ def reconstruct_edges(result: Any, segment: str = "run"
     of each matched receive span to its edge (the critical-path walk
     uses it to hop from a gating wait to its sender).
 
-    Matching uses the runtime's per-message ``seq`` id when present;
-    traces recorded before ``seq`` stamping fall back to FIFO pairing
-    by ``(receiver, tag)`` in virtual-time order, which is exact for
-    the world communicator's deterministic programs but approximate in
-    general (counted in ``EdgeSet.unmatched_*`` when it fails).
+    Matching uses the runtime's per-message ``seq`` id, which every
+    send event and receive span carries; a record without one, or
+    without a partner, is counted in ``EdgeSet.unmatched_*``.
     """
     traces = result.traces
     if traces is None:
@@ -198,18 +197,14 @@ def reconstruct_edges(result: Any, segment: str = "run"
             "(e.g. solve(..., trace=True) or run_spmd(..., trace=True))"
         )
     sends_by_seq: dict[int, tuple[int, Any]] = {}
-    legacy_sends: dict[tuple[int, int], list[tuple[int, Any]]] = {}
+    unmatched_sends = 0
     for trace in traces:
         for evt in _send_events(trace):
             seq = evt.attrs.get("seq")
-            if seq is not None:
-                sends_by_seq[int(seq)] = (trace.rank, evt)
+            if seq is None:
+                unmatched_sends += 1
             else:
-                key = (int(evt.attrs.get("dest", -1)),
-                       int(evt.attrs.get("tag", -1)))
-                legacy_sends.setdefault(key, []).append((trace.rank, evt))
-    for queue in legacy_sends.values():
-        queue.sort(key=lambda pair: pair[1].v_ts)
+                sends_by_seq[int(seq)] = (trace.rank, evt)
 
     edges: list[MessageEdge] = []
     recv_index: dict[int, MessageEdge] = {}
@@ -218,27 +213,15 @@ def reconstruct_edges(result: Any, segment: str = "run"
     for trace in traces:
         for span in sorted(_recv_spans(trace), key=lambda s: s.v_end):
             seq = span.attrs.get("seq")
-            edge = None
-            if seq is not None and int(seq) in sends_by_seq:
-                src, evt = sends_by_seq[int(seq)]
-                matched_seqs.add(int(seq))
-                edge = _edge_from(segment, int(seq), src, trace.rank,
-                                  evt, span)
-            elif seq is None:
-                key = (trace.rank, int(span.attrs.get("tag", -1)))
-                queue = legacy_sends.get(key)
-                if queue:
-                    src, evt = queue.pop(0)
-                    edge = _edge_from(segment, -1, src, trace.rank,
-                                      evt, span)
-            if edge is None:
+            if seq is None or int(seq) not in sends_by_seq:
                 unmatched_recvs += 1
                 continue
+            src, evt = sends_by_seq[int(seq)]
+            matched_seqs.add(int(seq))
+            edge = _edge_from(segment, int(seq), src, trace.rank, evt, span)
             edges.append(edge)
             recv_index[id(span)] = edge
-    unmatched_sends = (len(sends_by_seq) - len(matched_seqs)) + sum(
-        len(q) for q in legacy_sends.values()
-    )
+    unmatched_sends += len(sends_by_seq) - len(matched_seqs)
     return (EdgeSet(edges=edges, unmatched_sends=unmatched_sends,
                     unmatched_recvs=unmatched_recvs), recv_index)
 

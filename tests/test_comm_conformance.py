@@ -21,7 +21,9 @@ import pytest
 
 from repro.comm import ANY_SOURCE, ANY_TAG, MAX, SUM, Status, run_spmd
 from repro.comm.mp import shutdown_pool
+from repro.config import config_context
 from repro.exceptions import CommError, DeadlockError
+from repro.obs import current_flightrec
 
 BACKENDS = ("threads", "processes")
 
@@ -226,6 +228,24 @@ def prog_write_received_copy(comm):
     return got
 
 
+def prog_write_received_inplace(comm, nbytes):
+    right, left = _ring(comm)
+    comm.send(np.zeros(nbytes // 8), right, tag=12)
+    got = comm.recv(source=left, tag=12)
+    writeable = got.flags.writeable
+    if writeable:
+        got += 1.0
+    return writeable, float(got.sum())
+
+
+def prog_p2p_and_collective(comm):
+    right, left = _ring(comm)
+    comm.send(np.arange(4.0) + comm.rank, right, tag=13)
+    comm.recv(source=left, tag=13)
+    comm.allreduce(comm.rank)
+    return current_flightrec().snapshot()
+
+
 # ---------------------------------------------------------------------------
 # conformance tests
 # ---------------------------------------------------------------------------
@@ -346,6 +366,52 @@ def test_stats_and_virtual_time_match_reference(backend):
         reference.virtual_time, rel=1e-12)
     assert result.total_msgs_sent == reference.total_msgs_sent
     assert result.total_bytes_sent == reference.total_bytes_sent
+
+
+@pytest.mark.parametrize("nbytes", [32, 1024], ids=["32B", "1KiB"])
+def test_received_arrays_are_writeable(backend, nbytes):
+    # 32 B rides in-band on the process backend, 1 KiB shared memory.
+    result = run_spmd(prog_write_received_inplace, 2, nbytes, backend=backend)
+    assert result.values == [(True, nbytes / 8)] * 2
+
+
+#: Ring record fields that describe the program's traffic; timestamps
+#: and runtime-assigned ``seq`` ids are left out of the comparison.
+_RING_FIELDS = ("kind", "op", "peer", "tag", "nbytes")
+
+
+def _ring_events(snapshot):
+    cols = [snapshot["fields"].index(f) for f in _RING_FIELDS]
+    # Whether a receive waits depends on arrival timing, so ``wait``
+    # records are left out.
+    return [tuple(rec[c] for c in cols) for rec in snapshot["records"]
+            if rec[0] != "wait"]
+
+
+def _comm_attrs(trace):
+    # ``arrival`` is a (modelled) timestamp.
+    def strip(attrs):
+        return {k: v for k, v in attrs.items() if k not in ("seq", "arrival")}
+
+    sends = [strip(e.attrs) for e in trace.events if e.name == "send"]
+    recvs = [strip(s.attrs) for s in trace.spans
+             if s.cat == "comm" and s.name == "recv"]
+    return sends, recvs
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_backends_record_the_same_events(backend, trace):
+    with config_context(flightrec=True):
+        result = _run(prog_p2p_and_collective, 3, backend, trace=trace)
+        reference = run_spmd(prog_p2p_and_collective, 3, backend="threads",
+                             trace=trace)
+    for got, ref in zip(result.values, reference.values):
+        assert _ring_events(got) == _ring_events(ref)
+        assert {"send", "recv", "coll"} <= {e[0] for e in _ring_events(got)}
+    if trace:
+        for got, ref in zip(result.traces, reference.traces):
+            assert _comm_attrs(got) == _comm_attrs(ref)
+            assert all(_comm_attrs(got))
 
 
 def test_deadlock_report_names_near_miss(backend):

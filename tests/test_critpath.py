@@ -38,14 +38,13 @@ def _result(traces, vtimes):
                             wall_time=0.0, traces=traces)
 
 
-def _two_rank_fixture(with_seq=True):
+def _two_rank_fixture():
     """Rank 0: compute [0,1], send at 1.0 (arrival 1.5).  Rank 1:
     compute [0,0.5], wait [0.5,1.5] for the message, compute [1.5,2]."""
-    send_attrs = {"dest": 1, "tag": 7, "nbytes": 64, "arrival": 1.5}
-    recv_attrs = {"source": 0, "tag": 7, "nbytes": 64, "arrival": 1.5}
-    if with_seq:
-        send_attrs["seq"] = 0
-        recv_attrs["seq"] = 0
+    send_attrs = {"dest": 1, "tag": 7, "nbytes": 64, "arrival": 1.5,
+                  "seq": 0}
+    recv_attrs = {"source": 0, "tag": 7, "nbytes": 64, "arrival": 1.5,
+                  "seq": 0}
     t0 = RankTrace(rank=0, spans=[_span("a", "phase", 0.0, 1.0)],
                    events=[EventRecord(name="send", cat="comm", v_ts=1.0,
                                        w_ts=1.0, attrs=send_attrs)])
@@ -57,10 +56,8 @@ def _two_rank_fixture(with_seq=True):
     return _result([t0, t1], [1.0, 2.0])
 
 
-@pytest.mark.parametrize("with_seq", [True, False],
-                         ids=["seq-match", "fifo-fallback"])
-def test_two_rank_edge_reconstruction(with_seq):
-    result = _two_rank_fixture(with_seq)
+def test_two_rank_edge_reconstruction():
+    result = _two_rank_fixture()
     edge_set, recv_index = reconstruct_edges(result)
     assert edge_set.unmatched_sends == 0
     assert edge_set.unmatched_recvs == 0
@@ -71,8 +68,18 @@ def test_two_rank_edge_reconstruction(with_seq):
     assert edge.waited == pytest.approx(1.0)
     assert edge.flight == pytest.approx(0.5)
     assert edge.hidden == 0.0
-    assert edge.seq == (0 if with_seq else -1)
+    assert edge.seq == 0
     assert len(recv_index) == 1
+
+
+def test_records_without_seq_are_unmatched():
+    result = _two_rank_fixture()
+    del result.traces[0].events[0].attrs["seq"]
+    del result.traces[1].spans[1].attrs["seq"]
+    edge_set, recv_index = reconstruct_edges(result)
+    assert edge_set.edges == [] and recv_index == {}
+    assert edge_set.unmatched_sends == 1
+    assert edge_set.unmatched_recvs == 1
 
 
 def test_two_rank_critical_path():

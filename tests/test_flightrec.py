@@ -92,6 +92,18 @@ def prog_raise(comm):
     return comm.rank
 
 
+def prog_healthy(comm):
+    return comm.allreduce(comm.rank)
+
+
+def prog_both_raise(comm):
+    """Both ranks fail; rank 1 only once rank 0's incident is underway."""
+    comm.barrier()
+    if comm.rank == 1:
+        time.sleep(0.2)
+    raise RuntimeError(f"rank {comm.rank} exploded on purpose")
+
+
 def prog_chatter_then_cycle(comm):
     """Some healthy traffic, then a deadlock — the ring has history."""
     right = (comm.rank + 1) % comm.size
@@ -391,6 +403,24 @@ class TestHarnessCli:
         out = capsys.readouterr().out
         assert "verdict" in out
         assert "postmortem --check: OK" in out
+
+
+# ---------------------------------------------------------------------------
+# process backend: rings of ranks that fail during incident capture
+# ---------------------------------------------------------------------------
+
+class TestFailedJobRings:
+    def test_late_failure_ships_ring_without_waiting_out_deadline(self):
+        run_spmd(prog_healthy, 2, backend="processes")  # spawn the pool
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="rank 0 exploded") as exc_info:
+            run_spmd(prog_both_raise, 2, backend="processes")
+        elapsed = time.perf_counter() - start
+        bundle = load_bundle(exc_info.value.incident_path)
+        assert bundle["rings"]["0"] is not None
+        assert bundle["rings"]["1"] is not None  # taken from its 'done'
+        # The ring-dump deadline is 1.5 s; a late 'done' must end it.
+        assert elapsed < 1.5
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the SPMD runtime: lifecycle, errors, deadlock, timing."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -103,6 +106,37 @@ class TestDeadlockDetection:
 
         with pytest.raises(TypeError, match="deadlock_timeout"):
             run_spmd(program, 2, deadlock_timeout=60.0)
+
+
+class TestBlockedReceives:
+    def test_many_ranks_never_lose_a_wakeup(self):
+        # Blocked receives wait on the condition variable without a
+        # timeout, so a delivery that failed to notify would hang here.
+        nranks, rounds = 8, 100
+
+        def program(comm):
+            right, left = (comm.rank + 1) % comm.size, (comm.rank - 1) % comm.size
+            total = 0
+            for i in range(rounds):
+                comm.send(i, right, tag=1)
+                total += comm.recv(source=left, tag=1)
+                if i % 25 == 0:
+                    total += comm.allreduce(1)
+            return total
+
+        out = []
+        runner = threading.Thread(  # repro: noqa[RC103]
+            target=lambda: out.append(run_spmd(program, nranks)), daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        expected = sum(range(rounds)) + (rounds // 25) * nranks
+        assert out[0].values == [expected] * nranks
 
 
 class TestMessageSemantics:
