@@ -1,25 +1,25 @@
-"""Planner acceptance benchmark: regret and the never-lose guarantee.
+"""Planner acceptance benchmark: regret and monolithic recovery.
 
-Not a paper figure: this is the acceptance gate for the autotuned
-solver planner (``repro.perfmodel.planner``, docs/PLANNER.md).  At the
-three canonical bench shapes from ``bench_kernels.py`` — the (512, 8)
-service shape at streamed and monolithic RHS widths, and the
-monolithic width again at 16 ranks (where BENCH_kernels.json recorded
-monolithic ARD regressing to 0.75x of seed) — it:
+Not a paper figure: this is the acceptance gate for the solver planner
+(``repro.perfmodel.planner``, docs/PLANNER.md).  At the three canonical
+bench shapes from ``bench_kernels.py`` — the (512, 8) service shape at
+streamed and monolithic RHS widths, and the monolithic width again at
+16 ranks (where BENCH_kernels.json recorded monolithic ARD regressing
+to 0.75x of seed) — it:
 
-- measures the *entire* candidate portfolio once (best-of-k wall
-  time), builds a measured-provenance :class:`TuningTable` from those
-  numbers, and plans against it.  The planner's time is then *defined*
-  as the measured time of the configuration it chose, so ``regret =
-  chosen / best-of-portfolio`` is exactly 1.0 whenever the planner
-  picks the measured argmin — the assertion verifies planner logic
-  (ranking, guard, table lookup), not host timing noise;
+- measures the *entire* candidate portfolio once with the tuning sweep
+  (best-of-3 wall time per configuration) and plans against the
+  resulting table.  The planner's time is then *defined* as the
+  measured time of the configuration it chose, so ``regret = chosen /
+  best-of-portfolio`` is exactly 1.0 whenever the planner picks the
+  measured argmin — the assertion verifies planner logic (the evidence
+  rule, table lookup), not host timing noise;
 - asserts ``planner.regret <=`` :data:`REGRET_CEILING` at every shape
   (the same ceiling :mod:`repro.obs.regress` gates in bench-history);
 - asserts the monolithic shapes recover to >= 1.0x of the seed
   configuration (``scipy_loop`` + ``sequential``) under
   ``method="auto"`` — the seed path is itself in the portfolio, so a
-  planner that ranks correctly can never lose to it;
+  planner that picks the measured argmin can never lose to it;
 - runs one honest end-to-end ``solve(method="auto")`` with the table
   installed to confirm the dispatch path (plan stamped into
   ``SolveInfo``, config overrides applied) and records — not asserts —
@@ -35,17 +35,8 @@ import time
 
 import pytest
 
-from repro.config import TUNABLE_THRESHOLDS
 from repro.core.api import solve
-from repro.perfmodel.planner import (
-    TuneEntry,
-    TuningTable,
-    _candidates,
-    _measure_config,
-    host_fingerprint,
-    plan,
-    set_default_table,
-)
+from repro.perfmodel.planner import plan, set_default_table, tune_machine
 from repro.workloads import helmholtz_block_system, random_rhs
 
 #: Canonical shapes (n, m, p, r): bench_kernels' streamed and
@@ -61,23 +52,21 @@ MONO_SHAPES = frozenset({(512, 8, 4, 256), (512, 8, 16, 256)})
 REGRET_CEILING = 1.15
 
 #: The pre-vectorization seed configuration, as a portfolio config key
-#: (method, schedule, comm backend, recurrence mode, blockops backend).
-SEED_CONFIG = ("ard", "kogge_stone", "threads", "sequential", "scipy_loop")
+#: (method, recurrence mode, blockops backend).
+SEED_CONFIG = ("ard", "sequential", "scipy_loop")
 
 #: Fixed baselines the seeded bench-history record compares auto
-#: against: streamed ARD under the shipped kernel defaults (the
-#: never-lose reference) and plain RD.
-ARD_REF_CONFIG = ("ard", "kogge_stone", "threads", "auto", "batched")
-RD_CONFIG = ("rd", "kogge_stone", "threads", "auto", "batched")
+#: against: ARD under the shipped kernel defaults (the reference plan)
+#: and plain RD.
+ARD_REF_CONFIG = ("ard", "auto", "batched")
+RD_CONFIG = ("rd", "auto", "batched")
 
 REPS = 3
 
 
 def _config_key(obj):
-    """(method, schedule, comm, recurrence, blockops) of a Plan/dict."""
-    get = obj.get if isinstance(obj, dict) else lambda k: getattr(obj, k)
-    return tuple(get(k) for k in ("method", "schedule", "comm_backend",
-                                  "recurrence_mode", "blockops_backend"))
+    """(method, recurrence, blockops) of a Plan or TuneEntry."""
+    return (obj.method, obj.recurrence_mode, obj.blockops_backend)
 
 
 @pytest.fixture(scope="module")
@@ -85,29 +74,14 @@ def portfolio():
     """Measured wall time of every portfolio config at every shape.
 
     Returns ``(times, table)``: ``times[shape][config_key]`` in wall
-    seconds (best of :data:`REPS`), and one :class:`TuningTable`
-    holding all of it with ``provenance="measured"`` — the ground
-    truth the planner is judged against.
+    seconds (best of three, as the sweep times them), and the
+    :class:`TuningTable` holding all of it — the ground truth the
+    planner is judged against.
     """
+    table = tune_machine(shapes=SHAPES)
     times = {}
-    entries = []
-    for (n, m, p, r) in SHAPES:
-        per_shape = {}
-        for cand in _candidates(p):
-            wall = _measure_config(n, m, p, r, "float64", cand, REPS)
-            per_shape[_config_key(cand)] = wall
-            entries.append(TuneEntry(
-                n=n, m=m, p=p, r=r, dtype="float64",
-                method=cand["method"], schedule=cand["schedule"],
-                comm_backend=cand["comm_backend"],
-                recurrence_mode=cand["recurrence_mode"],
-                blockops_backend=cand["blockops_backend"],
-                time=wall, provenance="measured",
-            ))
-        times[(n, m, p, r)] = per_shape
-    table = TuningTable(host=host_fingerprint(),
-                        thresholds=dict(TUNABLE_THRESHOLDS),
-                        entries=tuple(entries))
+    for e in table.entries:
+        times.setdefault(e.shape(), {})[_config_key(e)] = e.time
     return times, table
 
 
@@ -137,7 +111,6 @@ class TestPlannerRegret:
                 "n": n, "m": m, "p": p, "r": r,
                 "chosen": "/".join(_config_key(chosen)),
                 "provenance": chosen.provenance,
-                "clamped": chosen.clamped,
                 "auto_s": auto_s, "best_s": best_s, "seed_s": seed_s,
                 "ard_ref_s": per_shape[ARD_REF_CONFIG],
                 "rd_s": per_shape[RD_CONFIG],

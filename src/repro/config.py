@@ -41,10 +41,9 @@ RECURRENCE_MODES = frozenset({"auto", "sequential", "levelwise"})
 COMM_BACKENDS = frozenset({"threads", "processes"})
 
 # Documented default crossovers, measured on the reference x86 host
-# (docs/KERNELS.md).  They are *defaults*, not gates: the solve hot path
-# reads the live config fields below, which `repro.perfmodel.planner`
-# overwrites with this host's tuned values (``apply_tuning``) and users
-# may override directly via ``set_config`` / ``config_context``.
+# (docs/KERNELS.md).  The solve hot path reads the live config fields
+# below; nothing retunes them per host, but users may override them via
+# ``set_config`` / ``config_context``.
 
 #: Default ``vector_solve_max_work``: the ``batched`` LU backend's
 #: substitution stays vectorized while the per-block panel work
@@ -64,9 +63,8 @@ DEFAULT_LEVELWISE_MAX_BLOCK = 16
 #: sequential above this RHS panel width.
 DEFAULT_LEVELWISE_MAX_RHS = 32
 
-#: The config fields a tuning table may override, with their documented
-#: defaults — the schema contract between :class:`ReproConfig` and
-#: ``repro.perfmodel.planner``'s ``TuningTable.thresholds``.
+#: The kernel crossover config fields, with their documented defaults;
+#: :class:`ReproConfig` validates each as a positive int.
 TUNABLE_THRESHOLDS = {
     "vector_solve_max_work": DEFAULT_VECTOR_SOLVE_MAX_WORK,
     "levelwise_min_rows": DEFAULT_LEVELWISE_MIN_ROWS,

@@ -9,11 +9,11 @@ expose modelled timings via ``return_info=True``.
 Methods
 -------
 ``"auto"``
-    Let the autotuned planner (:mod:`repro.perfmodel.planner`) pick
-    the method, comm backend, and kernel configuration for this
-    problem shape — never predicted slower than the reference
-    streamed-ARD path.  The chosen :class:`~repro.perfmodel.Plan`
-    lands on ``SolveInfo.plan`` and in ``plan.*`` trace instants.
+    Let the planner (:mod:`repro.perfmodel.planner`) pick the method
+    and kernel configuration for this problem shape: ARD on
+    ``nranks`` ranks unless this host's tuning table measured a faster
+    configuration.  The chosen :class:`~repro.perfmodel.Plan` lands on
+    ``SolveInfo.plan`` and in ``plan.*`` trace instants.
 ``"ard"``
     Accelerated recursive doubling (the paper's contribution).
 ``"rd"``
@@ -97,9 +97,9 @@ class SolveInfo:
         :class:`~repro.obs.health.HealthReport` when the solve ran
         with ``health=True``; ``None`` otherwise.
     plan:
-        The :class:`~repro.perfmodel.Plan` the autotuned planner
-        chose when the solve ran with ``method="auto"``; ``None`` for
-        explicit methods.  :attr:`method` then echoes the *resolved*
+        The :class:`~repro.perfmodel.Plan` the planner chose when the
+        solve ran with ``method="auto"``; ``None`` for explicit
+        methods.  :attr:`method` then echoes the *resolved*
         method (``plan.method``), never the literal ``"auto"``.
     """
 
@@ -234,8 +234,6 @@ def solve(
         planned = _resolve_plan(n, m, p=nranks, r=nrhs, dtype=matrix.dtype)
         method = planned.method
         nranks = planned.nranks
-        if backend is None:
-            backend = planned.comm_backend
 
     if check and method in ("ard", "rd"):
         diagnose(matrix)
@@ -367,7 +365,6 @@ def solve(
     if planned is not None:
         fields["plan_provenance"] = planned.provenance
         fields["plan_predicted_time"] = planned.predicted_time
-        fields["plan_clamped"] = planned.clamped
     if tc is not None:  # the dispatch context is uninstalled by now
         fields["trace_id"] = tc.trace_id
     get_logger("core.api").info("solve.completed", **fields)
@@ -420,8 +417,6 @@ def factor(
                                 methods=_AUTO_FACTOR_PORTFOLIO)
         method = planned.method
         nranks = planned.nranks
-        if backend is None:
-            backend = planned.comm_backend
     if method == "ard":
         return ARDFactorization(matrix, nranks=nranks, cost_model=cost_model,
                                 trace=trace, backend=backend)

@@ -85,7 +85,7 @@ class _LocalThomas:
             lus.append(lu)
             if i < h - 1:
                 self._v[i] = lu.solve(sup[i][None, :, :])[0]
-        self._slu = _stack(lus)
+        self._slu = BatchedLU.stack(lus)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve the interior system for ``(h, M, R)`` right-hand sides."""
@@ -102,17 +102,7 @@ class _LocalThomas:
 
     @property
     def nbytes(self) -> int:
-        return self._slu._lu.nbytes + self._slu._piv.nbytes + self._v.nbytes
-
-
-def _stack(lus: list[BatchedLU]) -> BatchedLU:
-    merged = object.__new__(BatchedLU)
-    merged.n = len(lus)
-    merged.m = lus[0].m
-    merged.dtype = lus[0].dtype
-    merged._lu = np.concatenate([lu._lu for lu in lus], axis=0)
-    merged._piv = np.concatenate([lu._piv for lu in lus], axis=0)
-    return merged
+        return self._slu.nbytes + self._v.nbytes
 
 
 @dataclasses.dataclass

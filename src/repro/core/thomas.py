@@ -71,7 +71,7 @@ class ThomasFactorization(RefinableFactorization):
             if i < n - 1:
                 self._v[i] = lu.solve(matrix.upper[i][None, :, :])[0]
         # Consolidate the per-block factors into one batch for fast solves.
-        self._slu = _stack_lus(lus)
+        self._slu = BatchedLU.stack(lus)
 
     @property
     def nbytes(self) -> int:
@@ -92,17 +92,6 @@ class ThomasFactorization(RefinableFactorization):
         for i in range(n - 2, -1, -1):
             x[i] = c[i] - gemm(self._v[i], x[i + 1])
         return x
-
-
-def _stack_lus(lus: list[BatchedLU]) -> BatchedLU:
-    """Merge single-block :class:`BatchedLU` objects into one batch."""
-    merged = object.__new__(BatchedLU)
-    merged.n = len(lus)
-    merged.m = lus[0].m
-    merged.dtype = lus[0].dtype
-    merged._lu = np.concatenate([lu._lu for lu in lus], axis=0)
-    merged._piv = np.concatenate([lu._piv for lu in lus], axis=0)
-    return merged
 
 
 def thomas_solve(matrix: BlockTridiagonalMatrix, b: np.ndarray) -> np.ndarray:

@@ -41,13 +41,13 @@ newest bundle in the incident store is used; ``--synthetic`` first
 forces a tiny two-rank deadlock to produce one, and ``--check`` exits
 nonzero unless the analysis identifies a culprit rank and op (the CI
 smoke contract).
-``tune`` runs the autotuned-planner sweep
+``tune`` runs the planner sweep
 (:func:`repro.perfmodel.tune_machine`) and writes the per-host tuning
 table (``results/TUNE_host.json`` by default).  ``--quick`` is the CI
 smoke sweep (tiny shapes, seconds not minutes); ``--check`` reloads
-the written table, verifies the schema/host round-trip, and plans the
-canonical bench shapes against it, exiting nonzero on any failure.
-See docs/PLANNER.md.
+the written table, verifies the schema/host round-trip, and plans
+every measured shape against it, exiting nonzero unless each plan is
+that shape's measured argmin.  See docs/PLANNER.md.
 
 ``run``/``all``/``trace``/``serve-bench`` accept ``--verify``: every
 simulated solve runs with the SPMD runtime verifier enabled
@@ -197,16 +197,16 @@ def main(argv: list[str] | None = None) -> int:
 
     tune_p = sub.add_parser(
         "tune",
-        help="run the autotuned-planner sweep and write the per-host "
+        help="run the planner sweep and write the per-host "
         "tuning table (see docs/PLANNER.md)",
     )
     tune_p.add_argument("--quick", action="store_true",
                         help="CI smoke sweep: tiny shapes, one timing "
-                        "rep, threshold probes skipped")
+                        "rep")
     tune_p.add_argument("--check", action="store_true",
                         help="after writing, reload the table and plan "
-                        "the canonical bench shapes against it; exit "
-                        "nonzero on any failure")
+                        "every measured shape against it; exit nonzero "
+                        "unless each plan is the measured argmin")
     tune_p.add_argument("--out", default=None,
                         help="output path (default: results/TUNE_host.json)")
     _add_verify(tune_p)

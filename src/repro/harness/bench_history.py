@@ -143,10 +143,10 @@ def _planner_metrics(n: int, m: int, p: int, r: int) -> dict[str, float]:
     Tunes this shape in-process (the deployed workflow: ``harness
     tune`` once, plan forever), then times ``method="auto"`` against
     the fixed portfolio methods on the same problem; regret is auto's
-    wall time over the best fixed configuration.  The never-lose guard
-    should hold this near 1.0 — the
-    :data:`~repro.obs.regress.GATED_METRICS` gate fires when a planner
-    change makes it drift up.
+    wall time over the best fixed configuration.  With the shape
+    measured, ``auto`` plans its measured argmin, so this stays near
+    1.0 — the :data:`~repro.obs.regress.GATED_METRICS` gate fires when
+    a planner change makes it drift up.
     """
     from ..core.api import solve
     from ..perfmodel.planner import set_default_table, tune_machine

@@ -1,11 +1,13 @@
 """``python -m repro.harness tune`` — run the planner tuning sweep.
 
-Thin CLI wrapper over :func:`repro.perfmodel.tune_machine`: runs the
-model-anchored sweep, writes the schema-versioned per-host tuning
-table, and (``--check``) verifies the artifact round-trips and planning
-works against it.  The ``--quick`` sweep is the CI smoke configuration
-(committed-artifact ``TUNE_host.json``); the full sweep is what a user
-runs once per machine.  See docs/PLANNER.md.
+Thin CLI wrapper over :func:`repro.perfmodel.tune_machine`: measures
+every candidate configuration at every grid shape and writes the
+schema-versioned per-host tuning table.  ``--check`` reloads the
+artifact and plans every measured shape against it; it fails unless
+each plan is that shape's measured argmin, which is deterministic for
+a given table.  The ``--quick`` sweep is the CI smoke configuration;
+the full sweep is what a user runs once per machine.  See
+docs/PLANNER.md.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from ..exceptions import ReproError
 from ..obs.log import console
 from ..perfmodel.planner import (
     DEFAULT_TUNE_PATH,
-    SWEEP_SHAPES,
     clear_plan_cache,
     load_table,
     plan,
@@ -33,16 +34,11 @@ def run_tune(out: str | None = None, quick: bool = False,
     console(f"tune: running {mode} sweep")
     table = tune_machine(quick=quick, progress=lambda s: console(f"tune: {s}"))
     written = save_table(table, path)
-    measured = sum(1 for e in table.entries if e.provenance == "measured")
     console(f"tune: wrote {written} ({len(table.entries)} entries, "
-          f"{measured} measured, host {table.host})")
-    for field, value in sorted(table.thresholds.items()):
-        console(f"tune: threshold {field} = {value}")
+            f"host {table.host})")
     if not check:
         return 0
 
-    # --check: the artifact must round-trip (schema + host) and the
-    # planner must produce a plan for every canonical bench shape.
     clear_plan_cache()
     try:
         reloaded = load_table(written)
@@ -52,19 +48,30 @@ def run_tune(out: str | None = None, quick: bool = False,
     if reloaded is None:
         console("tune check failed: written table does not match this host")
         return 1
-    if len(reloaded.entries) != len(table.entries):
-        console("tune check failed: entry count changed across round-trip")
+    if reloaded.entries != table.entries:
+        console("tune check failed: entries changed across round-trip")
         return 1
-    try:
-        for (n, m, p, r) in SWEEP_SHAPES:
-            chosen = plan(n, m, p, r, table=reloaded)
-            console(f"tune: plan({n}, {m}, p={p}, r={r}) -> "
-                  f"{chosen.method}/{chosen.comm_backend}/"
-                  f"{chosen.blockops_backend}/{chosen.recurrence_mode} "
-                  f"[{chosen.provenance}"
-                  f"{', clamped' if chosen.clamped else ''}]")
-    except ReproError as exc:
-        console(f"tune check failed: planning: {exc}")
+    by_problem: dict[tuple, list] = {}
+    for e in reloaded.entries:
+        by_problem.setdefault((*e.shape(), e.dtype), []).append(e)
+    failed = False
+    for (n, m, p, r, dtype), measured in by_problem.items():
+        best = min(measured, key=lambda e: e.time)
+        try:
+            chosen = plan(n, m, p, r, dtype, table=reloaded)
+        except ReproError as exc:
+            console(f"tune check failed: planning: {exc}")
+            return 1
+        ok = (chosen.provenance == "measured"
+              and chosen.predicted_time == best.time)
+        failed |= not ok
+        console(f"tune: plan({n}, {m}, p={p}, r={r}, {dtype}) -> "
+                f"{chosen.method}/{chosen.blockops_backend}/"
+                f"{chosen.recurrence_mode} [{chosen.provenance}]"
+                + ("" if ok else " but the measured argmin is "
+                   f"{'/'.join(best.config())}"))
+    if failed:
+        console("tune check failed: a plan is not its shape's measured argmin")
         return 1
     console("tune: check passed")
     return 0

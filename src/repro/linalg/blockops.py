@@ -292,9 +292,17 @@ class BatchedLU:
         return self._lu.nbytes + self._piv.nbytes
 
     def copy(self) -> "BatchedLU":
-        dup = object.__new__(BatchedLU)
-        dup.n, dup.m, dup.dtype = self.n, self.m, self.dtype
-        dup.backend = self.backend
-        dup._lu = self._lu.copy()
-        dup._piv = self._piv.copy()
-        return dup
+        return BatchedLU.stack([self])
+
+    @classmethod
+    def stack(cls, lus: "list[BatchedLU]") -> "BatchedLU":
+        """One batch holding the factors of ``lus`` in order (copied),
+        with the first one's backend; no refactorization."""
+        merged = object.__new__(cls)
+        merged.n = sum(lu.n for lu in lus)
+        merged.m = lus[0].m
+        merged.dtype = lus[0].dtype
+        merged.backend = lus[0].backend
+        merged._lu = np.concatenate([lu._lu for lu in lus], axis=0)
+        merged._piv = np.concatenate([lu._piv for lu in lus], axis=0)
+        return merged

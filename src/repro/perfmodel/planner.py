@@ -1,55 +1,31 @@
-"""Autotuned solver planner: calibrated tuning tables drive the
-(method, schedule, backend, recurrence) choice with a never-lose guard.
+"""Solver planner: ``method="auto"`` runs the ARD reference unless a
+per-host tuning table measured something faster.
 
-The paper's accelerated recursive doubling wins only in the regimes its
-cost model predicts; outside them plain RD, SPIKE, or sequential Thomas
-is faster.  Until this module the repo left that choice to hand-set
-config and hard-coded crossovers — which is exactly how monolithic ARD
-regressed to 0.75x of seed on the (512, 8) service shape while the
-streamed path gained 2.5x (results/BENCH_kernels.json).  Following the
-autotuning discipline of communication-avoiding solver work (pick the
-layout the cost model prefers, *measure* near predicted crossovers),
-the planner:
+The paper's accelerated recursive doubling factors the matrix side once
+and replays it for each right-hand side; the reference plan is that
+path (ARD on ``p`` ranks under the shipped kernel defaults,
+docs/KERNELS.md).  Another method or kernel configuration can still be
+faster on a given host and shape, but the analytic model cannot say
+where: :func:`~repro.perfmodel.predictor.predict_time` prices flops and
+messages and has no term for interpreter or runtime overhead, so it
+predicts block Thomas at well under a millisecond for solves that take
+a hundred.  The planner therefore never ranks on the model:
 
-1. **Tunes once per host** — :func:`tune_machine` extends
-   :func:`~repro.perfmodel.calibrate.calibrate_machine` into a small
-   structured sweep over (N, M, P, R, dtype, comm backend, scan
-   schedule, recurrence mode, blockops backend).  The analytic
-   :func:`~repro.perfmodel.predictor.predict_time` model anchors the
-   sweep: a configuration is *measured* only where the model is
-   uncertain (top candidates within :data:`CROSSOVER_BAND` of each
-   other); everywhere else entries carry the model's prediction with
-   ``provenance="model"``.  The result persists as a schema-versioned
-   ``results/TUNE_host.json`` keyed by host fingerprint.
+1. **Tune once per host** — :func:`tune_machine` measures every
+   candidate configuration at every shape of a small grid and persists
+   the result as a schema-versioned ``results/TUNE_host.json`` keyed by
+   :func:`host_fingerprint`.
 
-2. **Plans per problem** — :func:`plan` ranks the candidate portfolio
-   for an ``(n, m, p, r, dtype)`` problem and returns the best
-   :class:`Plan` (method, scan schedule, comm backend, recurrence
-   mode, kernel backend, predicted time) with provenance
-   ``measured | interpolated | model``.  Exact-shape table hits are
-   ``measured``; nearby shapes are ``interpolated`` by scaling the
-   measured time with the model's shape ratio; everything else falls
-   back to the pure model (cold start never needs a table).
+2. **Plan per problem** — :func:`plan` returns the reference unless the
+   table holds evidence at the query dtype for both a candidate and the
+   reference — an exact-shape hit (``provenance="measured"``) or a
+   measurement at a shape within :data:`MAX_INTERP_DISTANCE`, scaled by
+   the model's shape ratio (``"interpolated"``) — and the candidate's
+   time is lower.  Without a table the plan is the reference with
+   ``provenance="model"``.
 
-3. **Never loses** — the reference path (streamed ARD under the
-   shipped kernel defaults, docs/KERNELS.md) is always in the
-   portfolio, and the winner is clamped back to it whenever it does
-   not beat the reference by at least :data:`MODEL_MARGIN` on
-   unmeasured (model-only) evidence.  The chosen plan is stamped into
-   traces (``plan.*`` instants) and ``SolveInfo.plan``, and the
-   bench-history metric ``planner.regret`` (planner time /
-   best-of-portfolio time) is gated by :mod:`repro.obs.regress` so
-   "planner loses to hand-tuning" is a CI failure.
-
-Scan schedules: the distributed ARD hot path executes the paper's
-Kogge–Stone affine scan (``repro.core.scan_affine``); the sweep still
-*measures* the :data:`~repro.prefix.scan.DIST_SCANS` alternatives on
-representative scan lengths (the abl-A1 dimension) and records them in
-the table, so :attr:`Plan.schedule` is an informed choice the day an
-alternative schedule is wired into the solver — until then it reports
-``"kogge_stone"`` and the table documents why.
-
-See docs/PLANNER.md for the table schema and the sweep design.
+The chosen plan is stamped into traces (``plan.*`` instants) and
+``SolveInfo.plan``.  See docs/PLANNER.md for the table schema.
 """
 
 from __future__ import annotations
@@ -64,22 +40,16 @@ import warnings
 from typing import Any, Callable, Iterable
 
 import numpy as np
+import scipy
 
-from ..config import TUNABLE_THRESHOLDS, config_context, set_config
+from ..config import config_context
 from ..exceptions import ConfigError
-from .calibrate import (
-    DEFAULT_CALIB_PATH,
-    MachineCalibration,
-    calibrate_machine,
-    load_calibration,
-)
+from .calibrate import DEFAULT_CALIB_PATH, MachineCalibration, load_calibration
 from .predictor import predict_time
 
 __all__ = [
     "TUNE_SCHEMA_VERSION",
     "DEFAULT_TUNE_PATH",
-    "CROSSOVER_BAND",
-    "MODEL_MARGIN",
     "MAX_INTERP_DISTANCE",
     "SWEEP_SHAPES",
     "QUICK_SHAPES",
@@ -94,95 +64,86 @@ __all__ = [
     "default_table",
     "set_default_table",
     "plan",
-    "apply_tuning",
     "clear_plan_cache",
 ]
 
 #: Bump when the TUNE_host.json layout changes incompatibly.
-TUNE_SCHEMA_VERSION = 1
+TUNE_SCHEMA_VERSION = 2
 
 #: Where ``python -m repro.harness tune`` writes by default.
 DEFAULT_TUNE_PATH = "results/TUNE_host.json"
 
-#: The sweep measures a shape when the two best *predicted* candidate
-#: times are within this factor of each other — the model is then
-#: "near a crossover" and interpolation would be untrustworthy.
-CROSSOVER_BAND = 2.0
-
-#: A non-reference candidate supported only by the analytic model (no
-#: measured or interpolated table evidence) must beat the reference
-#: path's prediction by at least this relative margin, or the
-#: never-lose guard clamps the plan back to the reference.
-MODEL_MARGIN = 0.05
-
 #: Interpolation reach: a measured entry informs a query shape only
 #: within this summed log2 distance over (n, m, p, r).  Beyond it the
 #: measurement says little about the query regime (e.g. a thin-panel
-#: point extrapolated to a wide panel), so the candidate is demoted to
-#: the model — and the never-lose guard then applies.
+#: point extrapolated to a wide panel), so it is no evidence.
 MAX_INTERP_DISTANCE = 4.0
 
-#: Methods the planner ranks — the portfolio.  A subset of
+#: Methods the planner may choose among.  A subset of
 #: ``repro.core.api.SOLVE_METHODS`` restricted to what
-#: :func:`~repro.perfmodel.predictor.predict_time` can model.
+#: :func:`~repro.perfmodel.predictor.predict_time` can model (the model
+#: scales interpolated measurements).
 PLAN_METHODS = ("ard", "rd", "spike", "thomas", "cyclic")
 
 #: Portfolio methods that run on the simulated SPMD runtime (``p``
-#: ranks, comm backend applies); the rest are sequential.
+#: ranks); the rest are sequential.
 _DISTRIBUTED = frozenset({"ard", "rd", "spike"})
 
-#: The reference configuration the never-lose guard clamps to: streamed
-#: ARD under the shipped kernel defaults (docs/KERNELS.md).
-_REFERENCE = dict(method="ard", schedule="kogge_stone",
-                  comm_backend="threads", recurrence_mode="auto",
-                  blockops_backend="batched")
+#: The shipped kernel defaults (docs/KERNELS.md).  ARD under them is
+#: the reference plan.
+_KERNEL_DEFAULTS = dict(recurrence_mode="auto", blockops_backend="batched")
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
 
 
 def host_fingerprint() -> str:
-    """Stable identity of the tuning host: platform + logical cores.
+    """Identity of the tuning host: what changes the measured timings.
 
-    Table entries measured on one machine are meaningless on another;
-    :func:`load_table` warns and ignores the table when this value
-    does not match.
+    CPU model, logical core count, and the NumPy and SciPy versions
+    (their kernels do the work).  The OS kernel release is left out, so
+    a kernel update keeps the table.  :func:`load_table` warns and
+    ignores a table whose fingerprint differs.
     """
-    return f"{platform.platform()}/cpu{os.cpu_count() or 1}"
+    return (f"{_cpu_model()}/cpu{os.cpu_count() or 1}"
+            f"/numpy-{np.__version__}/scipy-{scipy.__version__}")
 
 
 @dataclasses.dataclass(frozen=True)
 class Plan:
-    """One ranked planner decision for an ``(n, m, p, r, dtype)`` problem.
+    """One planner decision for an ``(n, m, p, r, dtype)`` problem.
 
     Attributes
     ----------
-    method / schedule / comm_backend / recurrence_mode / blockops_backend:
-        The configuration to run: solver method, distributed scan
-        schedule (``"kogge_stone"`` is the only schedule wired into the
-        ARD hot path today), :func:`repro.comm.run_spmd` backend,
-        ``recurrence_mode`` and ``blockops_backend`` config values.
+    method / recurrence_mode / blockops_backend:
+        The solver method and the ``recurrence_mode`` and
+        ``blockops_backend`` config values pinned for the solve.
     nranks:
-        Ranks the plan actually uses (1 for sequential methods
-        regardless of the requested ``p``).
+        Ranks the plan uses (1 for sequential methods regardless of
+        the requested ``p``).
     predicted_time:
         Seconds the planner expects this configuration to take.
     provenance:
         Evidence grade of :attr:`predicted_time`: ``"measured"``
         (exact-shape tuning-table hit), ``"interpolated"`` (measured at
-        a nearby shape, scaled by the model), or ``"model"`` (analytic
-        prediction only — always the case on cold start).
-    clamped:
-        ``True`` when the never-lose guard overrode a nominally faster
-        candidate and fell back to the reference streamed-ARD path.
+        a nearby shape, scaled by the model), or ``"model"`` (no table
+        evidence: the reference at the analytic prediction).
     """
 
     method: str
-    schedule: str
-    comm_backend: str
     recurrence_mode: str
     blockops_backend: str
     nranks: int
     predicted_time: float
     provenance: str
-    clamped: bool = False
 
     def config_overrides(self) -> dict[str, Any]:
         """The ``repro.config`` fields this plan pins for the solve."""
@@ -196,11 +157,7 @@ class Plan:
 
 @dataclasses.dataclass(frozen=True)
 class TuneEntry:
-    """One swept configuration at one problem shape.
-
-    ``time`` is wall seconds; ``provenance`` records whether it was
-    measured on this host, interpolated, or taken from the model.
-    """
+    """Measured wall seconds of one configuration at one problem shape."""
 
     n: int
     m: int
@@ -208,19 +165,15 @@ class TuneEntry:
     r: int
     dtype: str
     method: str
-    schedule: str
-    comm_backend: str
     recurrence_mode: str
     blockops_backend: str
     time: float
-    provenance: str
 
     def shape(self) -> tuple[int, int, int, int]:
         return (self.n, self.m, self.p, self.r)
 
-    def config(self) -> tuple[str, str, str, str, str]:
-        return (self.method, self.schedule, self.comm_backend,
-                self.recurrence_mode, self.blockops_backend)
+    def config(self) -> tuple[str, str, str]:
+        return (self.method, self.recurrence_mode, self.blockops_backend)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -231,47 +184,32 @@ class TuningTable:
     ----------
     host:
         :func:`host_fingerprint` of the machine that produced it.
-    thresholds:
-        Tuned values for the :data:`repro.config.TUNABLE_THRESHOLDS`
-        fields (``vector_solve_max_work`` etc.); applied by
-        :func:`apply_tuning`.
     entries:
-        The swept :class:`TuneEntry` records.
-    scan_times:
-        Measured seconds per :data:`~repro.prefix.scan.DIST_SCANS`
-        schedule on a representative scan (informative: the ARD hot
-        path executes Kogge–Stone; see module docstring).
+        The measured :class:`TuneEntry` records.
     quick:
-        Whether the table came from a ``--quick`` sweep (CI smoke) —
-        quick tables carry model-heavy provenance.
+        Whether the table came from a ``--quick`` sweep (CI smoke).
     """
 
     host: str
-    thresholds: dict[str, int]
     entries: tuple[TuneEntry, ...]
-    scan_times: dict[str, float] = dataclasses.field(default_factory=dict)
     quick: bool = False
     written_at: str = ""
-
-    def dtypes(self) -> tuple[str, ...]:
-        """Distinct dtype names with measured/interpolated evidence."""
-        return tuple(sorted({e.dtype for e in self.entries
-                             if e.provenance != "model"}))
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema_version": TUNE_SCHEMA_VERSION,
             "host": self.host,
-            "thresholds": dict(self.thresholds),
-            "scan_times": dict(self.scan_times),
             "quick": self.quick,
             "written_at": self.written_at,
             "entries": [dataclasses.asdict(e) for e in self.entries],
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TuningTable":
-        """Inverse of :meth:`to_dict`; validates the schema version."""
+    def from_dict(cls, data: Any) -> "TuningTable":
+        """Inverse of :meth:`to_dict`.  Raises :class:`ConfigError` on a
+        stale ``schema_version`` or a malformed table or entry."""
+        if not isinstance(data, dict):
+            raise ConfigError("tuning table is not a JSON object")
         version = data.get("schema_version")
         if version != TUNE_SCHEMA_VERSION:
             raise ConfigError(
@@ -279,23 +217,17 @@ class TuningTable:
                 f"(expected {TUNE_SCHEMA_VERSION}); re-run "
                 "'python -m repro.harness tune'"
             )
-        thresholds = dict(data.get("thresholds") or {})
-        unknown = set(thresholds) - set(TUNABLE_THRESHOLDS)
-        if unknown:
-            raise ConfigError(
-                f"tuning table carries unknown thresholds {sorted(unknown)}; "
-                f"known: {sorted(TUNABLE_THRESHOLDS)}"
-            )
-        fields = {f.name for f in dataclasses.fields(TuneEntry)}
-        entries = tuple(
-            TuneEntry(**{k: v for k, v in e.items() if k in fields})
-            for e in data.get("entries", ())
-        )
+        try:
+            entries = tuple(TuneEntry(**e) for e in data["entries"])
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed tuning-table entries: {exc}") from exc
+        for e in entries:
+            if not (all(type(v) is int for v in e.shape())
+                    and isinstance(e.time, (int, float))):
+                raise ConfigError(f"malformed tuning-table entry {e}")
         return cls(
             host=data.get("host", ""),
-            thresholds=thresholds,
             entries=entries,
-            scan_times=dict(data.get("scan_times") or {}),
             quick=bool(data.get("quick", False)),
             written_at=data.get("written_at", ""),
         )
@@ -314,19 +246,23 @@ def load_table(path: str | pathlib.Path = DEFAULT_TUNE_PATH,
                *, strict_host: bool = False) -> TuningTable | None:
     """Load a tuning table written by :func:`save_table`.
 
-    Host-fingerprint mismatches mean the measurements describe a
-    different machine: the default is to *warn and ignore* (return
-    ``None``, i.e. the planner falls back to the pure model), because a
-    silently-wrong table is worse than no table.  ``strict_host=False``
-    with a matching host, or a missing file, never raises; a stale
-    ``schema_version`` always raises :class:`ConfigError`.
+    A missing, unreadable, malformed or stale-schema file raises
+    :class:`ConfigError`.  A host-fingerprint mismatch means the
+    measurements describe a different machine: the default is to *warn
+    and ignore* (return ``None``, so ``method="auto"`` runs the
+    reference), because a silently-wrong table is worse than no table;
+    ``strict_host=True`` raises instead.
     """
     p = pathlib.Path(path)
     if not p.is_file():
         raise ConfigError(
             f"no tuning table at {p}; run 'python -m repro.harness tune' first"
         )
-    table = TuningTable.from_dict(json.loads(p.read_text()))
+    try:
+        data = json.loads(p.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"unreadable tuning table {p}: {exc}") from exc
+    table = TuningTable.from_dict(data)
     here = host_fingerprint()
     if table.host != here:
         if strict_host:
@@ -336,8 +272,8 @@ def load_table(path: str | pathlib.Path = DEFAULT_TUNE_PATH,
             )
         warnings.warn(
             f"ignoring tuning table {p}: measured on {table.host!r}, "
-            f"this host is {here!r} (planner falls back to the model; "
-            "re-run 'python -m repro.harness tune')",
+            f"this host is {here!r} (method='auto' runs the ARD "
+            "reference; re-run 'python -m repro.harness tune')",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -367,9 +303,11 @@ def default_table(path: str | pathlib.Path = DEFAULT_TUNE_PATH
     """The process-wide table ``method="auto"`` consults, or ``None``.
 
     An installed :func:`set_default_table` override wins; otherwise
-    loads :data:`DEFAULT_TUNE_PATH` once (cached on mtime).  Missing or
-    host-mismatched tables resolve to ``None`` — the planner then runs
-    on the pure model, so cold start always works.
+    loads :data:`DEFAULT_TUNE_PATH` (relative to the working directory)
+    once per file mtime.  A missing file resolves to ``None``; so does
+    a table :func:`load_table` rejects or ignores, with a
+    ``RuntimeWarning`` once per mtime — ``auto`` then runs the
+    reference instead of failing.
     """
     if _override_table is not None:
         return _override_table
@@ -384,7 +322,13 @@ def default_table(path: str | pathlib.Path = DEFAULT_TUNE_PATH
         return cached[1]
     try:
         table = load_table(p)
-    except ConfigError:
+    except ConfigError as exc:
+        warnings.warn(
+            f"ignoring tuning table {p}: {exc} (method='auto' runs the "
+            "ARD reference)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         table = None
     _default_table_cache[key] = (mtime, table)
     return table
@@ -401,33 +345,27 @@ def clear_plan_cache() -> None:
 # -- planning ---------------------------------------------------------------
 
 
-def _candidates(p: int, *, methods: Iterable[str] = PLAN_METHODS,
-                include_processes: bool = False) -> list[dict[str, Any]]:
-    """The candidate configuration portfolio for ``p`` requested ranks.
+def _candidates(p: int, methods: Iterable[str] = PLAN_METHODS
+                ) -> list[dict[str, Any]]:
+    """The candidate configurations for ``p`` requested ranks.
 
-    Sequential methods always run single-rank.  ARD spans the kernel
-    dimensions (blockops backend x recurrence mode) because those are
-    the crossovers the tuning sweep measures; other methods run under
-    the shipped kernel defaults.  The ``processes`` comm backend enters
-    the portfolio only for the sweep (``include_processes=True``) —
-    planning trusts it only with measured evidence, never on the model
-    alone (the model has no term for process-pool dispatch).
+    Sequential methods always run single-rank.  ARD also spans its
+    kernel dimensions (blockops backend x recurrence mode); other
+    methods run under the shipped kernel defaults.  When ``"ard"`` is
+    among ``methods`` the reference comes first.
     """
     out: list[dict[str, Any]] = []
     for method in methods:
-        nranks = p if method in _DISTRIBUTED else 1
-        base = dict(method=method, schedule="kogge_stone",
-                    comm_backend="threads", recurrence_mode="auto",
-                    blockops_backend="batched", nranks=nranks)
-        out.append(base)
+        base = dict(method=method, **_KERNEL_DEFAULTS,
+                    nranks=p if method in _DISTRIBUTED else 1)
         if method == "ard":
-            for kb, rm in (("batched", "sequential"),
-                           ("batched", "levelwise"),
-                           ("scipy_loop", "sequential")):
-                out.append({**base, "blockops_backend": kb,
-                            "recurrence_mode": rm})
-        if include_processes and method in _DISTRIBUTED and nranks > 1:
-            out.append({**base, "comm_backend": "processes"})
+            out.insert(0, base)
+            out.extend({**base, "blockops_backend": kb, "recurrence_mode": rm}
+                       for kb, rm in (("batched", "sequential"),
+                                      ("batched", "levelwise"),
+                                      ("scipy_loop", "sequential")))
+        else:
+            out.append(base)
     return out
 
 
@@ -437,20 +375,6 @@ def _shape_distance(a: tuple[int, int, int, int],
     return float(sum(
         abs(np.log2(max(x, 1)) - np.log2(max(y, 1))) for x, y in zip(a, b)
     ))
-
-
-def _nearest_dtype(name: str, available: Iterable[str]) -> str | None:
-    """The measured dtype closest in itemsize to ``name``."""
-    try:
-        want = np.dtype(name).itemsize
-    except TypeError:
-        return None
-    best, best_gap = None, float("inf")
-    for cand in available:
-        gap = abs(np.dtype(cand).itemsize - want)
-        if gap < best_gap:
-            best, best_gap = cand, gap
-    return best
 
 
 def _predict(method: str, n: int, m: int, p: int, r: int,
@@ -469,31 +393,30 @@ def plan(n: int, m: int, p: int = 1, r: int = 1,
          calibration: MachineCalibration | None | str = "default",
          cost_model: Any = None,
          methods: Iterable[str] = PLAN_METHODS) -> Plan:
-    """Rank the portfolio for an ``(n, m, p, r, dtype)`` problem.
+    """The configuration to run for an ``(n, m, p, r, dtype)`` problem.
 
-    Evidence is used in strength order: exact-shape measured table
-    entries beat interpolated ones beat the analytic model.  With no
-    usable table (cold start, schema/host mismatch, unmeasured dtype)
-    the ranking degenerates to :func:`predict_time` over ``methods``
-    under the shipped kernel defaults — so the planner always answers.
-
-    The never-lose guard then clamps the winner back to the reference
-    streamed-ARD configuration unless the winner either carries
-    measured/interpolated evidence or beats the reference's prediction
-    by more than :data:`MODEL_MARGIN`.
+    The reference (ARD on ``p`` ranks under the shipped kernel
+    defaults) unless the table has evidence at ``dtype`` — an exact
+    shape hit or an interpolation within :data:`MAX_INTERP_DISTANCE` —
+    for both a candidate and the reference, and the candidate's time
+    is lower; then the fastest such candidate.
 
     Parameters other than the shape:
 
     ``table``
-        ``"default"`` consults :func:`default_table`; ``None`` forces
-        the pure-model path; or pass a :class:`TuningTable`.
-    ``calibration``
-        ``"default"`` loads ``results/CALIB_machine.json`` when
-        present; ``None`` uses the hard-coded machine constants; or
-        pass a :class:`~repro.perfmodel.calibrate.MachineCalibration`.
+        ``"default"`` consults :func:`default_table`; ``None`` plans
+        without a table (always the reference); or pass a
+        :class:`TuningTable`.
+    ``calibration`` / ``cost_model``
+        Machine rates for :func:`predict_time`, which scales
+        interpolated measurements and prices a reference without
+        evidence.  ``calibration="default"`` loads
+        ``results/CALIB_machine.json`` when present; ``None`` uses the
+        hard-coded machine constants.
     ``methods``
-        Restrict the portfolio (e.g. to ``FACTOR_METHODS`` when the
-        caller needs a reusable factorization).
+        Restrict the candidates (e.g. to ``FACTOR_METHODS`` when the
+        caller needs a reusable factorization).  Must include
+        ``"ard"``, the reference.
     """
     if n < 1 or m < 1 or p < 1 or r < 0:
         raise ConfigError(f"invalid plan shape n={n}, m={m}, p={p}, r={r}")
@@ -504,6 +427,10 @@ def plan(n: int, m: int, p: int = 1, r: int = 1,
             raise ConfigError(
                 f"method {meth!r} is not plannable; choose from {PLAN_METHODS}"
             )
+    if "ard" not in methods:
+        raise ConfigError(
+            f"methods {methods} must include 'ard', the reference plan"
+        )
 
     if table == "default":
         table = default_table()
@@ -517,84 +444,48 @@ def plan(n: int, m: int, p: int = 1, r: int = 1,
     if hit is not None:
         return hit
 
-    # Dtype fallback: a table measured only for other dtypes still
-    # informs the *ranking* via its nearest-itemsize dtype, but the
-    # evidence is demoted to provenance="model" (the spec's contract:
-    # an unmeasured dtype never claims measured confidence).
-    lookup_dtype, demote_to_model = dtype_name, False
-    if table is not None:
-        available = table.dtypes()
-        if available and dtype_name not in available:
-            lookup_dtype = _nearest_dtype(dtype_name, available) or dtype_name
-            demote_to_model = True
-
     shape = (n, m, p, r)
-    # Model predictions and measured wall times are not on the same
-    # scale (the analytic model omits interpreter and runtime
-    # overhead), so a raw prediction would unfairly outrank a measured
-    # entry.  A shape-local model-to-wall factor — median of
-    # measured / predicted over the nearest measured shape — puts
-    # model-provenance candidates on the measured clock.
-    wall_factor = 1.0
+    reference, *others = _candidates(p, methods)
+    evidence = None
     if table is not None:
-        wall_factor = _model_to_wall_factor(table, shape, lookup_dtype,
-                                            calibration, cost_model)
-    ranked: list[Plan] = []
-    for cand in _candidates(p, methods=methods):
-        base_pred = _predict(cand["method"], n, m, cand["nranks"], r,
-                             calibration, cost_model)
-        t, prov = base_pred * wall_factor, "model"
-        if table is not None:
-            evidence = _table_evidence(table, shape, lookup_dtype, cand,
+        evidence = _table_evidence(table, shape, dtype_name, reference,
+                                   calibration, cost_model)
+    if evidence is None:
+        best = Plan(**reference, provenance="model",
+                    predicted_time=_predict("ard", n, m, p, r,
+                                            calibration, cost_model))
+    else:
+        best = Plan(**reference, predicted_time=evidence[0],
+                    provenance=evidence[1])
+        for cand in others:
+            evidence = _table_evidence(table, shape, dtype_name, cand,
                                        calibration, cost_model)
-            if evidence is not None:
-                t, prov = evidence
-                if demote_to_model:
-                    prov = "model"
-        ranked.append(Plan(**{k: cand[k] for k in
-                              ("method", "schedule", "comm_backend",
-                               "recurrence_mode", "blockops_backend",
-                               "nranks")},
-                           predicted_time=t, provenance=prov))
-    ranked.sort(key=lambda pl: pl.predicted_time)
-
-    reference = next(
-        pl for pl in ranked
-        if all(getattr(pl, k) == v for k, v in _REFERENCE.items())
-    )
-    best = ranked[0]
-    if best is not reference and best.provenance == "model":
-        # Never-lose guard: a model-only claim must clear the margin.
-        if best.predicted_time > reference.predicted_time * (1 - MODEL_MARGIN):
-            best = dataclasses.replace(reference, clamped=True)
-    result = best
-    _plan_cache[cache_key] = result
-    return result
+            if evidence is not None and evidence[0] < best.predicted_time:
+                best = Plan(**cand, predicted_time=evidence[0],
+                            provenance=evidence[1])
+    _plan_cache[cache_key] = best
+    return best
 
 
 def _table_evidence(table: TuningTable, shape: tuple[int, int, int, int],
                     dtype_name: str, cand: dict[str, Any],
                     calibration: MachineCalibration | None,
                     cost_model: Any) -> tuple[float, str] | None:
-    """Best table-backed (time, provenance) for one candidate, if any.
+    """Table-backed (time, provenance) for one candidate, if any.
 
-    Exact shape hit -> the entry's time with its own provenance.
-    Nearest measured shape -> the measured time scaled by the model's
-    shape ratio, ``provenance="interpolated"``.  Model-provenance
-    entries never override the live model (they *are* the model, and
-    the live one may be better calibrated).
+    Exact shape hit -> the entry's time, ``"measured"``.  Nearest
+    measured shape within :data:`MAX_INTERP_DISTANCE` -> its time scaled
+    by the model's shape ratio, ``"interpolated"``.
     """
-    config = (cand["method"], cand["schedule"], cand["comm_backend"],
-              cand["recurrence_mode"], cand["blockops_backend"])
+    config = (cand["method"], cand["recurrence_mode"],
+              cand["blockops_backend"])
     matches = [e for e in table.entries
-               if e.config() == config and e.dtype == dtype_name
-               and e.provenance != "model"]
+               if e.config() == config and e.dtype == dtype_name]
     if not matches:
         return None
-    exact = [e for e in matches if e.shape() == shape]
-    if exact:
-        return exact[0].time, exact[0].provenance
     nearest = min(matches, key=lambda e: _shape_distance(e.shape(), shape))
+    if nearest.shape() == shape:
+        return nearest.time, "measured"
     if _shape_distance(nearest.shape(), shape) > MAX_INTERP_DISTANCE:
         return None
     here = _predict(cand["method"], *shape[:2], cand["nranks"], shape[3],
@@ -606,47 +497,11 @@ def _table_evidence(table: TuningTable, shape: tuple[int, int, int, int],
     return nearest.time * (here / there), "interpolated"
 
 
-def _model_to_wall_factor(table: TuningTable,
-                          shape: tuple[int, int, int, int],
-                          dtype_name: str,
-                          calibration: MachineCalibration | None,
-                          cost_model: Any) -> float:
-    """Median measured/predicted ratio at the nearest measured shape."""
-    measured = [e for e in table.entries
-                if e.dtype == dtype_name and e.provenance == "measured"]
-    if not measured:
-        return 1.0
-    nearest = min(_shape_distance(e.shape(), shape) for e in measured)
-    ratios = []
-    for e in measured:
-        if _shape_distance(e.shape(), shape) > nearest + 1e-9:
-            continue
-        pred = _predict(e.method, e.n, e.m, e.p, e.r, calibration, cost_model)
-        if pred > 0.0 and e.time > 0.0:
-            ratios.append(e.time / pred)
-    return float(np.median(ratios)) if ratios else 1.0
-
-
 def _default_calibration() -> MachineCalibration | None:
     try:
         return load_calibration(DEFAULT_CALIB_PATH)
     except ConfigError:
         return None
-
-
-def apply_tuning(table: TuningTable) -> dict[str, int]:
-    """Install the table's tuned thresholds into the live config.
-
-    Returns the applied ``{field: value}`` mapping.  Unknown fields
-    were already rejected at load time; values here are the per-host
-    crossovers that replace the documented defaults
-    (:data:`repro.config.TUNABLE_THRESHOLDS`).
-    """
-    applied = {k: int(v) for k, v in table.thresholds.items()
-               if k in TUNABLE_THRESHOLDS}
-    if applied:
-        set_config(**applied)
-    return applied
 
 
 # -- tuning sweep -----------------------------------------------------------
@@ -685,10 +540,9 @@ def _measure_config(n: int, m: int, p: int, r: int, dtype: str,
 
     def run() -> None:
         with config_context(**overrides):
-            solve(mat, rhs, method=cand["method"], nranks=cand["nranks"],
-                  backend=cand["comm_backend"])
+            solve(mat, rhs, method=cand["method"], nranks=cand["nranks"])
 
-    run()  # warm up (level trees, BLAS threads, process pool)
+    run()  # warm up (level trees, BLAS threads)
     best = float("inf")
     for _ in range(max(reps, 1)):
         t0 = time.perf_counter()
@@ -697,149 +551,18 @@ def _measure_config(n: int, m: int, p: int, r: int, dtype: str,
     return best
 
 
-def _probe_vector_solve_crossover(reps: int = 3) -> int:
-    """Measured ``m * r`` crossover of the vectorized substitution.
-
-    Times :meth:`~repro.linalg.blockops.BatchedLU.solve` both ways at
-    increasing panel work and returns *half* the first work level where
-    the per-block LAPACK path wins (the same conservative policy as the
-    shipped default: never regret the vectorized path).
-    """
-    from ..linalg.blockops import BatchedLU
-
-    rng = np.random.default_rng(0)
-    n, m = 128, 8
-    blocks = rng.standard_normal((n, m, m)) + m * np.eye(m)
-    lu = BatchedLU(blocks, backend="batched")
-    crossover_work = None
-    for r in (16, 32, 64, 128, 256):
-        rhs = rng.standard_normal((n, m, r))
-        times = {}
-        for bound in (m * r, m * r - 1):  # at/above vs below the gate
-            with config_context(vector_solve_max_work=max(bound, 1)):
-                lu.solve(rhs)
-                best = float("inf")
-                for _ in range(reps):
-                    t0 = time.perf_counter()
-                    lu.solve(rhs)
-                    best = min(best, time.perf_counter() - t0)
-                times[bound] = best
-        if times[m * r - 1] < times[m * r]:  # LAPACK loop won
-            crossover_work = m * r
-            break
-    if crossover_work is None:
-        crossover_work = 2 * TUNABLE_THRESHOLDS["vector_solve_max_work"]
-    return max(crossover_work // 2, 1)
-
-
-def _probe_levelwise_min_rows(reps: int = 3) -> int:
-    """Smallest chunk height where level-wise recurrence wins.
-
-    Compares the sequential and level-wise vector kernels on a thin
-    panel at doubling heights; returns the first winning height (or
-    the documented default when level-wise never wins on this host).
-    """
-    from ..core.distribute import distribute_matrix
-    from ..core.recurrence import (
-        TransferOperators,
-        forward_solution,
-        local_vector_aggregate,
-    )
-    from ..workloads import helmholtz_block_system
-
-    rng = np.random.default_rng(0)
-    m, r = 8, 8
-    for h in (16, 32, 64, 128):
-        mat, _ = helmholtz_block_system(h, m)
-        ops = TransferOperators(distribute_matrix(mat, 1)[0])
-        g = ops.g(rng.standard_normal((h, m, r)))
-        entry = rng.standard_normal((2 * m, r))
-        ops.levels()
-
-        def kernels() -> None:
-            local_vector_aggregate(ops, g[: ops.ntransfer])
-            forward_solution(ops, g, entry, h)
-
-        times = {}
-        for mode in ("sequential", "levelwise"):
-            with config_context(recurrence_mode=mode):
-                kernels()
-                best = float("inf")
-                for _ in range(reps):
-                    t0 = time.perf_counter()
-                    kernels()
-                    best = min(best, time.perf_counter() - t0)
-                times[mode] = best
-        if times["levelwise"] < times["sequential"]:
-            return h
-    return TUNABLE_THRESHOLDS["levelwise_min_rows"]
-
-
-def _measure_scan_schedules(reps: int = 3, p: int = 8) -> dict[str, float]:
-    """Best-of-``reps`` wall seconds per distributed scan schedule on a
-    representative affine-pair payload over ``p`` ranks (the abl-A1
-    dimension, measured in wall time rather than virtual time)."""
-    from ..comm import run_spmd
-    from ..prefix import DIST_SCANS, AffinePair, affine_compose
-
-    rng = np.random.default_rng(0)
-    dim, width = 16, 8
-    mats = rng.standard_normal((p, dim, dim)) / dim
-    pairs = [AffinePair(mats[i], np.zeros((dim, width))) for i in range(p)]
-    out: dict[str, float] = {}
-    for name, scan_fn in sorted(DIST_SCANS.items()):
-        if name == "blelloch" and p & (p - 1):
-            continue  # Blelloch needs power-of-two ranks
-
-        def program(comm, pairs=pairs, scan_fn=scan_fn):
-            return scan_fn(comm, pairs[comm.rank], affine_compose)
-
-        run_spmd(program, p, copy_messages=False)
-        best = float("inf")
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            run_spmd(program, p, copy_messages=False)
-            best = min(best, time.perf_counter() - t0)
-        out[name] = best
-    return out
-
-
 def tune_machine(quick: bool = False, *,
-                 calibration: MachineCalibration | None = None,
                  shapes: Iterable[tuple[int, int, int, int]] | None = None,
                  dtypes: Iterable[str] = ("float64",),
                  progress: Callable[[str], None] | None = None
                  ) -> TuningTable:
-    """Run the structured tuning sweep; returns the :class:`TuningTable`.
+    """Measure every candidate at every grid shape; returns the table.
 
-    The sweep measures where the model is uncertain and defers to it
-    elsewhere.  Method-level anchors (one configuration per portfolio
-    method, shipped kernel defaults) are always measured at the grid
-    shapes: the model's wall-clock ranking *across method families* is
-    its known blind spot — it prices flops and messages but not
-    interpreter or runtime overhead, which is what actually separates
-    sequential Thomas from distributed ARD at small sizes.  The
-    variant dimensions (ARD kernel configuration, ``processes``
-    backend) are measured only near a crossover — their base method's
-    measured time within :data:`CROSSOVER_BAND` of the shape's best —
-    because elsewhere no variant can change the winner; pruned
-    variants are recorded at the model's prediction with
-    ``provenance="model"``.  Off-grid shapes are served later by
-    interpolation (:func:`plan`), never swept.
-
-    ``quick=True`` is the CI smoke configuration: tiny shapes, one
-    timing rep, threshold probes skipped (documented defaults kept),
-    no ``processes``-backend measurements.  It finishes in seconds and
-    still exercises every code path the full sweep uses.
+    Off-grid shapes are served later by interpolation (:func:`plan`),
+    never swept.  ``quick=True`` is the CI smoke configuration: tiny
+    shapes and one timing rep.
     """
     say = progress or (lambda s: None)
-    if calibration is None:
-        try:
-            calibration = load_calibration(DEFAULT_CALIB_PATH)
-            say(f"using calibration from {DEFAULT_CALIB_PATH}")
-        except ConfigError:
-            say("calibrating machine (no CALIB_machine.json)")
-            calibration = calibrate_machine()
     reps = 1 if quick else 3
     grid = tuple(shapes) if shapes is not None else (
         QUICK_SHAPES if quick else SWEEP_SHAPES)
@@ -847,67 +570,19 @@ def tune_machine(quick: bool = False, *,
     entries: list[TuneEntry] = []
     for dtype in dtypes:
         for (n, m, p, r) in grid:
-            cands = _candidates(p, include_processes=not quick)
-            anchors = [c for c in cands
-                       if c["comm_backend"] == "threads"
-                       and c["blockops_backend"] == "batched"
-                       and c["recurrence_mode"] == "auto"]
-            variants = [c for c in cands if c not in anchors]
-
-            def run_one(c: dict[str, Any]) -> float:
-                say(f"measure n={n} m={m} p={p} r={r} {dtype} "
-                    f"{c['method']}/{c['comm_backend']}/"
-                    f"{c['blockops_backend']}/{c['recurrence_mode']}")
-                return _measure_config(n, m, p, r, dtype, c, reps)
-
-            # Method-level anchors are ALWAYS measured at grid shapes:
-            # ranking *across method families* is exactly where the
-            # analytic model is least trustworthy on the wall clock
-            # (it has no term for interpreter or runtime overhead).
-            measured: dict[int, float] = {id(c): run_one(c) for c in anchors}
-            best_wall = min(measured.values())
-            # Variant dimensions (ARD kernel config, processes
-            # backend) are measured only near a crossover: when their
-            # base method's measured time is within CROSSOVER_BAND of
-            # the best — elsewhere the variant cannot change the
-            # winner and the model's entry suffices.
-            by_method = {c["method"]: measured[id(c)] for c in anchors}
-            for c in variants:
-                base_wall = by_method.get(c["method"])
-                if base_wall is not None and (
-                        base_wall <= best_wall * CROSSOVER_BAND):
-                    measured[id(c)] = run_one(c)
-            for c in cands:
-                wall = measured.get(id(c))
-                if wall is None and c["comm_backend"] == "processes":
-                    continue  # never taken from the model
+            for c in _candidates(p):
+                say(f"measure n={n} m={m} p={p} r={r} {dtype} {c['method']}"
+                    f"/{c['blockops_backend']}/{c['recurrence_mode']}")
                 entries.append(TuneEntry(
-                    n=n, m=m, p=p, r=r, dtype=dtype,
-                    method=c["method"], schedule=c["schedule"],
-                    comm_backend=c["comm_backend"],
+                    n=n, m=m, p=p, r=r, dtype=dtype, method=c["method"],
                     recurrence_mode=c["recurrence_mode"],
                     blockops_backend=c["blockops_backend"],
-                    time=wall if wall is not None else _predict(
-                        c["method"], n, m, c["nranks"], r, calibration, None),
-                    provenance="measured" if wall is not None else "model",
+                    time=_measure_config(n, m, p, r, dtype, c, reps),
                 ))
-
-    if quick:
-        thresholds = dict(TUNABLE_THRESHOLDS)
-        scan_times: dict[str, float] = {}
-    else:
-        say("probing kernel crossovers")
-        thresholds = dict(TUNABLE_THRESHOLDS)
-        thresholds["vector_solve_max_work"] = _probe_vector_solve_crossover()
-        thresholds["levelwise_min_rows"] = _probe_levelwise_min_rows()
-        say("measuring scan schedules")
-        scan_times = _measure_scan_schedules()
 
     return TuningTable(
         host=host_fingerprint(),
-        thresholds=thresholds,
         entries=tuple(entries),
-        scan_times=scan_times,
         quick=quick,
         written_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )

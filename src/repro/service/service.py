@@ -190,11 +190,12 @@ class SolverService:
     method / nranks / cost_model:
         Defaults applied when :meth:`submit` receives a bare matrix
         instead of a :class:`FactorHandle`.  The default method is
-        ``"auto"``: the autotuned planner
-        (:mod:`repro.perfmodel.planner`) resolves each registered
-        matrix to a concrete method/configuration, cached per matrix
-        fingerprint alongside the factorization; pass an explicit
-        method to opt out.
+        ``"auto"``: the planner (:mod:`repro.perfmodel.planner`)
+        resolves each registered matrix to a concrete method and
+        kernel configuration (ARD unless this host's tuning table
+        measured something faster), cached per matrix fingerprint
+        alongside the factorization; pass an explicit method to opt
+        out.
     workers:
         Worker threads serving batches (>= 1).  Batches for distinct
         keys run concurrently; per key, batches are serialized so a
@@ -405,17 +406,14 @@ class SolverService:
 
     def _factorization(self, handle: FactorHandle) -> tuple[Any, bool]:
         def build() -> Any:
-            if handle.plan is None:
+            from ..config import config_context
+
+            overrides = ({} if handle.plan is None
+                         else handle.plan.config_overrides())
+            with config_context(**overrides):
                 return factor(handle.matrix, method=handle.method,
                               nranks=handle.nranks,
                               cost_model=self.cost_model, trace=self.trace)
-            from ..config import config_context
-
-            with config_context(**handle.plan.config_overrides()):
-                return factor(handle.matrix, method=handle.method,
-                              nranks=handle.nranks,
-                              cost_model=self.cost_model, trace=self.trace,
-                              backend=handle.plan.comm_backend)
 
         fact, hit = self.cache.get_or_create(handle.key, build)
         if not hit and self.health_thresholds is not None:

@@ -174,6 +174,23 @@ class TestBatchedLU:
         dup._lu[:] = 0.0
         assert not np.allclose(lu._lu, 0.0)
 
+    @pytest.mark.parametrize("backend", ["batched", "scipy_loop"])
+    def test_stack_matches_one_batch(self, rng, backend):
+        """Single-block factors stacked into one batch (how Thomas and
+        SPIKE store theirs) solve and copy exactly like the batch
+        factored at once."""
+        a = _spd_batch(rng, 5, 3)
+        whole = BatchedLU(a, backend=backend)
+        stacked = BatchedLU.stack(
+            [BatchedLU(a[i:i + 1], backend=backend) for i in range(5)])
+        b = rng.standard_normal((5, 3, 2))
+        for lu in (stacked, stacked.copy()):
+            assert (lu.n, lu.backend, lu.nbytes) == (5, backend, whole.nbytes)
+            for transposed in (False, True):
+                np.testing.assert_array_equal(
+                    lu.solve(b, transposed=transposed),
+                    whole.solve(b, transposed=transposed))
+
     def test_nbytes_positive(self, rng):
         assert BatchedLU(_spd_batch(rng, 2, 3)).nbytes > 0
 
