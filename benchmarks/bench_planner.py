@@ -17,7 +17,7 @@ to 0.75x of seed) — it:
 - asserts ``planner.regret <=`` :data:`REGRET_CEILING` at every shape
   (the same ceiling :mod:`repro.obs.regress` gates in bench-history);
 - asserts the monolithic shapes recover to >= 1.0x of the seed
-  configuration (``scipy_loop`` + ``sequential``) under
+  configuration (``sequential`` recurrence) under
   ``method="auto"`` — the seed path is itself in the portfolio, so a
   planner that picks the measured argmin can never lose to it;
 - runs one honest end-to-end ``solve(method="auto")`` with the table
@@ -52,21 +52,21 @@ MONO_SHAPES = frozenset({(512, 8, 4, 256), (512, 8, 16, 256)})
 REGRET_CEILING = 1.15
 
 #: The pre-vectorization seed configuration, as a portfolio config key
-#: (method, recurrence mode, blockops backend).
-SEED_CONFIG = ("ard", "sequential", "scipy_loop")
+#: (method, recurrence mode).
+SEED_CONFIG = ("ard", "sequential")
 
 #: Fixed baselines the seeded bench-history record compares auto
-#: against: ARD under the shipped kernel defaults (the reference plan)
+#: against: ARD under the shipped kernel default (the reference plan)
 #: and plain RD.
-ARD_REF_CONFIG = ("ard", "auto", "batched")
-RD_CONFIG = ("rd", "auto", "batched")
+ARD_REF_CONFIG = ("ard", "auto")
+RD_CONFIG = ("rd", "auto")
 
 REPS = 3
 
 
 def _config_key(obj):
-    """(method, recurrence, blockops) of a Plan or TuneEntry."""
-    return (obj.method, obj.recurrence_mode, obj.blockops_backend)
+    """(method, recurrence mode) of a Plan or TuneEntry."""
+    return (obj.method, obj.recurrence_mode)
 
 
 @pytest.fixture(scope="module")

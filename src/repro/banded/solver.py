@@ -36,7 +36,7 @@ import numpy as np
 from ..core.refine import RefinableFactorization
 from ..core.scan_affine import ScanTrace, affine_scan, replay_scan
 from ..exceptions import ShapeError
-from ..linalg.blockops import BatchedLU, gemm
+from ..linalg.blockops import BatchedLU, gemm, invert_blocks
 from ..prefix.affine import AffinePair
 from ..util.partition import BlockPartition
 from .matrix import BlockBandedMatrix
@@ -118,9 +118,9 @@ def distribute_banded(matrix: BlockBandedMatrix, nranks: int) -> list[BandedChun
 
 
 class BandedTransferOperators:
-    """Per-chunk transfer coefficients ``T_{i,j}`` plus ``U_i`` factors."""
+    """Per-chunk transfer coefficients ``T_{i,j}`` plus the ``U_i^{-1}``."""
 
-    __slots__ = ("lo", "ntransfer", "block_size", "bandwidth", "t", "ulu", "dtype")
+    __slots__ = ("lo", "ntransfer", "block_size", "bandwidth", "t", "uinv", "dtype")
 
     def __init__(self, chunk: BandedChunk):
         b = chunk.bandwidth
@@ -133,14 +133,14 @@ class BandedTransferOperators:
         self.dtype = chunk.dtype
         if nt > 0:
             outer = chunk.rows[2 * b, :nt]  # offset +b coefficients
-            self.ulu = BatchedLU(outer, block_offset=chunk.lo)
+            self.uinv = invert_blocks(outer, block_offset=chunk.lo)
             # T[i, j] = -U_i^{-1} A_{i, b-1-j}: coefficient of state slot j.
             self.t = np.empty((nt, 2 * b, m, m), dtype=chunk.dtype)
             for j in range(2 * b):
                 offset_index = b + (b - 1 - j)  # band array index of A_{i, b-1-j}
-                self.t[:, j] = -self.ulu.solve(chunk.rows[offset_index, :nt])
+                self.t[:, j] = -gemm(self.uinv, chunk.rows[offset_index, :nt])
         else:
-            self.ulu = None
+            self.uinv = None
             self.t = np.empty((0, 2 * b, m, m), dtype=chunk.dtype)
 
     def g(self, d_rows: np.ndarray) -> np.ndarray:
@@ -150,7 +150,7 @@ class BandedTransferOperators:
                 (0, self.block_size, d_rows.shape[2] if d_rows.ndim == 3 else 1),
                 dtype=self.dtype,
             )
-        return self.ulu.solve(np.asarray(d_rows)[: self.ntransfer])
+        return gemm(self.uinv, np.asarray(d_rows)[: self.ntransfer])
 
 
 def _matrix_aggregate(ops: BandedTransferOperators) -> np.ndarray:
@@ -232,8 +232,8 @@ class BandedARDRankState:
     def nbytes(self) -> int:
         """Stored factorization footprint."""
         total = self.ops.t.nbytes + self.trace.nbytes
-        if self.ops.ulu is not None:
-            total += self.ops.ulu.nbytes
+        if self.ops.uinv is not None:
+            total += self.ops.uinv.nbytes
         if self.closing_lu is not None:
             total += self.closing_lu.nbytes
         return total

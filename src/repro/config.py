@@ -26,13 +26,9 @@ import numpy as np
 from .exceptions import ConfigError
 
 __all__ = ["ReproConfig", "get_config", "set_config", "install_config",
-           "config_context", "BLOCKOPS_BACKENDS", "RECURRENCE_MODES",
-           "COMM_BACKENDS", "DEFAULT_VECTOR_SOLVE_MAX_WORK",
+           "config_context", "RECURRENCE_MODES", "COMM_BACKENDS",
            "DEFAULT_LEVELWISE_MIN_ROWS", "DEFAULT_LEVELWISE_MAX_BLOCK",
            "DEFAULT_LEVELWISE_MAX_RHS", "TUNABLE_THRESHOLDS", "env_flag"]
-
-#: Valid values of :attr:`ReproConfig.blockops_backend`.
-BLOCKOPS_BACKENDS = frozenset({"batched", "scipy_loop"})
 
 #: Valid values of :attr:`ReproConfig.recurrence_mode`.
 RECURRENCE_MODES = frozenset({"auto", "sequential", "levelwise"})
@@ -44,12 +40,6 @@ COMM_BACKENDS = frozenset({"threads", "processes"})
 # (docs/KERNELS.md).  The solve hot path reads the live config fields
 # below; nothing retunes them per host, but users may override them via
 # ``set_config`` / ``config_context``.
-
-#: Default ``vector_solve_max_work``: the ``batched`` LU backend's
-#: substitution stays vectorized while the per-block panel work
-#: ``m * r`` is at or below this bound (conservative half of the
-#: measured ``m * r ~ 1000`` crossover; see docs/KERNELS.md).
-DEFAULT_VECTOR_SOLVE_MAX_WORK = 512
 
 #: Default ``levelwise_min_rows``: ``recurrence_mode="auto"`` switches
 #: to level-wise evaluation at this many transfer rows.
@@ -66,7 +56,6 @@ DEFAULT_LEVELWISE_MAX_RHS = 32
 #: The kernel crossover config fields, with their documented defaults;
 #: :class:`ReproConfig` validates each as a positive int.
 TUNABLE_THRESHOLDS = {
-    "vector_solve_max_work": DEFAULT_VECTOR_SOLVE_MAX_WORK,
     "levelwise_min_rows": DEFAULT_LEVELWISE_MIN_ROWS,
     "levelwise_max_block": DEFAULT_LEVELWISE_MAX_BLOCK,
     "levelwise_max_rhs": DEFAULT_LEVELWISE_MAX_RHS,
@@ -103,7 +92,9 @@ class ReproConfig:
         Default floating dtype for generated workloads and factorizations.
     singularity_rcond:
         Reciprocal-condition threshold below which a block is treated as
-        singular when it must be inverted.
+        singular: the exact 1-norm ``1 / (||U||_1 ||U^{-1}||_1)`` for
+        the inverted transfer blocks, ``min |U_kk| / max |U_kk|`` of
+        the LU factors for every other block (docs/KERNELS.md).
     flop_counting:
         When ``True``, block linear-algebra kernels record their flop and
         byte counts in the active :class:`repro.util.flops.FlopCounter`.
@@ -111,12 +102,6 @@ class ReproConfig:
     growth_warn_threshold:
         Transfer-product growth factor above which
         :class:`repro.exceptions.StabilityWarning` is emitted.
-    blockops_backend:
-        Implementation behind :class:`repro.linalg.blockops.BatchedLU`:
-        ``"batched"`` (default) uses the pure-NumPy vectorized LU of
-        :mod:`repro.linalg.batchlu`; ``"scipy_loop"`` keeps the
-        one-``scipy`` -call-per-block reference path for
-        cross-validation.  See docs/KERNELS.md.
     recurrence_mode:
         How the local transfer recurrence is evaluated
         (:mod:`repro.core.recurrence`): ``"sequential"`` loops one block
@@ -130,21 +115,14 @@ class ReproConfig:
         ``"processes"`` (true multi-core via :mod:`repro.comm.mp` with
         shared-memory payload transport).  The environment variable
         ``REPRO_COMM_BACKEND`` sets the default.  See docs/BACKENDS.md.
-    vector_solve_max_work:
-        Widest per-block panel work ``m * r`` the ``batched`` LU
-        backend's vectorized substitution handles before
-        :meth:`repro.linalg.blockops.BatchedLU.solve` hands each block
-        to LAPACK ``getrs`` instead.  Default
-        :data:`DEFAULT_VECTOR_SOLVE_MAX_WORK`; tuned per host by
-        ``python -m repro.harness tune`` (docs/PLANNER.md).
     levelwise_min_rows / levelwise_max_block / levelwise_max_rhs:
         The ``recurrence_mode="auto"`` gates: level-wise evaluation is
         chosen iff the chunk has at least ``levelwise_min_rows``
         transfer rows, the block order is at most
         ``levelwise_max_block``, and (vector kernels only) the RHS
         panel is at most ``levelwise_max_rhs`` columns wide.  Defaults
-        are the reference-host crossovers (docs/KERNELS.md); tuned per
-        host by ``python -m repro.harness tune``.
+        are the reference-host crossovers (docs/KERNELS.md); nothing
+        retunes them per host.
     flightrec:
         Always-on per-rank flight recorder
         (:mod:`repro.obs.flightrec`): each rank keeps a bounded ring of
@@ -167,10 +145,8 @@ class ReproConfig:
     singularity_rcond: float = 1e-13
     flop_counting: bool = False
     growth_warn_threshold: float = 1e8
-    blockops_backend: str = "batched"
     recurrence_mode: str = "auto"
     comm_backend: str = dataclasses.field(default_factory=_default_comm_backend)
-    vector_solve_max_work: int = DEFAULT_VECTOR_SOLVE_MAX_WORK
     levelwise_min_rows: int = DEFAULT_LEVELWISE_MIN_ROWS
     levelwise_max_block: int = DEFAULT_LEVELWISE_MAX_BLOCK
     levelwise_max_rhs: int = DEFAULT_LEVELWISE_MAX_RHS
@@ -192,11 +168,6 @@ class ReproConfig:
             raise ConfigError(
                 "growth_warn_threshold must exceed 1.0, got "
                 f"{self.growth_warn_threshold}"
-            )
-        if self.blockops_backend not in BLOCKOPS_BACKENDS:
-            raise ConfigError(
-                f"blockops_backend must be one of {sorted(BLOCKOPS_BACKENDS)}, "
-                f"got {self.blockops_backend!r}"
             )
         if self.recurrence_mode not in RECURRENCE_MODES:
             raise ConfigError(

@@ -108,16 +108,16 @@ def transfer_growth_factor(matrix: BlockTridiagonalMatrix, nprobe: int = 2,
     exponential blowup afflicting non-dominant systems.
 
     Raises :class:`~repro.exceptions.SingularBlockError` (from the block
-    factorization) if some ``U_i`` is singular.
+    inversion) if some ``U_i`` is singular.
     """
-    from ..linalg.blockops import BatchedLU
+    from ..linalg.blockops import gemm, invert_blocks
 
     n, m = matrix.nblocks, matrix.block_size
     if n == 1:
         return 1.0
     if nprobe < 1:
         raise ShapeError(f"nprobe must be >= 1, got {nprobe}")
-    ulu = BatchedLU(matrix.upper)
+    uinv = invert_blocks(matrix.upper)
     rng = np.random.default_rng(seed)
     probes = rng.standard_normal((2 * m, nprobe))
     probes /= np.linalg.norm(probes, axis=0, keepdims=True)
@@ -129,7 +129,7 @@ def transfer_growth_factor(matrix: BlockTridiagonalMatrix, nprobe: int = 2,
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1):
             rhs = matrix.diag[i] @ cur + (matrix.lower[i - 1] @ prev if i > 0 else 0.0)
-            nxt = -ulu.solve_one(i, rhs)
+            nxt = -gemm(uinv[i], rhs)
             prev, cur = cur, nxt
             norm = float(
                 np.sqrt((np.abs(cur) ** 2 + np.abs(prev) ** 2).sum(axis=0)).max()

@@ -11,10 +11,11 @@ this is the affine map ``s_{i+1} = A_i s_i + [g_i; 0]`` with
 
 ``A_i = [[T1_i, T2_i], [I, 0]]``.
 
-:class:`TransferOperators` builds ``T1``/``T2`` (and keeps the LU
-factors of the ``U_i`` for computing ``g`` per right-hand side — the
-matrix/vector split that ARD's factorization stores).  The module also
-provides the three structured local kernels every solver uses:
+:class:`TransferOperators` builds ``T1``/``T2`` (and keeps the
+inverses of the ``U_i``, so ``g`` costs one batched multiply per
+right-hand side — the matrix/vector split that ARD's factorization
+stores).  The module also provides the three structured local kernels
+every solver uses:
 
 - :func:`local_matrix_aggregate` — the chunk's composed matrix part,
   exploiting the ``[[T1, T2], [I, 0]]`` structure (4 instead of 8
@@ -49,7 +50,7 @@ from ..config import (
     get_config,
 )
 from ..exceptions import ShapeError
-from ..linalg.blockops import BatchedLU, gemm
+from ..linalg.blockops import gemm, invert_blocks
 from ..obs.tracer import instant
 from ..prefix.batched import AffineLevels
 from .distribute import LocalChunk
@@ -119,7 +120,7 @@ def _use_levelwise(
 
 
 class TransferOperators:
-    """Per-chunk transfer maps ``(T1_i, T2_i)`` plus the ``U_i`` factors.
+    """Per-chunk transfer maps ``(T1_i, T2_i)`` plus the ``U_i^{-1}``.
 
     Built from a :class:`~repro.core.distribute.LocalChunk`; covers the
     chunk's ``ntransfer`` rows (all owned rows except a final closing
@@ -131,7 +132,7 @@ class TransferOperators:
     work that, like the rest of this object, amortizes across solves.
     """
 
-    __slots__ = ("lo", "ntransfer", "block_size", "t1", "t2", "ulu", "dtype",
+    __slots__ = ("lo", "ntransfer", "block_size", "t1", "t2", "uinv", "dtype",
                  "_levels")
 
     def __init__(self, chunk: LocalChunk):
@@ -143,13 +144,13 @@ class TransferOperators:
         self.dtype = chunk.dtype
         self._levels = None
         if t > 0:
-            # Factor the superdiagonal blocks; raises SingularBlockError
+            # Invert the superdiagonal blocks; raises SingularBlockError
             # (with the global row index) if any is singular.
-            self.ulu = BatchedLU(chunk.sup[:t], block_offset=chunk.lo)
-            self.t1 = -self.ulu.solve(chunk.diag[:t])
-            self.t2 = -self.ulu.solve(chunk.sub[:t])
+            self.uinv = invert_blocks(chunk.sup[:t], block_offset=chunk.lo)
+            self.t1 = -gemm(self.uinv, chunk.diag[:t])
+            self.t2 = -gemm(self.uinv, chunk.sub[:t])
         else:
-            self.ulu = None
+            self.uinv = None
             self.t1 = np.empty((0, m, m), dtype=chunk.dtype)
             self.t2 = np.empty((0, m, m), dtype=chunk.dtype)
 
@@ -170,7 +171,7 @@ class TransferOperators:
             )
         if self.ntransfer == 0:
             return np.empty((0, self.block_size, d_rows.shape[2]), dtype=self.dtype)
-        return self.ulu.solve(d_rows[: self.ntransfer])
+        return gemm(self.uinv, d_rows[: self.ntransfer])
 
     def stacked_maps(self) -> np.ndarray:
         """The transfer maps as one ``(ntransfer, 2M, 2M)`` batch."""
@@ -191,8 +192,8 @@ class TransferOperators:
     @property
     def nbytes(self) -> int:
         total = self.t1.nbytes + self.t2.nbytes
-        if self.ulu is not None:
-            total += self.ulu.nbytes
+        if self.uinv is not None:
+            total += self.uinv.nbytes
         if self._levels is not None:
             total += self._levels.nbytes
         return total

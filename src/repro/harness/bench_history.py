@@ -1,8 +1,8 @@
 """Perf-trajectory collector: one benchmark record per run, appended.
 
 ``python -m repro.harness bench-history`` measures the library's gated
-performance numbers — batched-LU kernel time and speedup over the
-per-block scipy loop, service throughput and its speedup over
+performance numbers — transfer-block inversion time and speedup over
+the per-block scipy LU loop, service throughput and its speedup over
 per-request RD, the disabled-span guard cost, the always-on
 flight-recorder overhead ratio (docs/INCIDENTS.md), a representative
 ARD factor+solve wall time, and (on hosts with >= 4 cores) the
@@ -62,19 +62,19 @@ def _best_of(fn: Callable[[], Any], rounds: int = 3) -> float:
 def _kernel_metrics(nblocks: int, m: int) -> dict[str, float]:
     import scipy.linalg
 
-    from ..linalg.batchlu import lu_factor_batched
+    from ..linalg.blockops import invert_blocks
 
     rng = np.random.default_rng(0)
     blocks = rng.standard_normal((nblocks, m, m))
     blocks += m * np.eye(m)
 
-    batched_s = _best_of(lambda: lu_factor_batched(blocks))
+    inverse_s = _best_of(lambda: invert_blocks(blocks))
     loop_s = _best_of(
         lambda: [scipy.linalg.lu_factor(blocks[i]) for i in range(nblocks)]
     )
     return {
-        "kernels.lu_batched_s": batched_s,
-        "kernels.lu_speedup": loop_s / batched_s if batched_s > 0 else 0.0,
+        "kernels.lu_batched_s": inverse_s,
+        "kernels.lu_speedup": loop_s / inverse_s if inverse_s > 0 else 0.0,
     }
 
 

@@ -869,7 +869,6 @@ def a6_planner_ablation(scale: str = "full") -> ExperimentResult:
     set_default_table(table)
     configs: list[tuple[str, str, dict]] = [
         ("ard", "ard", {}),
-        ("ard+scipy_loop", "ard", {"blockops_backend": "scipy_loop"}),
         ("ard+sequential", "ard", {"recurrence_mode": "sequential"}),
         ("ard+levelwise", "ard", {"recurrence_mode": "levelwise"}),
         ("rd", "rd", {}),
@@ -906,8 +905,8 @@ def a6_planner_ablation(scale: str = "full") -> ExperimentResult:
         best_fixed = min(fixed.values())
         for label, _method, _over in configs:
             rows.append([n, m, p, r, label, fixed[label], float("nan"), ""])
-        chosen = (f"{info.method}/{info.plan.blockops_backend}"
-                  f"/{info.plan.recurrence_mode}" if info.plan else info.method)
+        chosen = (f"{info.method}/{info.plan.recurrence_mode}"
+                  if info.plan else info.method)
         rows.append([n, m, p, r, "auto", auto_s, auto_s / best_fixed, chosen])
     set_default_table(None)
     return ExperimentResult(

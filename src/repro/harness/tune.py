@@ -66,8 +66,8 @@ def run_tune(out: str | None = None, quick: bool = False,
               and chosen.predicted_time == best.time)
         failed |= not ok
         console(f"tune: plan({n}, {m}, p={p}, r={r}, {dtype}) -> "
-                f"{chosen.method}/{chosen.blockops_backend}/"
-                f"{chosen.recurrence_mode} [{chosen.provenance}]"
+                f"{chosen.method}/{chosen.recurrence_mode} "
+                f"[{chosen.provenance}]"
                 + ("" if ok else " but the measured argmin is "
                    f"{'/'.join(best.config())}"))
     if failed:

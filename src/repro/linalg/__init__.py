@@ -5,16 +5,7 @@ flop accounting, and independent reference solvers used as ground truth.
 """
 
 from .analysis import estimate_condition, from_scipy_sparse, onenorm
-from .batchlu import first_singular_block, lu_factor_batched, lu_solve_batched
-from .blockops import (
-    BatchedLU,
-    as_block_batch,
-    gemm,
-    gemm_add,
-    identity_blocks,
-    solve_blocks,
-    transpose_blocks,
-)
+from .blockops import BatchedLU, as_block_batch, gemm, invert_blocks
 from .blocktridiag import BlockTridiagonalMatrix, reshape_rhs, restore_rhs_shape
 from .reference import banded_solve, dense_solve, sparse_solve
 
@@ -22,16 +13,10 @@ __all__ = [
     "estimate_condition",
     "from_scipy_sparse",
     "onenorm",
-    "first_singular_block",
-    "lu_factor_batched",
-    "lu_solve_batched",
     "BatchedLU",
     "as_block_batch",
     "gemm",
-    "gemm_add",
-    "identity_blocks",
-    "solve_blocks",
-    "transpose_blocks",
+    "invert_blocks",
     "BlockTridiagonalMatrix",
     "reshape_rhs",
     "restore_rhs_shape",

@@ -1,29 +1,28 @@
 """Batched dense block operations with flop accounting.
 
 All distributed solvers express their work in terms of a small set of
-block kernels — batched matrix products, batched LU factor/solve — so
-that (a) the NumPy implementations stay vectorized over the batch of
-blocks a rank owns, and (b) the reconstructed complexity experiments can
-compare *instrumented* flop counts against the paper's formulas (every
-kernel calls :func:`repro.util.flops.record_flops` with its textbook
-count).
+block kernels — batched matrix products, block inverses, block LU
+factor/solve — so that (a) the NumPy implementations stay vectorized
+over the batch of blocks a rank owns, and (b) the reconstructed
+complexity experiments can compare *instrumented* flop counts against
+the paper's formulas (every kernel calls
+:func:`repro.util.flops.record_flops` with its count).
 
-Two interchangeable backends sit behind :class:`BatchedLU` (selected by
-``repro.config``'s ``blockops_backend``, see docs/KERNELS.md):
+Each block role has exactly one kernel (docs/KERNELS.md):
 
-``"batched"`` (default)
-    The pure-NumPy vectorized LU of :mod:`repro.linalg.batchlu` —
-    Python-loop length ``m`` (block order), every step a full-batch
-    operation.
-``"scipy_loop"``
-    The seed's one-``scipy``-call-per-block reference path, retained
-    for cross-validation; factors are bit-interchangeable (both store
-    LAPACK-convention ``(lu, piv)``).
+:func:`invert_blocks`
+    The transfer blocks ``U_i`` — the one large batch, applied to every
+    right-hand side by ARD, RD, the banded ARD and the growth probe —
+    are inverted once, so each ``g_i = U_i^{-1} d_i`` is a :func:`gemm`.
+:class:`BatchedLU`
+    Every other block (closing systems, Schur complements, cyclic
+    reduction diagonals) keeps a pivoting LAPACK LU: one ``getrf`` per
+    block, one ``getrs`` per block and solve.
 
-Either way the facade owns the shared contract: singularity checks
-(``singularity_rcond``, non-finite detection, ``block_offset`` in
-errors), flop accounting, kernel wall-time counters
-(:func:`repro.obs.kernel_time`), and ``nbytes``/``copy()``.
+Both raise :class:`~repro.exceptions.SingularBlockError` with the
+global index (``block_offset`` + batch index) of the first non-finite
+or singular block, and report kernel wall time through
+:func:`repro.obs.kernel_time`.
 
 Array conventions
 -----------------
@@ -35,49 +34,20 @@ paper's ``R``).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
-from ..config import (
-    BLOCKOPS_BACKENDS,
-    DEFAULT_VECTOR_SOLVE_MAX_WORK,
-    get_config,
-)
-from ..exceptions import ConfigError, ShapeError, SingularBlockError
+from ..config import get_config
+from ..exceptions import ShapeError, SingularBlockError
 from ..obs.tracer import kernel_time
 from ..util.flops import gemm_flops, lu_flops, lu_solve_flops, record_flops
-from .batchlu import first_singular_block, lu_factor_batched, lu_solve_batched
 
 __all__ = [
     "as_block_batch",
     "gemm",
-    "gemm_add",
-    "solve_blocks",
+    "invert_blocks",
     "BatchedLU",
-    "identity_blocks",
-    "transpose_blocks",
 ]
-
-
-#: Documented *default* of the width-aware substitution crossover: the
-#: ``batched`` backend's :meth:`BatchedLU.solve` uses the vectorized
-#: substitution of :mod:`repro.linalg.batchlu` while the per-block panel
-#: work ``m * r`` stays at or below this bound.  Wider panels hand each
-#: block to LAPACK ``getrs`` instead: the substitution's ``2m``
-#: full-batch broadcast steps stream ``O(n m r)`` memory each, while a
-#: per-block BLAS-3 solve on a large ``(m, r)`` panel amortizes its call
-#: overhead.  The crossover measured on the reference x86 host is
-#: ``m * r ~ 1000``; the shipped default sits at half that so hosts
-#: with smaller caches never regret the vectorized path (see
-#: docs/KERNELS.md).  The hot path reads the live
-#: ``repro.config`` field ``vector_solve_max_work`` (this value is its
-#: default), so per-host tuning (``python -m repro.harness tune``) and
-#: ``config_context(vector_solve_max_work=...)`` both take effect
-#: without touching this module.  Both backends store LAPACK-convention
-#: factors, so the two substitutions are interchangeable per solve.
-VECTOR_SOLVE_MAX_WORK = DEFAULT_VECTOR_SOLVE_MAX_WORK
 
 
 def as_block_batch(a: np.ndarray, name: str = "array") -> np.ndarray:
@@ -108,126 +78,124 @@ def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def gemm_add(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Fused ``a @ b + c`` (allocates the product, adds in place)."""
-    out = gemm(a, b)
-    out += c
-    if get_config().flop_counting:
-        record_flops("axpy", int(np.prod(out.shape, dtype=np.int64)))
-    return out
+def _nonfinite_error(k: int) -> SingularBlockError:
+    # NaN/inf inputs must fail loudly: NaN comparisons are always False,
+    # so they would slip through a threshold check.
+    return SingularBlockError(
+        f"block {k} contains non-finite entries (upstream overflow)",
+        block_index=k,
+    )
 
 
-def identity_blocks(n: int, m: int, dtype=None) -> np.ndarray:
-    """``(n, m, m)`` batch of identity blocks."""
-    dtype = dtype or get_config().dtype
-    out = np.zeros((n, m, m), dtype=dtype)
-    idx = np.arange(m)
-    out[:, idx, idx] = 1
-    return out
+def invert_blocks(blocks: np.ndarray, *, block_offset: int = 0) -> np.ndarray:
+    """Inverses of a ``(n, m, m)`` block batch, checked for singularity.
 
-
-def transpose_blocks(a: np.ndarray) -> np.ndarray:
-    """Blockwise transpose of a ``(n, m, m)`` batch."""
-    return np.swapaxes(np.asarray(a), -1, -2)
-
-
-def solve_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One-shot batched solve ``a[i] x[i] = b[i]`` via LAPACK ``gesv``.
-
-    Prefer :class:`BatchedLU` when the same blocks will be solved
-    against repeatedly (the whole point of the ARD factorization).
+    One batched ``numpy.linalg.inv`` (LAPACK ``gesv`` against the
+    identity, looped over the batch in C).  Raises
+    :class:`~repro.exceptions.SingularBlockError` for the first block
+    (global index ``block_offset + i``) that has a non-finite entry, is
+    exactly singular, or has a 1-norm reciprocal condition number
+    ``1 / (||U||_1 ||U^{-1}||_1)`` below the configured
+    ``singularity_rcond`` — exact, and free once the inverse exists.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    try:
-        out = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(f"singular block in batched solve: {exc}") from exc
-    if get_config().flop_counting:
-        m = a.shape[-1]
-        r = b.shape[-1] if b.ndim == a.ndim else 1
-        batch = int(np.prod(a.shape[:-2], dtype=np.int64)) if a.ndim > 2 else 1
-        record_flops("lu", batch * lu_flops(m))
-        record_flops("trsm", batch * lu_solve_flops(m, r))
-    return out
+    blocks = as_block_batch(blocks, "blocks")
+    n, m, _ = blocks.shape
+    cfg = get_config()
+    with kernel_time("kernel.lu"):
+        finite = np.isfinite(blocks).all(axis=(1, 2))
+        try:
+            inv = np.linalg.inv(blocks) if finite.all() else None
+        except np.linalg.LinAlgError:
+            inv = None
+        if inv is None:
+            # The batched call names no block: invert one at a time and
+            # leave a failing block NaN, so the check below reports the
+            # first bad block of either kind.
+            inv = np.full_like(blocks, np.nan)
+            for i in np.flatnonzero(finite):
+                try:
+                    inv[i] = np.linalg.inv(blocks[i])
+                except np.linalg.LinAlgError:
+                    pass
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rcond = 1.0 / (np.abs(blocks).sum(axis=1).max(axis=1, initial=0.0)
+                           * np.abs(inv).sum(axis=1).max(axis=1, initial=0.0))
+        bad = ~(rcond >= cfg.singularity_rcond)  # NaN counts as bad
+        if bad.any():
+            i = int(np.argmax(bad))
+            k = block_offset + i
+            if not finite[i]:
+                raise _nonfinite_error(k)
+            raise SingularBlockError(
+                f"block {k} is singular to working precision "
+                f"(rcond = 1/(|U|_1 |U^-1|_1) = {np.nan_to_num(rcond[i]):.2e})",
+                block_index=k,
+            )
+    if cfg.flop_counting:
+        record_flops("lu", n * lu_flops(m))
+        record_flops("trsm", n * lu_solve_flops(m, m))
+    return inv
 
 
 class BatchedLU:
-    """LU factorizations of a batch of square blocks, reusable across
+    """Pivoting LU factors of a batch of square blocks, reusable across
     solves.
 
-    This is the storage that lets ARD charge the ``O(M^3)`` factor cost
-    once and the ``O(M^2 R)`` solve cost per right-hand-side batch.
+    One LAPACK ``getrf`` per block at construction, one ``getrs`` per
+    block and solve, called directly (the ``scipy.linalg.lu_factor`` /
+    ``lu_solve`` wrappers cost ~4x the LAPACK call at ``m = 8``).
+    Holds every block that is not a transfer block (those are
+    inverted, :func:`invert_blocks`): the closing systems of ARD/RD,
+    the Thomas and SPIKE Schur complements, and the bcyclic and
+    cyclic-reduction diagonals.
 
     Parameters
     ----------
     blocks:
-        ``(n, m, m)`` batch to factor.
-    check_singular:
-        When ``True`` (default), raise
-        :class:`~repro.exceptions.SingularBlockError` if any block's LU
-        has a relative diagonal entry below the configured
+        ``(n, m, m)`` batch to factor.  Raises
+        :class:`~repro.exceptions.SingularBlockError` if a block's
+        factors are non-finite or have a relative diagonal entry
+        ``min |U_kk| / max |U_kk|`` below the configured
         ``singularity_rcond``.
     block_offset:
         Global index of ``blocks[0]``; only used to report *which*
         global block was singular.
-    backend:
-        Override the configured ``blockops_backend`` for this instance
-        (``"batched"`` or ``"scipy_loop"``).
     """
 
-    __slots__ = ("n", "m", "dtype", "backend", "_lu", "_piv")
+    __slots__ = ("n", "m", "dtype", "_lu", "_piv")
 
-    def __init__(self, blocks: np.ndarray, *, check_singular: bool = True,
-                 block_offset: int = 0, backend: str | None = None):
+    def __init__(self, blocks: np.ndarray, *, block_offset: int = 0):
         blocks = as_block_batch(blocks, "blocks")
         self.n, self.m, _ = blocks.shape
         self.dtype = blocks.dtype
-        cfg = get_config()
-        self.backend = backend if backend is not None else cfg.blockops_backend
-        if self.backend not in BLOCKOPS_BACKENDS:
-            raise ConfigError(
-                f"unknown blockops backend {self.backend!r}; expected one "
-                f"of {sorted(BLOCKOPS_BACKENDS)}"
-            )
+        self._lu = np.empty_like(blocks)
+        self._piv = np.empty((self.n, self.m), dtype=np.int32)
+        getrf, = get_lapack_funcs(("getrf",), (blocks,))
         with kernel_time("kernel.lu"):
-            if self.backend == "batched":
-                self._lu, self._piv = lu_factor_batched(blocks)
-            else:
-                self._lu = np.empty_like(blocks)
-                self._piv = np.empty((self.n, self.m), dtype=np.int32)
-                for i in range(self.n):
-                    with warnings.catch_warnings():
-                        # The facade runs its own singularity check with
-                        # a configurable threshold; scipy's warning is
-                        # redundant.
-                        warnings.simplefilter(
-                            "ignore", scipy.linalg.LinAlgWarning
-                        )
-                        lu, piv = scipy.linalg.lu_factor(
-                            blocks[i], check_finite=False
-                        )
-                    self._lu[i] = lu
-                    self._piv[i] = piv
-        if check_singular:
-            self._raise_if_singular(cfg.singularity_rcond, block_offset)
+            for i in range(self.n):
+                # info > 0 (an exact zero pivot) is caught by the check
+                # below, which also applies the configured threshold.
+                self._lu[i], self._piv[i], _ = getrf(blocks[i])
+        cfg = get_config()
+        self._raise_if_singular(cfg.singularity_rcond, block_offset)
         if cfg.flop_counting:
             record_flops("lu", self.n * lu_flops(self.m))
 
     def _raise_if_singular(self, rcond: float, block_offset: int) -> None:
-        bad = first_singular_block(self._lu, rcond)
-        if bad is None:
+        if self._lu.size == 0:
             return
-        i, kind, ratio = bad
-        if kind == "nonfinite":
-            # Overflowed inputs produce NaN factors whose diagonal
-            # comparisons would silently pass (NaN < x is False); fail
-            # loudly instead.
-            raise SingularBlockError(
-                f"block {block_offset + i} contains non-finite "
-                "entries (upstream overflow)",
-                block_index=block_offset + i,
-            )
+        nonfinite = ~np.isfinite(self._lu).all(axis=(1, 2))
+        diag = np.abs(np.diagonal(self._lu, axis1=1, axis2=2))
+        scale = diag.max(axis=1)
+        dmin = diag.min(axis=1)
+        with np.errstate(invalid="ignore"):
+            bad = nonfinite | (scale == 0.0) | (dmin < rcond * scale)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        if nonfinite[i]:
+            raise _nonfinite_error(block_offset + i)
+        ratio = 0.0 if scale[i] == 0.0 else float(dmin[i] / scale[i])
         raise SingularBlockError(
             f"block {block_offset + i} is singular to working "
             f"precision (min |U_kk| / max |U_kk| = {ratio:.2e})",
@@ -246,43 +214,27 @@ class BatchedLU:
                 f"rhs has shape {b.shape}, expected leading ({self.n}, {self.m}, ...)"
             )
         trans = 1 if transposed else 0
-        r = b.shape[2] if b.ndim == 3 else 1
-        vectorized = (
-            self.backend == "batched"
-            and self.m * r <= get_config().vector_solve_max_work
-        )
+        out = np.empty_like(b, dtype=np.result_type(self.dtype, b.dtype))
+        getrs, = get_lapack_funcs(("getrs",), (self._lu, b))
         with kernel_time("kernel.trsm"):
-            if vectorized:
-                out = lu_solve_batched(self._lu, self._piv, b, trans=trans)
-            else:
-                out = np.empty_like(
-                    b, dtype=np.result_type(self.dtype, b.dtype)
-                )
-                for i in range(self.n):
-                    out[i] = scipy.linalg.lu_solve(
-                        (self._lu[i], self._piv[i]), b[i], trans=trans,
-                        check_finite=False,
-                    )
+            for i in range(self.n):
+                out[i] = getrs(self._lu[i], self._piv[i], b[i], trans=trans)[0]
         if get_config().flop_counting:
+            r = b.shape[2] if b.ndim == 3 else 1
             record_flops("trsm", self.n * lu_solve_flops(self.m, r))
         return out
 
     def solve_one(self, i: int, b: np.ndarray, transposed: bool = False) -> np.ndarray:
-        """Solve against a single factored block ``i``.
-
-        Both backends store LAPACK-convention ``(lu, piv)``, so the
-        single-block path always goes through ``scipy.lu_solve``.
-        """
+        """Solve against a single factored block ``i``."""
         if not 0 <= i < self.n:
             raise ShapeError(f"block index {i} out of range [0, {self.n})")
-        trans = 1 if transposed else 0
+        b = np.asarray(b)
+        getrs, = get_lapack_funcs(("getrs",), (self._lu, b))
         with kernel_time("kernel.trsm"):
-            out = scipy.linalg.lu_solve(
-                (self._lu[i], self._piv[i]), np.asarray(b), trans=trans,
-                check_finite=False,
-            )
+            out = getrs(self._lu[i], self._piv[i], b,
+                        trans=1 if transposed else 0)[0]
         if get_config().flop_counting:
-            r = b.shape[1] if np.asarray(b).ndim == 2 else 1
+            r = b.shape[1] if b.ndim == 2 else 1
             record_flops("trsm", lu_solve_flops(self.m, r))
         return out
 
@@ -296,13 +248,12 @@ class BatchedLU:
 
     @classmethod
     def stack(cls, lus: "list[BatchedLU]") -> "BatchedLU":
-        """One batch holding the factors of ``lus`` in order (copied),
-        with the first one's backend; no refactorization."""
+        """One batch holding the factors of ``lus`` in order (copied);
+        no refactorization."""
         merged = object.__new__(cls)
         merged.n = sum(lu.n for lu in lus)
         merged.m = lus[0].m
         merged.dtype = lus[0].dtype
-        merged.backend = lus[0].backend
         merged._lu = np.concatenate([lu._lu for lu in lus], axis=0)
         merged._piv = np.concatenate([lu._piv for lu in lus], axis=0)
         return merged

@@ -12,8 +12,7 @@ Three measurements, each mapped to a gauge and classified against
 probe                 source                         gauge
 ===================== ============================== ====================
 residual norm         ``matrix.residual(x, b)``      ``health.residual_norm``
-pivot growth          :func:`pivot_growth` /         ``health.pivot_growth``
-                      :func:`repro.linalg.batchlu.pivot_growth_batched`
+pivot growth          :func:`pivot_growth`           ``health.pivot_growth``
 condition estimate    :func:`repro.linalg.analysis.  ``health.condition``
                       estimate_condition`
 ===================== ============================== ====================
@@ -111,18 +110,24 @@ class HealthReport:
 def pivot_growth(matrix: Any) -> float:
     """Pivot-growth factor of the matrix's diagonal blocks.
 
-    Factors the ``(n, m, m)`` diagonal band with batched partially
-    pivoted LU and returns ``max_b max|U_b| / max|A_b|`` — the classical
-    element-growth measure, computed on the blocks every method
-    eliminates.  Growth near ``1`` means pivoting is containing
-    round-off; large growth predicts residual loss (the regime the
-    paper's stability discussion flags for recurrence-based methods).
+    Factors the ``(n, m, m)`` diagonal band with LAPACK's partially
+    pivoted LU and returns ``max_b max|U_b| / max|A_b|`` — the
+    classical element-growth measure, skipping all-zero blocks (``0.0``
+    when there are none).  The elimination methods (Thomas, SPIKE,
+    cyclic reduction) pivot within these blocks or their Schur
+    complements; ARD and RD never factor them (they invert the
+    superdiagonal ``U_i``), so for them the value describes the matrix,
+    not the solve.  Growth near ``1`` means pivoting is containing
+    round-off; large growth predicts residual loss.
     """
-    from ..linalg.batchlu import lu_factor_batched, pivot_growth_batched
+    import scipy.linalg
 
     diag = np.asarray(matrix.diag)
-    lu, _ = lu_factor_batched(diag)
-    return pivot_growth_batched(lu, diag)
+    upper = scipy.linalg.lu(diag, check_finite=False)[2]
+    top = np.abs(upper).max(axis=(1, 2), initial=0.0)
+    base = np.abs(diag).max(axis=(1, 2), initial=0.0)
+    ok = base > 0
+    return float((top[ok] / base[ok]).max(initial=0.0))
 
 
 def _classify(value: float | None, warn: float, page: float,

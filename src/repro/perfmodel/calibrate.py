@@ -4,9 +4,9 @@ The analytic predictor and the virtual-time simulation both run on
 :data:`~repro.perfmodel.machine.PAPER_ERA_MODEL` constants by default —
 fine for reproducing the paper's speedup *shapes*, useless for deciding
 what *this* host will do (the ROADMAP's autotuned-portfolio item).
-:func:`calibrate_machine` times the real batched kernels the solvers
-execute — batched LU factor, batched triangular solve, dense GEMM — and
-the ``fastcopy`` message-payload path, then writes a schema-versioned
+:func:`calibrate_machine` times the real block kernels the solvers
+execute — block inversion, per-block LU solve, dense GEMM — and the
+``fastcopy`` message-payload path, then writes a schema-versioned
 JSON snapshot (``results/CALIB_machine.json`` by default) that
 :func:`~repro.perfmodel.machine.load_calibration` and
 ``predict_time(..., calibration=...)`` consume instead of the
@@ -53,9 +53,11 @@ class MachineCalibration:
     Attributes
     ----------
     gemm_flop_rate / lu_flop_rate / trsm_flop_rate:
-        Sustained flop rates (flops/s) of dense GEMM, batched LU
-        factorization, and batched triangular solve at the calibration
-        block size.
+        Sustained flop rates (flops/s) of dense GEMM, the factor kernel
+        (:func:`~repro.linalg.blockops.invert_blocks`, LU plus the
+        solve against the identity), and the triangular solves of
+        :meth:`~repro.linalg.blockops.BatchedLU.solve`, at the
+        calibration block size.
     copy_bandwidth:
         ``fastcopy`` throughput on ndarray payloads (bytes/s) — the
         in-process proxy for link bandwidth in the threaded runtime,
@@ -139,9 +141,9 @@ def calibrate_machine(block_size: int = 64, batch: int = 32,
                       ) -> MachineCalibration:
     """Micro-benchmark this host's kernel and copy rates.
 
-    Times the exact batched kernels the solvers use
-    (:func:`~repro.linalg.batchlu.lu_factor_batched`,
-    :func:`~repro.linalg.batchlu.lu_solve_batched`, ndarray GEMM) on
+    Times the exact block kernels the solvers use
+    (:func:`~repro.linalg.blockops.invert_blocks`,
+    :meth:`~repro.linalg.blockops.BatchedLU.solve`, ndarray GEMM) on
     ``batch`` blocks of ``block_size x block_size``, plus
     :func:`~repro.comm.fastcopy.fastcopy` payload throughput.  Each
     measurement takes the best of ``reps`` runs (minimum time is the
@@ -154,7 +156,7 @@ def calibrate_machine(block_size: int = 64, batch: int = 32,
             f"block_size={block_size}, batch={batch}, reps={reps}"
         )
     from ..comm.fastcopy import fastcopy
-    from ..linalg.batchlu import lu_factor_batched, lu_solve_batched
+    from ..linalg.blockops import BatchedLU, invert_blocks
 
     m, k = block_size, batch
     rng = np.random.default_rng(seed)
@@ -167,17 +169,18 @@ def calibrate_machine(block_size: int = 64, batch: int = 32,
     a @ b  # warm up BLAS threads / allocator
     gemm_rate = (2.0 * k * m ** 3) / _best_seconds(lambda: a @ b, reps)
 
-    # Batched LU factorization: ~(2/3) m^3 flops per block.
-    lu_factor_batched(blocks)
-    lu_rate = ((2.0 / 3.0) * k * m ** 3) / _best_seconds(
-        lambda: lu_factor_batched(blocks), reps)
+    # Block inversion: LU (~(2/3) m^3) plus the solve against the
+    # identity (~2 m^3) per block, as invert_blocks charges it.
+    invert_blocks(blocks)
+    lu_rate = ((2.0 / 3.0 + 2.0) * k * m ** 3) / _best_seconds(
+        lambda: invert_blocks(blocks), reps)
 
-    # Batched triangular solves (both sweeps): ~2 m^3 per block for an
-    # m-column right-hand side.
-    lu, piv = lu_factor_batched(blocks)
-    lu_solve_batched(lu, piv, rhs)
+    # Per-block triangular solves (both sweeps): ~2 m^3 per block for
+    # an m-column right-hand side.
+    lu = BatchedLU(blocks)
+    lu.solve(rhs)
     trsm_rate = (2.0 * k * m ** 3) / _best_seconds(
-        lambda: lu_solve_batched(lu, piv, rhs), reps)
+        lambda: lu.solve(rhs), reps)
 
     # fastcopy bandwidth on a solver-sized ndarray payload.
     payload = rng.standard_normal((256, 256))

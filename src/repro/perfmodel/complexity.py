@@ -102,7 +102,8 @@ def ard_factor_cost(n: int, m: int, p: int) -> AlgorithmCost:
     rho = _rounds(p)
     build = PhaseCost(
         "build",
-        flops=t * ((2 / 3) * m**3 + 2 * 2 * m**3),  # LU(U_i) + T1, T2 solves
+        # inv(U_i) (LU + solve against I) + the T1, T2 products
+        flops=t * ((2 / 3) * m**3 + 2 * m**3 + 2 * 2 * m**3),
     )
     aggregate = PhaseCost("aggregate", flops=t * 4 * 2 * m**3)  # 4 gemms/row
     scan = PhaseCost(

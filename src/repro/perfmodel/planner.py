@@ -3,7 +3,7 @@ per-host tuning table measured something faster.
 
 The paper's accelerated recursive doubling factors the matrix side once
 and replays it for each right-hand side; the reference plan is that
-path (ARD on ``p`` ranks under the shipped kernel defaults,
+path (ARD on ``p`` ranks under the shipped kernel default,
 docs/KERNELS.md).  Another method or kernel configuration can still be
 faster on a given host and shape, but the analytic model cannot say
 where: :func:`~repro.perfmodel.predictor.predict_time` prices flops and
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 #: Bump when the TUNE_host.json layout changes incompatibly.
-TUNE_SCHEMA_VERSION = 2
+TUNE_SCHEMA_VERSION = 3
 
 #: Where ``python -m repro.harness tune`` writes by default.
 DEFAULT_TUNE_PATH = "results/TUNE_host.json"
@@ -89,9 +89,9 @@ PLAN_METHODS = ("ard", "rd", "spike", "thomas", "cyclic")
 #: ranks); the rest are sequential.
 _DISTRIBUTED = frozenset({"ard", "rd", "spike"})
 
-#: The shipped kernel defaults (docs/KERNELS.md).  ARD under them is
-#: the reference plan.
-_KERNEL_DEFAULTS = dict(recurrence_mode="auto", blockops_backend="batched")
+#: The shipped kernel default (docs/KERNELS.md).  ARD under it is the
+#: reference plan.
+_KERNEL_DEFAULTS = dict(recurrence_mode="auto")
 
 
 def _cpu_model() -> str:
@@ -123,9 +123,9 @@ class Plan:
 
     Attributes
     ----------
-    method / recurrence_mode / blockops_backend:
-        The solver method and the ``recurrence_mode`` and
-        ``blockops_backend`` config values pinned for the solve.
+    method / recurrence_mode:
+        The solver method and the ``recurrence_mode`` config value
+        pinned for the solve.
     nranks:
         Ranks the plan uses (1 for sequential methods regardless of
         the requested ``p``).
@@ -140,15 +140,13 @@ class Plan:
 
     method: str
     recurrence_mode: str
-    blockops_backend: str
     nranks: int
     predicted_time: float
     provenance: str
 
     def config_overrides(self) -> dict[str, Any]:
         """The ``repro.config`` fields this plan pins for the solve."""
-        return {"blockops_backend": self.blockops_backend,
-                "recurrence_mode": self.recurrence_mode}
+        return {"recurrence_mode": self.recurrence_mode}
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form (trace attrs, SolveInfo, logs)."""
@@ -166,14 +164,13 @@ class TuneEntry:
     dtype: str
     method: str
     recurrence_mode: str
-    blockops_backend: str
     time: float
 
     def shape(self) -> tuple[int, int, int, int]:
         return (self.n, self.m, self.p, self.r)
 
-    def config(self) -> tuple[str, str, str]:
-        return (self.method, self.recurrence_mode, self.blockops_backend)
+    def config(self) -> tuple[str, str]:
+        return (self.method, self.recurrence_mode)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -350,9 +347,9 @@ def _candidates(p: int, methods: Iterable[str] = PLAN_METHODS
     """The candidate configurations for ``p`` requested ranks.
 
     Sequential methods always run single-rank.  ARD also spans its
-    kernel dimensions (blockops backend x recurrence mode); other
-    methods run under the shipped kernel defaults.  When ``"ard"`` is
-    among ``methods`` the reference comes first.
+    recurrence modes; other methods run under the shipped kernel
+    default.  When ``"ard"`` is among ``methods`` the reference comes
+    first.
     """
     out: list[dict[str, Any]] = []
     for method in methods:
@@ -360,10 +357,8 @@ def _candidates(p: int, methods: Iterable[str] = PLAN_METHODS
                     nranks=p if method in _DISTRIBUTED else 1)
         if method == "ard":
             out.insert(0, base)
-            out.extend({**base, "blockops_backend": kb, "recurrence_mode": rm}
-                       for kb, rm in (("batched", "sequential"),
-                                      ("batched", "levelwise"),
-                                      ("scipy_loop", "sequential")))
+            out.extend({**base, "recurrence_mode": rm}
+                       for rm in ("sequential", "levelwise"))
         else:
             out.append(base)
     return out
@@ -396,7 +391,7 @@ def plan(n: int, m: int, p: int = 1, r: int = 1,
     """The configuration to run for an ``(n, m, p, r, dtype)`` problem.
 
     The reference (ARD on ``p`` ranks under the shipped kernel
-    defaults) unless the table has evidence at ``dtype`` — an exact
+    default) unless the table has evidence at ``dtype`` — an exact
     shape hit or an interpolation within :data:`MAX_INTERP_DISTANCE` —
     for both a candidate and the reference, and the candidate's time
     is lower; then the fastest such candidate.
@@ -477,8 +472,7 @@ def _table_evidence(table: TuningTable, shape: tuple[int, int, int, int],
     measured shape within :data:`MAX_INTERP_DISTANCE` -> its time scaled
     by the model's shape ratio, ``"interpolated"``.
     """
-    config = (cand["method"], cand["recurrence_mode"],
-              cand["blockops_backend"])
+    config = (cand["method"], cand["recurrence_mode"])
     matches = [e for e in table.entries
                if e.config() == config and e.dtype == dtype_name]
     if not matches:
@@ -534,8 +528,7 @@ def _measure_config(n: int, m: int, p: int, r: int, dtype: str,
     with config_context(dtype=np.dtype(dtype)):
         mat, _ = helmholtz_block_system(n, m)
         rhs = random_rhs(n, m, nrhs=max(r, 1), seed=0)
-    overrides = dict(blockops_backend=cand["blockops_backend"],
-                     recurrence_mode=cand["recurrence_mode"],
+    overrides = dict(recurrence_mode=cand["recurrence_mode"],
                      dtype=np.dtype(dtype))
 
     def run() -> None:
@@ -572,11 +565,10 @@ def tune_machine(quick: bool = False, *,
         for (n, m, p, r) in grid:
             for c in _candidates(p):
                 say(f"measure n={n} m={m} p={p} r={r} {dtype} {c['method']}"
-                    f"/{c['blockops_backend']}/{c['recurrence_mode']}")
+                    f"/{c['recurrence_mode']}")
                 entries.append(TuneEntry(
                     n=n, m=m, p=p, r=r, dtype=dtype, method=c["method"],
                     recurrence_mode=c["recurrence_mode"],
-                    blockops_backend=c["blockops_backend"],
                     time=_measure_config(n, m, p, r, dtype, c, reps),
                 ))
 

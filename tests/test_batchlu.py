@@ -1,19 +1,15 @@
-"""Tests for the vectorized batched LU (repro.linalg.batchlu) and the
-backend selection of the BatchedLU facade."""
+"""Tests for the batched LU (repro.linalg.blockops.BatchedLU): its
+factors, its solve layouts, its singularity check, and its parity with
+the transfer-block inverse (:func:`repro.linalg.blockops.invert_blocks`)."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from repro.config import config_context
-from repro.exceptions import ConfigError, SingularBlockError
-from repro.linalg.batchlu import (
-    first_singular_block,
-    lu_factor_batched,
-    lu_solve_batched,
-)
-from repro.linalg.blockops import BatchedLU
+from repro.exceptions import SingularBlockError
+from repro.linalg.blockops import BatchedLU, gemm, invert_blocks
+from repro.util.flops import counting_flops, lu_solve_flops
 
 
 def _spd_batch(rng, n, m, dtype=np.float64):
@@ -23,191 +19,104 @@ def _spd_batch(rng, n, m, dtype=np.float64):
     return (a + m * np.eye(m)).astype(dtype)
 
 
-def _reconstruct(lu, piv):
-    """Rebuild each block from its packed factors: A = P L U."""
-    n, m, _ = lu.shape
-    out = np.empty_like(lu)
-    for i in range(n):
-        ell = np.tril(lu[i], -1) + np.eye(m, dtype=lu.dtype)
-        u = np.triu(lu[i])
-        a = ell @ u
-        for k in range(m - 1, -1, -1):  # undo P^T = S_{m-1} ... S_0
-            p = piv[i, k]
-            a[[k, p]] = a[[p, k]]
-        out[i] = a
-    return out
-
-
 class TestFactorBatched:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
-    def test_reconstructs_input(self, rng, dtype):
-        a = _spd_batch(rng, 6, 4, dtype)
-        lu, piv = lu_factor_batched(a)
-        assert lu.dtype == a.dtype and piv.shape == (6, 4)
-        tol = 1e-4 if dtype == np.float32 else 1e-10
-        np.testing.assert_allclose(_reconstruct(lu, piv), a, atol=tol)
-
-    def test_matches_scipy_factors(self, rng):
-        """Same pivot choices as LAPACK (first-maximum tie-break), so
-        the packed factors agree elementwise."""
-        a = _spd_batch(rng, 5, 4)
-        lu, piv = lu_factor_batched(a)
-        for i in range(5):
-            slu, spiv = scipy.linalg.lu_factor(a[i])
-            np.testing.assert_array_equal(piv[i], spiv)
-            np.testing.assert_allclose(lu[i], slu, atol=1e-12)
-
-    def test_pivoting_handles_zero_leading_entry(self):
-        a = np.array([[[0.0, 1.0], [1.0, 0.0]]])
-        lu, piv = lu_factor_batched(a)
-        np.testing.assert_allclose(_reconstruct(lu, piv), a)
-
     def test_zero_pivot_stays_finite(self):
-        """A singular block must not poison the batch with inf/NaN —
-        the unscaled column is the LAPACK info>0 behaviour the
-        singularity scan relies on."""
+        """An exactly singular block must not poison its factors with
+        inf/NaN: LAPACK ``getrf`` leaves a zero pivot unscaled
+        (``info > 0``), so the check names the block singular, not
+        non-finite."""
         a = np.stack([np.eye(2), np.ones((2, 2))])
-        lu, piv = lu_factor_batched(a)
-        assert np.isfinite(lu).all()
-        assert lu[1, 1, 1] == 0.0
-
-    def test_empty_batch(self):
-        lu, piv = lu_factor_batched(np.empty((0, 3, 3)))
-        assert lu.shape == (0, 3, 3) and piv.shape == (0, 3)
+        with pytest.raises(SingularBlockError,
+                           match=r"singular to working precision .*= 0\.00e\+00"
+                           ) as exc:
+            BatchedLU(a)
+        assert exc.value.block_index == 1
 
 
 class TestSolveBatched:
-    def test_interop_scipy_factors_both_ways(self, rng):
-        """Factors cross over between backends in both directions."""
-        a = _spd_batch(rng, 4, 3)
-        b = rng.standard_normal((4, 3, 2))
-        lu, piv = lu_factor_batched(a)
-        for i in range(4):
-            np.testing.assert_allclose(
-                scipy.linalg.lu_solve((lu[i], piv[i]), b[i]),
-                np.linalg.solve(a[i], b[i]), atol=1e-10,
-            )
-            slu, spiv = scipy.linalg.lu_factor(a[i])
-            got = lu_solve_batched(slu[None], spiv[None], b[i][None])
-            np.testing.assert_allclose(
-                got[0], np.linalg.solve(a[i], b[i]), atol=1e-10
-            )
-
     def test_transposed(self, rng):
-        a = _spd_batch(rng, 3, 5)
-        b = rng.standard_normal((3, 5, 2))
-        lu, piv = lu_factor_batched(a)
-        x = lu_solve_batched(lu, piv, b, trans=1)
-        np.testing.assert_allclose(np.swapaxes(a, 1, 2) @ x, b, atol=1e-10)
+        """``transposed`` solves with ``blocks[i].T`` — the plain
+        transpose, not the conjugate one — in the batch solve and in
+        ``solve_one``."""
+        a = _spd_batch(rng, 3, 5, np.complex128)
+        b = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))
+        lu = BatchedLU(a)
+        at = np.swapaxes(a, 1, 2)
+        np.testing.assert_allclose(at @ lu.solve(b, transposed=True), b,
+                                   atol=1e-10)
+        np.testing.assert_allclose(
+            at[2] @ lu.solve_one(2, b[2], transposed=True), b[2], atol=1e-10)
 
     def test_vector_rhs(self, rng):
+        """``(n, m)`` right-hand sides to ``solve`` and ``(m,)`` ones to
+        ``solve_one`` keep their layout and are charged as one column."""
         a = _spd_batch(rng, 4, 3)
         b = rng.standard_normal((4, 3))
-        lu, piv = lu_factor_batched(a)
-        x = lu_solve_batched(lu, piv, b)
-        assert x.shape == (4, 3)
-        np.testing.assert_allclose(
-            np.einsum("nij,nj->ni", a, x), b, atol=1e-10
-        )
-
-    def test_dtype_promotion(self, rng):
-        a = _spd_batch(rng, 2, 3, np.float32)
-        lu, piv = lu_factor_batched(a)
-        x = lu_solve_batched(lu, piv, np.ones((2, 3, 1), dtype=np.float64))
-        assert x.dtype == np.float64
+        lu = BatchedLU(a)
+        with config_context(flop_counting=True), counting_flops() as fc:
+            x = lu.solve(b)
+            x1 = lu.solve_one(1, b[1])
+        assert x.shape == (4, 3) and x1.shape == (3,)
+        np.testing.assert_allclose(np.einsum("nij,nj->ni", a, x), b, atol=1e-10)
+        np.testing.assert_allclose(a[1] @ x1, b[1], atol=1e-10)
+        assert fc.by_kernel["trsm"] == 5 * lu_solve_flops(3, 1)
 
 
 class TestFirstSingularBlock:
+    """The check ``BatchedLU`` runs on its factors: non-finite entries,
+    or ``min |U_kk| / max |U_kk|`` below ``singularity_rcond``."""
+
     def test_healthy_batch(self, rng):
-        lu, _ = lu_factor_batched(_spd_batch(rng, 3, 4))
-        assert first_singular_block(lu, 1e-13) is None
+        lu = BatchedLU(_spd_batch(rng, 3, 4))
+        assert lu.n == 3 and np.isfinite(lu._lu).all()
 
     def test_reports_lowest_index(self):
-        blocks = np.stack([np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))])
-        lu, _ = lu_factor_batched(blocks)
-        idx, kind, ratio = first_singular_block(lu, 1e-13)
-        assert (idx, kind, ratio) == (1, "singular", 0.0)
+        blocks = np.stack([np.eye(2), np.zeros((2, 2)), np.diag([1.0, np.nan])])
+        with pytest.raises(SingularBlockError,
+                           match=r"block 1 is singular .*= 0\.00e\+00") as exc:
+            BatchedLU(blocks)
+        assert exc.value.block_index == 1
 
     def test_nonfinite_takes_precedence(self):
-        lu = np.stack([np.diag([1.0, np.nan]), np.zeros((2, 2))])
-        idx, kind, _ = first_singular_block(lu, 1e-13)
-        assert (idx, kind) == (0, "nonfinite")
+        """A NaN pivot fails every comparison, so a non-finite block
+        must be caught as such — ahead of a later singular block."""
+        blocks = np.stack([np.diag([1.0, np.nan]), np.zeros((2, 2))])
+        with pytest.raises(SingularBlockError, match="non-finite") as exc:
+            BatchedLU(blocks)
+        assert exc.value.block_index == 0
 
     def test_rcond_threshold(self):
-        lu = np.diag([1.0, 1e-10])[None]
-        assert first_singular_block(lu, 1e-13) is None
-        assert first_singular_block(lu, 1e-8) is not None
+        """``singularity_rcond`` is the threshold of both kernels; a
+        ``diag(1, 1e-10)`` block measures 1e-10 in each."""
+        block = np.diag([1.0, 1e-10])[None]
+        for kernel in (BatchedLU, invert_blocks):
+            kernel(block)
+            with config_context(singularity_rcond=1e-8):
+                with pytest.raises(SingularBlockError):
+                    kernel(block)
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
-    def test_factors_and_solutions_agree(self, rng, dtype):
-        a = _spd_batch(rng, 8, 5, dtype)
-        b = rng.standard_normal((8, 5, 3)).astype(dtype)
-        batched = BatchedLU(a, backend="batched")
-        loop = BatchedLU(a, backend="scipy_loop")
-        rtol = 1e-5 if dtype == np.float32 else 1e-12
-        if np.dtype(dtype).kind != "c":
-            # Real pivoting tie-breaks identically (first maximum), so
-            # the packed factors agree elementwise.  Complex LAPACK
-            # pivots on |re| + |im| rather than the true modulus, so
-            # only the solutions are comparable there.
-            np.testing.assert_array_equal(batched._piv, loop._piv)
-            np.testing.assert_allclose(
-                batched._lu, loop._lu, rtol=rtol, atol=rtol
-            )
-        for transposed in (False, True):
-            np.testing.assert_allclose(
-                batched.solve(b, transposed=transposed),
-                loop.solve(b, transposed=transposed),
-                rtol=rtol, atol=rtol,
-            )
+    """The two block kernels — ``BatchedLU`` (``batched``) and
+    ``invert_blocks`` (``inverse``) — report the same block for the same
+    bad batch and agree on every solve."""
 
-    @pytest.mark.parametrize("backend", ["batched", "scipy_loop"])
-    def test_singularity_error_parity(self, backend):
+    KERNELS = pytest.mark.parametrize(
+        "kernel", [BatchedLU, invert_blocks], ids=["batched", "inverse"])
+
+    @KERNELS
+    def test_singularity_error_parity(self, kernel):
         blocks = np.stack([np.eye(3), np.zeros((3, 3))])
         with pytest.raises(SingularBlockError, match="block 11") as exc:
-            BatchedLU(blocks, block_offset=10, backend=backend)
+            kernel(blocks, block_offset=10)
         assert exc.value.block_index == 11
 
-    @pytest.mark.parametrize("backend", ["batched", "scipy_loop"])
-    def test_nonfinite_error_parity(self, backend):
+    @KERNELS
+    def test_nonfinite_error_parity(self, kernel):
         block = np.array([[[1.0, 0.0], [0.0, np.inf]]])
         with pytest.raises(SingularBlockError, match="non-finite") as exc:
-            BatchedLU(block, backend=backend)
+            kernel(block)
         assert exc.value.block_index == 0
-
-    def test_backend_from_config(self, rng):
-        a = _spd_batch(rng, 2, 3)
-        with config_context(blockops_backend="scipy_loop"):
-            assert BatchedLU(a).backend == "scipy_loop"
-        assert BatchedLU(a).backend == "batched"
-
-    def test_unknown_backend_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            BatchedLU(_spd_batch(rng, 2, 3), backend="magma")
-
-    def test_copy_preserves_backend(self, rng):
-        lu = BatchedLU(_spd_batch(rng, 2, 3), backend="scipy_loop")
-        assert lu.copy().backend == "scipy_loop"
-
-    def test_wide_panel_dispatch_parity(self, rng):
-        """Above ``VECTOR_SOLVE_MAX_WORK`` the batched backend hands
-        each block to LAPACK ``getrs``; the answers (and the transposed
-        path) must be identical to the explicit loop backend."""
-        from repro.linalg.blockops import VECTOR_SOLVE_MAX_WORK
-
-        a = _spd_batch(rng, 4, 8)
-        r = VECTOR_SOLVE_MAX_WORK // 8 + 1  # just past the crossover
-        b = rng.standard_normal((4, 8, r))
-        batched = BatchedLU(a, backend="batched")
-        loop = BatchedLU(a, backend="scipy_loop")
-        for transposed in (False, True):
-            np.testing.assert_allclose(
-                batched.solve(b, transposed=transposed),
-                loop.solve(b, transposed=transposed),
-                rtol=1e-12, atol=1e-12,
-            )
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 7), st.integers(1, 6), st.integers(1, 4),
@@ -216,6 +125,7 @@ class TestBackendParity:
         rng = np.random.default_rng(seed)
         a = _spd_batch(rng, n, m)
         b = rng.standard_normal((n, m, r))
-        xb = BatchedLU(a, backend="batched").solve(b)
-        xl = BatchedLU(a, backend="scipy_loop").solve(b)
-        np.testing.assert_allclose(xb, xl, rtol=1e-10, atol=1e-12)
+        x_lu = BatchedLU(a).solve(b)
+        x_inv = gemm(invert_blocks(a), b)
+        np.testing.assert_allclose(x_inv, x_lu, rtol=1e-10,
+                                   atol=1e-10 * np.abs(x_lu).max())

@@ -1,26 +1,26 @@
-"""Tests for batched block kernels (repro.linalg.blockops)."""
+"""Tests for the block kernels (repro.linalg.blockops): batched GEMM,
+the transfer-block inverse, and the per-block LU."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from repro.config import config_context
 from repro.exceptions import ShapeError, SingularBlockError
-from repro.linalg.blockops import (
-    BatchedLU,
-    as_block_batch,
-    gemm,
-    gemm_add,
-    identity_blocks,
-    solve_blocks,
-    transpose_blocks,
-)
+from repro.linalg.blockops import BatchedLU, as_block_batch, gemm, invert_blocks
 from repro.util.flops import counting_flops
 
 
-def _spd_batch(rng, n, m):
-    a = rng.standard_normal((n, m, m))
-    return a + m * np.eye(m)
+def _random(rng, shape, dtype=np.float64):
+    a = rng.standard_normal(shape)
+    if np.dtype(dtype).kind == "c":
+        a = a + 1j * rng.standard_normal(shape)
+    return a.astype(dtype)
+
+
+def _spd_batch(rng, n, m, dtype=np.float64):
+    return (_random(rng, (n, m, m), dtype) + m * np.eye(m)).astype(dtype)
 
 
 class TestValidation:
@@ -62,35 +62,83 @@ class TestGemm:
             gemm(a, a)
         assert fc.by_kernel["gemm"] == 2 * 27
 
-    def test_gemm_add(self, rng):
-        a = rng.standard_normal((2, 3, 3))
-        b = rng.standard_normal((2, 3, 2))
-        c = rng.standard_normal((2, 3, 2))
-        np.testing.assert_allclose(gemm_add(a, b, c), a @ b + c)
+
+class TestDifferential:
+    """Both block kernels against ``np.linalg.solve``, per dtype and
+    right-hand-side layout: ``(n, m, r)`` panels, ``(n, m)`` vectors,
+    and the transposed system."""
+
+    TOL = {np.float32: 1e-4, np.float64: 1e-12, np.complex128: 1e-12}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
+    @pytest.mark.parametrize("layout", ["panel", "vector", "transposed"])
+    def test_kernels_match_dense_solve(self, rng, dtype, layout):
+        a = _spd_batch(rng, 7, 5, dtype)
+        b = _random(rng, (7, 5) if layout == "vector" else (7, 5, 3), dtype)
+        transposed = layout == "transposed"
+        blocks = np.swapaxes(a, 1, 2) if transposed else a
+        panel = b.reshape(7, 5, -1)
+        want = np.linalg.solve(blocks, panel).reshape(b.shape)
+        via_inverse = gemm(invert_blocks(blocks), panel).reshape(b.shape)
+        via_lu = BatchedLU(a).solve(b, transposed=transposed)
+        tol = self.TOL[dtype]
+        for got in (via_inverse, via_lu):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
 
 
-class TestHelpers:
-    def test_identity_blocks(self):
-        eye = identity_blocks(3, 4)
-        assert eye.shape == (3, 4, 4)
-        for i in range(3):
-            np.testing.assert_array_equal(eye[i], np.eye(4))
+class TestInvertBlocks:
+    def test_inverse_times_block_is_identity(self, rng):
+        a = _spd_batch(rng, 6, 4)
+        np.testing.assert_allclose(invert_blocks(a) @ a,
+                                   np.broadcast_to(np.eye(4), a.shape),
+                                   atol=1e-12)
 
-    def test_transpose_blocks(self, rng):
-        a = rng.standard_normal((2, 3, 3))
-        t = transpose_blocks(a)
-        np.testing.assert_array_equal(t[1], a[1].T)
+    def test_singular_block_reported_with_global_index(self, rng):
+        """The batched ``inv`` raises for the whole batch without naming
+        a block; the error must carry the offending global index."""
+        a = _spd_batch(rng, 5, 3)
+        a[3] = 0.0
+        with pytest.raises(SingularBlockError, match="block 13") as exc:
+            invert_blocks(a, block_offset=10)
+        assert exc.value.block_index == 13
 
-    def test_solve_blocks(self, rng):
-        a = _spd_batch(rng, 3, 4)
-        b = rng.standard_normal((3, 4, 2))
-        x = solve_blocks(a, b)
-        np.testing.assert_allclose(a @ x, b, atol=1e-10)
+    def test_nonfinite_block_flagged(self, rng):
+        """``np.linalg.inv(diag(1, inf))`` returns a finite inverse, so
+        the check must read the input."""
+        a = _spd_batch(rng, 3, 2)
+        a[1] = np.diag([1.0, np.inf])
+        with pytest.raises(SingularBlockError, match="non-finite") as exc:
+            invert_blocks(a, block_offset=4)
+        assert exc.value.block_index == 5
 
-    def test_solve_blocks_singular(self):
-        a = np.zeros((1, 2, 2))
-        with pytest.raises(SingularBlockError):
-            solve_blocks(a, np.ones((1, 2, 1)))
+    @pytest.mark.parametrize("first, second", [
+        (0.0, np.nan), (np.nan, 0.0), (np.diag([1.0, 1e-16]), 0.0)],
+        ids=["singular-then-nan", "nan-then-singular",
+             "ill-conditioned-then-singular"])
+    def test_lowest_bad_index_wins(self, rng, first, second):
+        a = _spd_batch(rng, 4, 2)
+        a[1] = first
+        a[2] = second
+        with pytest.raises(SingularBlockError) as exc:
+            invert_blocks(a)
+        assert exc.value.block_index == 1
+
+    def test_ill_conditioned_block_fails_rcond(self):
+        with pytest.raises(SingularBlockError, match="rcond") as exc:
+            invert_blocks(np.diag([1.0, 1e-16])[None])
+        assert exc.value.block_index == 0
+
+    def test_empty_batch(self):
+        assert invert_blocks(np.empty((0, 3, 3))).shape == (0, 3, 3)
+
+    def test_flop_accounting(self, rng):
+        """Charged as what ``inv`` runs: LU plus a solve against the
+        identity, per block."""
+        with config_context(flop_counting=True), counting_flops() as fc:
+            invert_blocks(_spd_batch(rng, 4, 3))
+        assert fc.by_kernel["lu"] == 4 * (2 * 27 // 3)
+        assert fc.by_kernel["trsm"] == 4 * 2 * 9 * 3
 
 
 class TestBatchedLU:
@@ -146,14 +194,19 @@ class TestBatchedLU:
         with pytest.raises(SingularBlockError):
             BatchedLU(block)
 
-    def test_check_singular_disabled(self):
-        import warnings
+    def test_pivots_past_zero_leading_entry(self):
+        a = np.array([[[0.0, 1.0], [1.0, 0.0]]])
+        b = np.array([[2.0, 3.0]])
+        np.testing.assert_array_equal(BatchedLU(a).solve(b), [[3.0, 2.0]])
+        np.testing.assert_array_equal(invert_blocks(a), a)
 
-        block = np.diag([1.0, 0.0])[None]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy's LinAlgWarning
-            lu = BatchedLU(block, check_singular=False)
-        assert lu.n == 1
+    def test_dtype_promotion(self, rng):
+        lu = BatchedLU(_spd_batch(rng, 2, 3, np.float32))
+        assert lu.solve(np.ones((2, 3, 1))).dtype == np.float64
+
+    def test_empty_batch(self):
+        lu = BatchedLU(np.empty((0, 3, 3)))
+        assert lu.n == 0 and lu.solve(np.empty((0, 3, 2))).shape == (0, 3, 2)
 
     def test_rhs_shape_mismatch(self, rng):
         lu = BatchedLU(_spd_batch(rng, 2, 3))
@@ -174,22 +227,29 @@ class TestBatchedLU:
         dup._lu[:] = 0.0
         assert not np.allclose(lu._lu, 0.0)
 
-    @pytest.mark.parametrize("backend", ["batched", "scipy_loop"])
-    def test_stack_matches_one_batch(self, rng, backend):
+    @pytest.mark.parametrize("reference", ["batched", "scipy_loop"])
+    def test_stack_matches_one_batch(self, rng, reference):
         """Single-block factors stacked into one batch (how Thomas and
         SPIKE store theirs) solve and copy exactly like the batch
-        factored at once."""
+        factored at once (``batched``) and like a loop of the
+        ``scipy.linalg.lu_factor``/``lu_solve`` wrappers that
+        ``BatchedLU`` bypasses (``scipy_loop``)."""
         a = _spd_batch(rng, 5, 3)
-        whole = BatchedLU(a, backend=backend)
-        stacked = BatchedLU.stack(
-            [BatchedLU(a[i:i + 1], backend=backend) for i in range(5)])
         b = rng.standard_normal((5, 3, 2))
+        if reference == "batched":
+            whole = BatchedLU(a)
+            want = {t: whole.solve(b, transposed=t) for t in (False, True)}
+        else:
+            factors = [scipy.linalg.lu_factor(block) for block in a]
+            want = {t: np.stack([scipy.linalg.lu_solve(f, rhs, trans=int(t))
+                                 for f, rhs in zip(factors, b)])
+                    for t in (False, True)}
+        stacked = BatchedLU.stack([BatchedLU(a[i:i + 1]) for i in range(5)])
         for lu in (stacked, stacked.copy()):
-            assert (lu.n, lu.backend, lu.nbytes) == (5, backend, whole.nbytes)
+            assert (lu.n, lu.nbytes) == (5, BatchedLU(a).nbytes)
             for transposed in (False, True):
                 np.testing.assert_array_equal(
-                    lu.solve(b, transposed=transposed),
-                    whole.solve(b, transposed=transposed))
+                    lu.solve(b, transposed=transposed), want[transposed])
 
     def test_nbytes_positive(self, rng):
         assert BatchedLU(_spd_batch(rng, 2, 3)).nbytes > 0

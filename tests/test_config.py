@@ -45,13 +45,7 @@ class TestReproConfig:
 
     def test_kernel_defaults(self):
         cfg = ReproConfig()
-        assert cfg.blockops_backend == "batched"
         assert cfg.recurrence_mode == "auto"
-
-    def test_blockops_backend_validated(self):
-        assert ReproConfig(blockops_backend="scipy_loop").blockops_backend == "scipy_loop"
-        with pytest.raises(ConfigError, match="blockops_backend"):
-            ReproConfig(blockops_backend="cublas")
 
     def test_recurrence_mode_validated(self):
         for mode in ("auto", "sequential", "levelwise"):

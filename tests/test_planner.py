@@ -67,11 +67,10 @@ def _fresh_planner_state():
 
 
 def _entry(time, *, shape=(64, 8, 4, 8), dtype="float64", method="ard",
-           recurrence_mode="auto", blockops_backend="batched"):
+           recurrence_mode="auto"):
     n, m, p, r = shape
     return TuneEntry(n=n, m=m, p=p, r=r, dtype=dtype, method=method,
-                     recurrence_mode=recurrence_mode,
-                     blockops_backend=blockops_backend, time=time)
+                     recurrence_mode=recurrence_mode, time=time)
 
 
 def _table(entries, host=None):
@@ -81,8 +80,7 @@ def _table(entries, host=None):
 
 def _assert_reference(result, p, provenance):
     assert (result.method, result.nranks) == ("ard", p)
-    assert result.config_overrides() == {"blockops_backend": "batched",
-                                         "recurrence_mode": "auto"}
+    assert result.config_overrides() == {"recurrence_mode": "auto"}
     assert result.provenance == provenance
 
 
@@ -266,13 +264,11 @@ class TestEvidenceGrades:
     def test_measured_kernel_variant_is_pinned(self):
         table = _table([
             _entry(1e-2, shape=self.SHAPE),
-            _entry(5e-3, shape=self.SHAPE, recurrence_mode="sequential",
-                   blockops_backend="scipy_loop"),
+            _entry(5e-3, shape=self.SHAPE, recurrence_mode="sequential"),
         ])
         result = plan(*self.SHAPE, table=table, calibration=None)
         assert (result.method, result.nranks) == ("ard", self.SHAPE[2])
-        assert result.config_overrides() == {"blockops_backend": "scipy_loop",
-                                             "recurrence_mode": "sequential"}
+        assert result.config_overrides() == {"recurrence_mode": "sequential"}
 
 
 class TestAutoDispatch:
@@ -332,8 +328,7 @@ class TestAutoDispatch:
         table = tune_machine(quick=True, shapes=[shape])
         assert table.quick
         assert sorted(e.config() for e in table.entries) == sorted(
-            (c["method"], c["recurrence_mode"], c["blockops_backend"])
-            for c in _candidates(shape[2]))
+            (c["method"], c["recurrence_mode"]) for c in _candidates(shape[2]))
         result = plan(*shape, table=table, calibration=None)
         assert result.provenance == "measured"
         assert result.predicted_time == min(e.time for e in table.entries)
@@ -391,10 +386,10 @@ class TestPortfolioDrift:
 
 class TestTunableThresholds:
     def test_config_override_and_restore(self):
-        before = get_config().vector_solve_max_work
-        with config_context(vector_solve_max_work=7):
-            assert get_config().vector_solve_max_work == 7
-        assert get_config().vector_solve_max_work == before
+        before = get_config().levelwise_min_rows
+        with config_context(levelwise_min_rows=7):
+            assert get_config().levelwise_min_rows == 7
+        assert get_config().levelwise_min_rows == before
 
     @pytest.mark.parametrize("value", [0, -3, True, 2.5])
     def test_rejects_non_positive_ints(self, value):
