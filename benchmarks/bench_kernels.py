@@ -8,13 +8,11 @@ wins, and persist one machine-readable baseline
 - the transfer-block kernel (batched inverse, then ``gemm`` per
   solve) vs per-block SciPy LU factor + solve, across an ``(n, m, r)``
   grid;
-- sequential vs level-wise (batched Blelloch) evaluation of the
-  transfer recurrence's vector kernels, across an ``(h, m, r)`` grid;
+- ARD's per-RHS recurrence phase (``g``, one trajectory solve, then
+  ``f + E s_lo``) vs the two-pass row loop it replaced, across an
+  ``(h, m, r)`` grid that crosses ``BAND_MAX_WORK``;
 - :func:`repro.comm.fastcopy.fastcopy` vs ``copy.deepcopy`` on the
-  message payloads the runtime actually ships;
-- the end-to-end ARD ``solve()`` under the new kernel defaults vs the
-  seed configuration, on the service-shaped workload (a stream of
-  coalesced thin RHS batches — see ``bench_service.py``).
+  message payloads the runtime actually ships.
 
 The asserted floors sit below the numbers measured on the reference
 x86 host (quoted inline) so that noisy CI runs pass while real
@@ -33,10 +31,9 @@ import scipy.linalg
 
 from repro.comm import run_spmd
 from repro.comm.fastcopy import fastcopy
-from repro.config import config_context
-from repro.core.ard import ARDFactorization
 from repro.core.distribute import distribute_matrix
 from repro.core.recurrence import (
+    BAND_MAX_WORK,
     TransferOperators,
     forward_solution,
     local_vector_aggregate,
@@ -44,36 +41,31 @@ from repro.core.recurrence import (
 from repro.core.scan_affine import affine_scan
 from repro.linalg.blockops import BatchedLU, gemm, invert_blocks
 from repro.prefix import AffinePair
-from repro.workloads import helmholtz_block_system, random_rhs
+from repro.workloads import helmholtz_block_system
 
 RNG = np.random.default_rng(0)
 
 #: Floors asserted below (measured on the reference host: inverse +
-#: gemm ~8x the per-block SciPy LU at (256, 8, 16), level-wise
-#: 1.6-7.7x on thin panels, fastcopy ~9x on an AffinePair, end-to-end
-#: stream 2.1-2.5x).
+#: gemm ~8x the per-block SciPy LU at (256, 8, 16), fastcopy ~9x on an
+#: AffinePair; the per-RHS phase is quoted in docs/KERNELS.md).
 LU_SPEEDUP_FLOOR = 3.0
-LEVELWISE_SPEEDUP_FLOOR = 1.3
+PER_RHS_SPEEDUP_FLOOR = 1.3
+WIDE_SPEEDUP_FLOOR = 1.0
 FASTCOPY_SPEEDUP_FLOOR = 5.0
-E2E_SPEEDUP_FLOOR = 1.5
 
 #: (n, m, r) grid for the transfer-kernel comparison; (256, 8, 16) is
 #: the acceptance point, the other rows are recorded, not asserted.
 LU_GRID = [(256, 8, 16), (1024, 4, 8), (64, 8, 16), (256, 16, 32), (128, 32, 32)]
 LU_ACCEPTANCE = (256, 8, 16)
 
-#: (h, m, r) grid for the recurrence comparison; thin panels
-#: (r <= 16) are asserted, r = 32 sits at the crossover and is
-#: recorded only.
-REC_GRID = [(64, 8, 1), (128, 8, 8), (256, 8, 16), (128, 8, 32)]
-
-#: Service-shaped end-to-end workload: N blocks of order M on P ranks,
-#: RHS_TOTAL single-column requests coalesced into BATCH-wide solves.
-E2E_N, E2E_M, E2E_P = 512, 8, 4
-E2E_RHS_TOTAL, E2E_BATCH = 256, 16
-
-_NEW_DEFAULTS = dict(recurrence_mode="auto")
-_SEED_CONFIG = dict(recurrence_mode="sequential")
+#: (h, m, r) grid for the per-RHS phase: both sides of
+#: ``BAND_MAX_WORK`` (r * m = 128 here).  Thin panels (r <= 16) are
+#: asserted at PER_RHS_SPEEDUP_FLOOR, the wide row at
+#: WIDE_SPEEDUP_FLOOR (one row-loop pass against two); r = 32 and 64
+#: are recorded only.
+REC_GRID = [(64, 8, 1), (128, 8, 8), (256, 8, 16), (256, 16, 8),
+            (256, 16, 16), (128, 8, 32), (512, 8, 64), (512, 8, 256)]
+WIDE_ROW = (512, 8, 256)
 
 
 def _best(fn, reps=7, inner=1):
@@ -144,38 +136,69 @@ class TestTransferKernel:
         kernel_results["transfer_kernel"] = rows
 
 
-class TestRecurrenceModes:
-    def test_sequential_vs_levelwise_grid(self, kernel_results):
+def _two_pass_phase(ops, d, entry, nrows):
+    """The per-RHS phase before the stored entry response: ``g``, then
+    the vector aggregate from a zero state and the solution from the
+    entry state, each a row loop of two ``gemm`` calls per row."""
+    m, r = ops.block_size, d.shape[2]
+    g = ops.g(d)
+    v_cur = np.zeros((m, r))
+    v_prev = np.zeros((m, r))
+    for j in range(ops.ntransfer):
+        v_new = gemm(ops.t1[j], v_cur) + gemm(ops.t2[j], v_prev) + g[j]
+        v_prev, v_cur = v_cur, v_new
+    agg = np.concatenate([v_cur, v_prev])
+    out = np.empty((nrows, m, r))
+    x_cur, x_prev = entry[:m], entry[m:]
+    out[0] = x_cur
+    for j in range(nrows - 1):
+        x_new = gemm(ops.t1[j], x_cur) + gemm(ops.t2[j], x_prev) + g[j]
+        x_prev, x_cur = x_cur, x_new
+        out[j + 1] = x_cur
+    return agg, out
+
+
+def _one_pass_phase(ops, d, entry, nrows):
+    """The per-RHS phase: ``g``, one trajectory solve, ``f + E s_lo``."""
+    agg, f_rows = local_vector_aggregate(ops, ops.g(d))
+    return agg, forward_solution(ops, f_rows, entry, nrows)
+
+
+class TestPerRhsPhase:
+    def test_one_pass_vs_two_pass_grid(self, kernel_results):
+        """ARD's per-RHS recurrence work on one rank, against the
+        two-pass row loop it replaced (kept above as the reference):
+        ``?tbtrs`` up to ``BAND_MAX_WORK``, the one-gemm row loop
+        above it, and ``f + E s_lo`` in place of the second pass."""
         rows = []
         for h, m, r in REC_GRID:
             mat, _ = helmholtz_block_system(h, m)
             ops = TransferOperators(distribute_matrix(mat, 1)[0])
-            g = ops.g(RNG.standard_normal((h, m, r)))
+            d = RNG.standard_normal((h, m, r))
             entry = RNG.standard_normal((2 * m, r))
-            ops.levels()  # tree build is matrix work, amortized per RHS
-
-            def vector_kernels():
-                local_vector_aggregate(ops, g[: ops.ntransfer])
-                forward_solution(ops, g, entry, h)
-
-            times = {}
-            for mode in ("sequential", "levelwise"):
-                with config_context(recurrence_mode=mode):
-                    times[mode] = _best(vector_kernels)
-            speedup = times["sequential"] / times["levelwise"]
+            new = _one_pass_phase(ops, d, entry, h)
+            old = _two_pass_phase(ops, d, entry, h)
+            for a, b in zip(new, old):
+                np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+            t_old = _best(lambda: _two_pass_phase(ops, d, entry, h))
+            t_new = _best(lambda: _one_pass_phase(ops, d, entry, h))
+            speedup = t_old / t_new
             rows.append({
                 "h": h, "m": m, "r": r,
-                "sequential_s": times["sequential"],
-                "levelwise_s": times["levelwise"],
+                "kernel": "band" if r * m <= BAND_MAX_WORK else "loop",
+                "two_pass_s": t_old, "one_pass_s": t_new,
                 "speedup": speedup,
             })
-            if r <= 16:
-                assert speedup >= LEVELWISE_SPEEDUP_FLOOR, (
-                    f"level-wise recurrence at (h,m,r)=({h},{m},{r}) is "
-                    f"{speedup:.2f}x sequential, below the "
-                    f"{LEVELWISE_SPEEDUP_FLOOR}x floor"
+            floor = (PER_RHS_SPEEDUP_FLOOR if r <= 16
+                     else WIDE_SPEEDUP_FLOOR if (h, m, r) == WIDE_ROW
+                     else None)
+            if floor is not None:
+                assert speedup >= floor, (
+                    f"per-RHS phase at (h,m,r)=({h},{m},{r}) is "
+                    f"{speedup:.2f}x the two-pass row loop, below the "
+                    f"{floor}x floor"
                 )
-        kernel_results["recurrence_modes"] = rows
+        kernel_results["per_rhs_phase"] = rows
 
 
 class TestFastcopy:
@@ -203,54 +226,6 @@ class TestFastcopy:
         assert pair_speedup >= FASTCOPY_SPEEDUP_FLOOR, (
             f"fastcopy on an AffinePair is {pair_speedup:.1f}x deepcopy, "
             f"below the {FASTCOPY_SPEEDUP_FLOOR}x floor"
-        )
-
-
-class TestEndToEnd:
-    def test_ard_service_stream_speedup(self, kernel_results):
-        """ARD solve under the new kernel defaults vs the seed config on
-        the service-shaped workload: ``RHS_TOTAL`` single-column
-        requests coalesced into ``BATCH``-wide solves against one held
-        factorization (how ``repro.service`` drives the solver).  The
-        monolithic full-width solve is recorded alongside (the
-        panel-width gate keeps it on the sequential recurrence)."""
-        mat, _ = helmholtz_block_system(E2E_N, E2E_M)
-        full = random_rhs(E2E_N, E2E_M, nrhs=E2E_RHS_TOTAL, seed=0)
-        batches = [
-            full[:, :, i:i + E2E_BATCH]
-            for i in range(0, E2E_RHS_TOTAL, E2E_BATCH)
-        ]
-        configs = [("new", _NEW_DEFAULTS), ("seed", _SEED_CONFIG)]
-        facts = {}
-        for label, cfg in configs:
-            with config_context(**cfg):
-                facts[label] = ARDFactorization(mat, nranks=E2E_P)
-                facts[label].solve(batches[0])  # warm; builds level tree
-        stream = {"new": float("inf"), "seed": float("inf")}
-        mono = {"new": float("inf"), "seed": float("inf")}
-        for _ in range(3):  # interleaved so host noise hits both configs
-            for label, cfg in configs:
-                with config_context(**cfg):
-                    t0 = time.perf_counter()
-                    for b in batches:
-                        facts[label].solve(b)
-                    stream[label] = min(stream[label], time.perf_counter() - t0)
-                    t0 = time.perf_counter()
-                    facts[label].solve(full)
-                    mono[label] = min(mono[label], time.perf_counter() - t0)
-        stream_speedup = stream["seed"] / stream["new"]
-        kernel_results["ard_end_to_end"] = {
-            "n": E2E_N, "m": E2E_M, "nranks": E2E_P,
-            "rhs_total": E2E_RHS_TOTAL, "batch": E2E_BATCH,
-            "stream_new_s": stream["new"], "stream_seed_s": stream["seed"],
-            "stream_speedup": stream_speedup,
-            "mono_new_s": mono["new"], "mono_seed_s": mono["seed"],
-            "mono_speedup": mono["seed"] / mono["new"],
-        }
-        assert stream_speedup >= E2E_SPEEDUP_FLOOR, (
-            f"ARD solve on the coalesced-stream workload is "
-            f"{stream_speedup:.2f}x the seed configuration, below the "
-            f"{E2E_SPEEDUP_FLOOR}x floor"
         )
 
 

@@ -26,40 +26,10 @@ import numpy as np
 from .exceptions import ConfigError
 
 __all__ = ["ReproConfig", "get_config", "set_config", "install_config",
-           "config_context", "RECURRENCE_MODES", "COMM_BACKENDS",
-           "DEFAULT_LEVELWISE_MIN_ROWS", "DEFAULT_LEVELWISE_MAX_BLOCK",
-           "DEFAULT_LEVELWISE_MAX_RHS", "TUNABLE_THRESHOLDS", "env_flag"]
-
-#: Valid values of :attr:`ReproConfig.recurrence_mode`.
-RECURRENCE_MODES = frozenset({"auto", "sequential", "levelwise"})
+           "config_context", "COMM_BACKENDS", "env_flag"]
 
 #: Valid values of :attr:`ReproConfig.comm_backend`.
 COMM_BACKENDS = frozenset({"threads", "processes"})
-
-# Documented default crossovers, measured on the reference x86 host
-# (docs/KERNELS.md).  The solve hot path reads the live config fields
-# below; nothing retunes them per host, but users may override them via
-# ``set_config`` / ``config_context``.
-
-#: Default ``levelwise_min_rows``: ``recurrence_mode="auto"`` switches
-#: to level-wise evaluation at this many transfer rows.
-DEFAULT_LEVELWISE_MIN_ROWS = 64
-
-#: Default ``levelwise_max_block``: ``auto`` stays sequential above
-#: this block order.
-DEFAULT_LEVELWISE_MAX_BLOCK = 16
-
-#: Default ``levelwise_max_rhs``: ``auto`` keeps the vector kernels
-#: sequential above this RHS panel width.
-DEFAULT_LEVELWISE_MAX_RHS = 32
-
-#: The kernel crossover config fields, with their documented defaults;
-#: :class:`ReproConfig` validates each as a positive int.
-TUNABLE_THRESHOLDS = {
-    "levelwise_min_rows": DEFAULT_LEVELWISE_MIN_ROWS,
-    "levelwise_max_block": DEFAULT_LEVELWISE_MAX_BLOCK,
-    "levelwise_max_rhs": DEFAULT_LEVELWISE_MAX_RHS,
-}
 
 
 def _default_comm_backend() -> str:
@@ -102,27 +72,12 @@ class ReproConfig:
     growth_warn_threshold:
         Transfer-product growth factor above which
         :class:`repro.exceptions.StabilityWarning` is emitted.
-    recurrence_mode:
-        How the local transfer recurrence is evaluated
-        (:mod:`repro.core.recurrence`): ``"sequential"`` loops one block
-        row at a time, ``"levelwise"`` runs a batched Blelloch scan in
-        ``O(log h)`` full-batch gemms (more flops, far fewer interpreter
-        round-trips), ``"auto"`` (default) picks by chunk height and
-        block size.  See docs/KERNELS.md.
     comm_backend:
         Execution backend for :func:`repro.comm.run_spmd`:
         ``"threads"`` (default; virtual-time reference semantics) or
         ``"processes"`` (true multi-core via :mod:`repro.comm.mp` with
         shared-memory payload transport).  The environment variable
         ``REPRO_COMM_BACKEND`` sets the default.  See docs/BACKENDS.md.
-    levelwise_min_rows / levelwise_max_block / levelwise_max_rhs:
-        The ``recurrence_mode="auto"`` gates: level-wise evaluation is
-        chosen iff the chunk has at least ``levelwise_min_rows``
-        transfer rows, the block order is at most
-        ``levelwise_max_block``, and (vector kernels only) the RHS
-        panel is at most ``levelwise_max_rhs`` columns wide.  Defaults
-        are the reference-host crossovers (docs/KERNELS.md); nothing
-        retunes them per host.
     flightrec:
         Always-on per-rank flight recorder
         (:mod:`repro.obs.flightrec`): each rank keeps a bounded ring of
@@ -145,11 +100,7 @@ class ReproConfig:
     singularity_rcond: float = 1e-13
     flop_counting: bool = False
     growth_warn_threshold: float = 1e8
-    recurrence_mode: str = "auto"
     comm_backend: str = dataclasses.field(default_factory=_default_comm_backend)
-    levelwise_min_rows: int = DEFAULT_LEVELWISE_MIN_ROWS
-    levelwise_max_block: int = DEFAULT_LEVELWISE_MAX_BLOCK
-    levelwise_max_rhs: int = DEFAULT_LEVELWISE_MAX_RHS
     flightrec: bool = dataclasses.field(default_factory=_default_flightrec)
     flightrec_capacity: int = 2048
     incident_dir: str = "results/incidents"
@@ -169,22 +120,11 @@ class ReproConfig:
                 "growth_warn_threshold must exceed 1.0, got "
                 f"{self.growth_warn_threshold}"
             )
-        if self.recurrence_mode not in RECURRENCE_MODES:
-            raise ConfigError(
-                f"recurrence_mode must be one of {sorted(RECURRENCE_MODES)}, "
-                f"got {self.recurrence_mode!r}"
-            )
         if self.comm_backend not in COMM_BACKENDS:
             raise ConfigError(
                 f"comm_backend must be one of {sorted(COMM_BACKENDS)}, "
                 f"got {self.comm_backend!r}"
             )
-        for name in TUNABLE_THRESHOLDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(
-                    f"{name} must be a positive integer, got {value!r}"
-                )
         cap = self.flightrec_capacity
         if not isinstance(cap, int) or isinstance(cap, bool) or cap < 8:
             raise ConfigError(

@@ -10,10 +10,10 @@ Methods
 -------
 ``"auto"``
     Let the planner (:mod:`repro.perfmodel.planner`) pick the method
-    and kernel configuration for this problem shape: ARD on
-    ``nranks`` ranks unless this host's tuning table measured a faster
-    configuration.  The chosen :class:`~repro.perfmodel.Plan` lands on
-    ``SolveInfo.plan`` and in ``plan.*`` trace instants.
+    and rank count for this problem shape: ARD on ``nranks`` ranks
+    unless this host's tuning table measured a faster method.  The
+    chosen :class:`~repro.perfmodel.Plan` lands on ``SolveInfo.plan``
+    and in ``plan.*`` trace instants.
 ``"ard"``
     Accelerated recursive doubling (the paper's contribution).
 ``"rd"``
@@ -264,13 +264,10 @@ def solve(
         if tc is not None:
             stack.enter_context(trace_context(tc))
         if planned is not None:
-            # Pin the planned kernel configuration for this solve only,
-            # and stamp the decision into the active trace.
-            from ..config import config_context
+            # Stamp the decision into the active trace.
             from ..obs.flightrec import note_event
             from ..obs.tracer import instant
 
-            stack.enter_context(config_context(**planned.config_overrides()))
             instant("plan.selected", cat="plan", **planned.to_dict())
             note_event("plan.selected", **planned.to_dict())
 

@@ -5,18 +5,21 @@ vector-only **solve** phase:
 
 ``ard_factor_spmd``
     Performs every RHS-independent computation once and stores it in an
-    :class:`ARDRankState`: the LU factors of the superdiagonal blocks,
-    the transfer operators ``(T1, T2)``, the scan trace of the matrix
-    prefix (per-round matrix accumulators — see
-    :mod:`repro.core.scan_affine`), the exclusive matrix prefix, and the
-    factored closing system.  Cost: ``O(M^3 (N/P + log P))``.
+    :class:`ARDRankState`: the inverses of the superdiagonal blocks
+    ``U_i``, the transfer operators ``(T1, T2)``, the chunk's recurrence
+    as a LAPACK lower band, the response ``E`` of every row to the
+    chunk's entry state (whose last two rows are the matrix aggregate),
+    the scan trace of the matrix prefix (per-round matrix accumulators —
+    see :mod:`repro.core.scan_affine`), the exclusive matrix prefix, and
+    the factored closing system.  Cost: ``O(M^3 (N/P + log P))``.
 
 ``ard_solve_spmd``
     For each batch of ``R`` right-hand sides performs only matrix–vector
-    work against the stored state: forming ``g = U^{-1} d``, the local
-    vector aggregate, the replayed vector scan (messages of ``O(M R)``
-    bytes), the closing back-solve, and local back-substitution.  Cost:
-    ``O(M^2 R (N/P + log P))``.
+    work against the stored state: forming ``g = U^{-1} d``, one
+    trajectory solve for the zero-entry states ``f`` (whose last two
+    rows are the vector aggregate), the replayed vector scan (messages
+    of ``O(M R)`` bytes), the closing back-solve, and the owned rows
+    ``f + E s_lo``.  Cost: ``O(M^2 R (N/P + log P))``.
 
 Solving ``R`` right-hand sides therefore costs
 ``O((M^3 + R M^2)(N/P + log P))`` instead of the baseline's
@@ -69,7 +72,8 @@ class ARDRankState:
         The rank's matrix rows (kept for the closing blocks and shape
         checks; the hot path reads only its last row's ``D``/``L``).
     ops:
-        Transfer operators — ``(T1, T2)`` plus factored ``U_i``.
+        Transfer operators — ``U_i^{-1}``, ``(T1, T2)``, the band and
+        ``E`` (:class:`~repro.core.recurrence.TransferOperators`).
     trace:
         Matrix-side record of the factor scan, replayed per solve.
     closing_rank:
@@ -144,7 +148,7 @@ def ard_solve_spmd(comm, state: ARDRankState, d_rows: np.ndarray) -> np.ndarray:
     d_rows = validate_rhs_rows(chunk, d_rows)
     with _span("build"):
         g_rows = state.ops.g(d_rows)
-        b_agg = local_vector_aggregate(state.ops, g_rows)
+        b_agg, f_rows = local_vector_aggregate(state.ops, g_rows)
     with _span("scan"):
         b_inc, b_exc = replay_scan(comm, b_agg, state.trace)
 
@@ -159,7 +163,7 @@ def ard_solve_spmd(comm, state: ARDRankState, d_rows: np.ndarray) -> np.ndarray:
 
     with _span("backsub"):
         s_lo = entry_state(None, state.trace.a_exclusive, b_exc, x0)
-        return forward_solution(state.ops, g_rows, s_lo, chunk.nrows)
+        return forward_solution(state.ops, f_rows, s_lo, chunk.nrows)
 
 
 class ARDFactorization(RefinableFactorization):

@@ -11,7 +11,7 @@ differ only in *when* the matrix work happens:
 3. **Closing solve** — the ``M x M`` system that pins down ``x_0`` from
    the last block row, then a broadcast (:func:`closing_matrix`,
    :func:`closing_rhs`, :func:`broadcast_x0`).
-4. **Back-substitution** — entry states + local forward recurrence
+4. **Back-substitution** — entry states + the local rows ``f + E s_lo``
    (:func:`entry_state`, :func:`repro.core.recurrence.forward_solution`).
 """
 

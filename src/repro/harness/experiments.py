@@ -846,10 +846,9 @@ def a5_banded(scale: str = "full") -> ExperimentResult:
 def a6_planner_ablation(scale: str = "full") -> ExperimentResult:
     """Wall-clock ``method="auto"`` against the fixed portfolio.
 
-    Every fixed configuration the planner chooses among (portfolio
-    method under the shipped kernel defaults, plus the ARD kernel
-    variants) is timed at the canonical bench shapes; the ``auto`` row
-    carries its regret — auto's time over the best fixed time.  The
+    Every portfolio method the planner chooses among is timed at the
+    canonical bench shapes; the ``auto`` row carries its regret —
+    auto's time over the best fixed time.  The
     experiment first tunes these exact shapes in-process and installs
     the table (the deployed workflow: ``harness tune`` once, plan
     forever), so ``auto`` runs table-backed, not cold: it picks the
@@ -857,7 +856,7 @@ def a6_planner_ablation(scale: str = "full") -> ExperimentResult:
     between the sweep and these runs (docs/PLANNER.md).
     """
     from ..core.api import solve
-    from ..perfmodel.planner import set_default_table, tune_machine
+    from ..perfmodel.planner import PLAN_METHODS, set_default_table, tune_machine
 
     if scale == "smoke":
         shapes = [(64, 8, 2, 8)]
@@ -867,26 +866,16 @@ def a6_planner_ablation(scale: str = "full") -> ExperimentResult:
         reps = 3
     table = tune_machine(quick=(scale == "smoke"), shapes=shapes)
     set_default_table(table)
-    configs: list[tuple[str, str, dict]] = [
-        ("ard", "ard", {}),
-        ("ard+sequential", "ard", {"recurrence_mode": "sequential"}),
-        ("ard+levelwise", "ard", {"recurrence_mode": "levelwise"}),
-        ("rd", "rd", {}),
-        ("spike", "spike", {}),
-        ("thomas", "thomas", {}),
-        ("cyclic", "cyclic", {}),
-    ]
     rows = []
     for n, m, p, r in shapes:
         a, _ = helmholtz_block_system(n, m)
         b = random_rhs(n, m, r, seed=16)
 
-        def timed(method: str, overrides: dict) -> float:
+        def timed(method: str) -> float:
             def run() -> None:
-                with config_context(**overrides):
-                    solve(a, b, method=method, nranks=p)
+                solve(a, b, method=method, nranks=p)
 
-            run()  # warm (plan cache, level trees, BLAS)
+            run()  # warm (plan cache, BLAS)
             best = float("inf")
             for _ in range(reps):
                 t0 = time.perf_counter()
@@ -895,19 +884,17 @@ def a6_planner_ablation(scale: str = "full") -> ExperimentResult:
             return best
 
         try:
-            fixed = {label: timed(method, overrides)
-                     for label, method, overrides in configs}
-            auto_s = timed("auto", {})
+            fixed = {method: timed(method) for method in PLAN_METHODS}
+            auto_s = timed("auto")
             _, info = solve(a, b, method="auto", nranks=p, return_info=True)
         except BaseException:
             set_default_table(None)
             raise
         best_fixed = min(fixed.values())
-        for label, _method, _over in configs:
-            rows.append([n, m, p, r, label, fixed[label], float("nan"), ""])
-        chosen = (f"{info.method}/{info.plan.recurrence_mode}"
-                  if info.plan else info.method)
-        rows.append([n, m, p, r, "auto", auto_s, auto_s / best_fixed, chosen])
+        for method in PLAN_METHODS:
+            rows.append([n, m, p, r, method, fixed[method], float("nan"), ""])
+        rows.append([n, m, p, r, "auto", auto_s, auto_s / best_fixed,
+                     info.method])
     set_default_table(None)
     return ExperimentResult(
         "abl-A6",

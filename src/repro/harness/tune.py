@@ -66,10 +66,8 @@ def run_tune(out: str | None = None, quick: bool = False,
               and chosen.predicted_time == best.time)
         failed |= not ok
         console(f"tune: plan({n}, {m}, p={p}, r={r}, {dtype}) -> "
-                f"{chosen.method}/{chosen.recurrence_mode} "
-                f"[{chosen.provenance}]"
-                + ("" if ok else " but the measured argmin is "
-                   f"{'/'.join(best.config())}"))
+                f"{chosen.method} [{chosen.provenance}]"
+                + ("" if ok else f" but the measured argmin is {best.method}"))
     if failed:
         console("tune check failed: a plan is not its shape's measured argmin")
         return 1

@@ -3,7 +3,8 @@
 For each solver these functions compute critical-path flop counts and
 message counts/volumes from the same textbook kernel costs the
 instrumented implementation records (``2mkn`` per GEMM, ``2/3 m^3`` per
-LU, ``2 m^2 r`` per triangular solve pair).  Experiment recon-T1
+LU, ``2 m^2 r`` per triangular solve pair, two per stored band entry
+and column for the recurrence's band solve).  Experiment recon-T1
 compares them against instrumented totals; recon-F6 converts them to
 predicted times via :func:`AlgorithmCost.time` and compares against the
 simulator's virtual makespan.
@@ -18,6 +19,8 @@ import dataclasses
 import math
 
 from ..comm.costmodel import CostModel
+from ..core.recurrence import BAND_MAX_WORK
+from ..util.flops import gemm_flops, tbtrs_flops
 
 __all__ = [
     "PhaseCost",
@@ -96,6 +99,16 @@ def _chunk(n: int, p: int) -> int:
     return math.ceil(n / p)
 
 
+def _trajectory_flops(t: int, m: int, k: int) -> float:
+    """One ``k``-column trajectory solve over ``t`` rows, as
+    :mod:`repro.core.recurrence` runs it: one band solve (bandwidth
+    ``3M - 1``) while ``k M <= BAND_MAX_WORK``, else one
+    ``(M, 2M) @ (2M, k)`` gemm per row."""
+    if k * m <= BAND_MAX_WORK:
+        return tbtrs_flops(t * m, 3 * m - 1, k)
+    return t * gemm_flops(m, 2 * m, k)
+
+
 def ard_factor_cost(n: int, m: int, p: int) -> AlgorithmCost:
     """ARD factor phase: ``O(M^3 (N/P + log P))``."""
     t = _chunk(n, p)
@@ -105,7 +118,9 @@ def ard_factor_cost(n: int, m: int, p: int) -> AlgorithmCost:
         # inv(U_i) (LU + solve against I) + the T1, T2 products
         flops=t * ((2 / 3) * m**3 + 2 * m**3 + 2 * 2 * m**3),
     )
-    aggregate = PhaseCost("aggregate", flops=t * 4 * 2 * m**3)  # 4 gemms/row
+    # E: the trajectory of the 2M entry-state columns; its last two
+    # rows are the matrix aggregate.
+    aggregate = PhaseCost("aggregate", flops=_trajectory_flops(t, m, 2 * m))
     scan = PhaseCost(
         "scan",
         flops=rho * 2 * (2 * m) ** 3,            # one (2M)^3 product per round
@@ -126,7 +141,8 @@ def ard_solve_cost(n: int, m: int, p: int, r: int) -> AlgorithmCost:
     t = _chunk(n, p)
     rho = _rounds(p)
     g = PhaseCost("g", flops=t * 2 * m**2 * r)
-    aggregate = PhaseCost("aggregate", flops=t * 2 * 2 * m**2 * r)
+    # f: the zero-entry trajectory; its last two rows are the aggregate.
+    aggregate = PhaseCost("aggregate", flops=_trajectory_flops(t, m, r))
     replay = PhaseCost(
         "scan",
         flops=rho * 2 * (2 * m) ** 2 * r,
@@ -141,7 +157,8 @@ def ard_solve_cost(n: int, m: int, p: int, r: int) -> AlgorithmCost:
     )
     backsub = PhaseCost(
         "backsub",
-        flops=2 * m * m * r + t * 2 * 2 * m**2 * r,  # entry state + recurrence
+        # entry state s_lo, then f + E s_lo for the other t - 1 rows
+        flops=gemm_flops(2 * m, m, r) + (t - 1) * gemm_flops(m, 2 * m, r),
     )
     return AlgorithmCost("ard_solve", (g, aggregate, replay, closing, backsub))
 

@@ -3,16 +3,15 @@ per-host tuning table measured something faster.
 
 The paper's accelerated recursive doubling factors the matrix side once
 and replays it for each right-hand side; the reference plan is that
-path (ARD on ``p`` ranks under the shipped kernel default,
-docs/KERNELS.md).  Another method or kernel configuration can still be
-faster on a given host and shape, but the analytic model cannot say
-where: :func:`~repro.perfmodel.predictor.predict_time` prices flops and
+path (ARD on ``p`` ranks).  Another method can still be faster on a
+given host and shape, but the analytic model cannot say where:
+:func:`~repro.perfmodel.predictor.predict_time` prices flops and
 messages and has no term for interpreter or runtime overhead, so it
 predicts block Thomas at well under a millisecond for solves that take
 a hundred.  The planner therefore never ranks on the model:
 
 1. **Tune once per host** — :func:`tune_machine` measures every
-   candidate configuration at every shape of a small grid and persists
+   candidate method at every shape of a small grid and persists
    the result as a schema-versioned ``results/TUNE_host.json`` keyed by
    :func:`host_fingerprint`.
 
@@ -68,7 +67,7 @@ __all__ = [
 ]
 
 #: Bump when the TUNE_host.json layout changes incompatibly.
-TUNE_SCHEMA_VERSION = 3
+TUNE_SCHEMA_VERSION = 4
 
 #: Where ``python -m repro.harness tune`` writes by default.
 DEFAULT_TUNE_PATH = "results/TUNE_host.json"
@@ -88,10 +87,6 @@ PLAN_METHODS = ("ard", "rd", "spike", "thomas", "cyclic")
 #: Portfolio methods that run on the simulated SPMD runtime (``p``
 #: ranks); the rest are sequential.
 _DISTRIBUTED = frozenset({"ard", "rd", "spike"})
-
-#: The shipped kernel default (docs/KERNELS.md).  ARD under it is the
-#: reference plan.
-_KERNEL_DEFAULTS = dict(recurrence_mode="auto")
 
 
 def _cpu_model() -> str:
@@ -123,9 +118,8 @@ class Plan:
 
     Attributes
     ----------
-    method / recurrence_mode:
-        The solver method and the ``recurrence_mode`` config value
-        pinned for the solve.
+    method:
+        The solver method.
     nranks:
         Ranks the plan uses (1 for sequential methods regardless of
         the requested ``p``).
@@ -139,14 +133,9 @@ class Plan:
     """
 
     method: str
-    recurrence_mode: str
     nranks: int
     predicted_time: float
     provenance: str
-
-    def config_overrides(self) -> dict[str, Any]:
-        """The ``repro.config`` fields this plan pins for the solve."""
-        return {"recurrence_mode": self.recurrence_mode}
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable form (trace attrs, SolveInfo, logs)."""
@@ -155,7 +144,7 @@ class Plan:
 
 @dataclasses.dataclass(frozen=True)
 class TuneEntry:
-    """Measured wall seconds of one configuration at one problem shape."""
+    """Measured wall seconds of one method at one problem shape."""
 
     n: int
     m: int
@@ -163,14 +152,10 @@ class TuneEntry:
     r: int
     dtype: str
     method: str
-    recurrence_mode: str
     time: float
 
     def shape(self) -> tuple[int, int, int, int]:
         return (self.n, self.m, self.p, self.r)
-
-    def config(self) -> tuple[str, str]:
-        return (self.method, self.recurrence_mode)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -344,23 +329,18 @@ def clear_plan_cache() -> None:
 
 def _candidates(p: int, methods: Iterable[str] = PLAN_METHODS
                 ) -> list[dict[str, Any]]:
-    """The candidate configurations for ``p`` requested ranks.
+    """The candidate ``(method, nranks)`` pairs for ``p`` requested ranks.
 
-    Sequential methods always run single-rank.  ARD also spans its
-    recurrence modes; other methods run under the shipped kernel
-    default.  When ``"ard"`` is among ``methods`` the reference comes
-    first.
+    Sequential methods always run single-rank.  When ``"ard"`` is among
+    ``methods`` the reference comes first.
     """
     out: list[dict[str, Any]] = []
     for method in methods:
-        base = dict(method=method, **_KERNEL_DEFAULTS,
-                    nranks=p if method in _DISTRIBUTED else 1)
+        cand = dict(method=method, nranks=p if method in _DISTRIBUTED else 1)
         if method == "ard":
-            out.insert(0, base)
-            out.extend({**base, "recurrence_mode": rm}
-                       for rm in ("sequential", "levelwise"))
+            out.insert(0, cand)
         else:
-            out.append(base)
+            out.append(cand)
     return out
 
 
@@ -390,11 +370,11 @@ def plan(n: int, m: int, p: int = 1, r: int = 1,
          methods: Iterable[str] = PLAN_METHODS) -> Plan:
     """The configuration to run for an ``(n, m, p, r, dtype)`` problem.
 
-    The reference (ARD on ``p`` ranks under the shipped kernel
-    default) unless the table has evidence at ``dtype`` — an exact
-    shape hit or an interpolation within :data:`MAX_INTERP_DISTANCE` —
-    for both a candidate and the reference, and the candidate's time
-    is lower; then the fastest such candidate.
+    The reference (ARD on ``p`` ranks) unless the table has evidence
+    at ``dtype`` — an exact shape hit or an interpolation within
+    :data:`MAX_INTERP_DISTANCE` — for both a candidate and the
+    reference, and the candidate's time is lower; then the fastest such
+    candidate.
 
     Parameters other than the shape:
 
@@ -472,9 +452,8 @@ def _table_evidence(table: TuningTable, shape: tuple[int, int, int, int],
     measured shape within :data:`MAX_INTERP_DISTANCE` -> its time scaled
     by the model's shape ratio, ``"interpolated"``.
     """
-    config = (cand["method"], cand["recurrence_mode"])
     matches = [e for e in table.entries
-               if e.config() == config and e.dtype == dtype_name]
+               if e.method == cand["method"] and e.dtype == dtype_name]
     if not matches:
         return None
     nearest = min(matches, key=lambda e: _shape_distance(e.shape(), shape))
@@ -501,9 +480,9 @@ def _default_calibration() -> MachineCalibration | None:
 # -- tuning sweep -----------------------------------------------------------
 
 #: Full-sweep shape grid: anchored at the canonical bench shapes
-#: (``benchmarks/bench_kernels.py``: the (512, 8) service shape at
-#: streamed and monolithic RHS widths, the (256, 16) past-crossover
-#: point, the (1024, 4) thin-block point).
+#: (``benchmarks/bench_planner.py``: the (512, 8) service shape at
+#: streamed and monolithic RHS widths), plus a wider block (256, 16)
+#: and a thin one (1024, 4).
 SWEEP_SHAPES = (
     (512, 8, 4, 16),
     (512, 8, 4, 256),
@@ -521,21 +500,19 @@ QUICK_SHAPES = (
 
 def _measure_config(n: int, m: int, p: int, r: int, dtype: str,
                     cand: dict[str, Any], reps: int) -> float:
-    """Wall seconds (best of ``reps``) of one configuration."""
+    """Wall seconds (best of ``reps``) of one candidate."""
     from ..core.api import solve
     from ..workloads import helmholtz_block_system, random_rhs
 
     with config_context(dtype=np.dtype(dtype)):
         mat, _ = helmholtz_block_system(n, m)
         rhs = random_rhs(n, m, nrhs=max(r, 1), seed=0)
-    overrides = dict(recurrence_mode=cand["recurrence_mode"],
-                     dtype=np.dtype(dtype))
 
     def run() -> None:
-        with config_context(**overrides):
+        with config_context(dtype=np.dtype(dtype)):
             solve(mat, rhs, method=cand["method"], nranks=cand["nranks"])
 
-    run()  # warm up (level trees, BLAS threads)
+    run()  # warm up (BLAS threads)
     best = float("inf")
     for _ in range(max(reps, 1)):
         t0 = time.perf_counter()
@@ -564,11 +541,9 @@ def tune_machine(quick: bool = False, *,
     for dtype in dtypes:
         for (n, m, p, r) in grid:
             for c in _candidates(p):
-                say(f"measure n={n} m={m} p={p} r={r} {dtype} {c['method']}"
-                    f"/{c['recurrence_mode']}")
+                say(f"measure n={n} m={m} p={p} r={r} {dtype} {c['method']}")
                 entries.append(TuneEntry(
                     n=n, m=m, p=p, r=r, dtype=dtype, method=c["method"],
-                    recurrence_mode=c["recurrence_mode"],
                     time=_measure_config(n, m, p, r, dtype, c, reps),
                 ))
 

@@ -1,7 +1,6 @@
 """Parallel prefix (scan) framework over semigroups."""
 
 from .affine import AffinePair, affine_compose
-from .batched import AffineLevels
 from .scan import (
     DIST_SCANS,
     dist_scan_blelloch,
@@ -15,7 +14,6 @@ from .semigroup import Monoid, check_associative
 __all__ = [
     "AffinePair",
     "affine_compose",
-    "AffineLevels",
     "Monoid",
     "check_associative",
     "DIST_SCANS",

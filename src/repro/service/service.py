@@ -191,9 +191,9 @@ class SolverService:
         Defaults applied when :meth:`submit` receives a bare matrix
         instead of a :class:`FactorHandle`.  The default method is
         ``"auto"``: the planner (:mod:`repro.perfmodel.planner`)
-        resolves each registered matrix to a concrete method and
-        kernel configuration (ARD unless this host's tuning table
-        measured something faster), cached per matrix fingerprint
+        resolves each registered matrix to a concrete method and rank
+        count (ARD unless this host's tuning table measured something
+        faster), cached per matrix fingerprint
         alongside the factorization; pass an explicit method to opt
         out.
     workers:
@@ -406,14 +406,9 @@ class SolverService:
 
     def _factorization(self, handle: FactorHandle) -> tuple[Any, bool]:
         def build() -> Any:
-            from ..config import config_context
-
-            overrides = ({} if handle.plan is None
-                         else handle.plan.config_overrides())
-            with config_context(**overrides):
-                return factor(handle.matrix, method=handle.method,
-                              nranks=handle.nranks,
-                              cost_model=self.cost_model, trace=self.trace)
+            return factor(handle.matrix, method=handle.method,
+                          nranks=handle.nranks,
+                          cost_model=self.cost_model, trace=self.trace)
 
         fact, hit = self.cache.get_or_create(handle.key, build)
         if not hit and self.health_thresholds is not None:
@@ -605,16 +600,7 @@ class SolverService:
                     big = lead.bb
                 else:
                     big = np.concatenate([r.bb for r in live], axis=2)
-                if lead.handle.plan is not None:
-                    # Replays honor the planned kernel configuration,
-                    # not whatever config the worker thread inherited.
-                    from ..config import config_context
-
-                    with config_context(
-                            **lead.handle.plan.config_overrides()):
-                        x = fact.solve(big)
-                else:
-                    x = fact.solve(big)
+                x = fact.solve(big)
                 t2 = time.perf_counter()
                 if self.health_thresholds is not None:
                     xx = np.asarray(x).reshape(big.shape)

@@ -11,6 +11,7 @@ from repro.core.ard import (
 )
 from repro.core.distribute import distribute_matrix, distribute_rhs, gather_solution
 from repro.exceptions import ShapeError
+from repro.linalg.blocktridiag import BlockTridiagonalMatrix
 from repro.linalg.reference import dense_solve
 from repro.workloads import helmholtz_block_system, random_rhs
 
@@ -153,6 +154,30 @@ class TestDriverFactorization:
         fact.solve(random_rhs(8, 2, 2, seed=8))
         assert fact.last_solve_result.virtual_time > 0
         assert fact.nbytes > 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_nbytes_counts_every_stored_array(self, dtype):
+        """The footprint is every array the rank states hold: ``U^-1``,
+        ``[T2, T1]``, the band and ``E`` (``8 t M^2`` numbers per rank),
+        the scan trace and the closing factors."""
+        mat, _ = helmholtz_block_system(64, 4)
+        mat = BlockTridiagonalMatrix(mat.lower.astype(dtype),
+                                     mat.diag.astype(dtype),
+                                     mat.upper.astype(dtype))
+        fact = ARDFactorization(mat, nranks=2)
+        expected = 0
+        for state in fact._states:
+            ops = state.ops
+            t, m = ops.ntransfer, ops.block_size
+            assert ops.band.shape == (3 * m, t * m)
+            assert ops.e.shape == (t, m, 2 * m)
+            arrays = (ops.uinv, ops.t21, ops.band, ops.e)
+            assert sum(a.nbytes for a in arrays) == (
+                8 * t * m * m * np.dtype(dtype).itemsize)
+            expected += sum(a.nbytes for a in arrays) + state.trace.nbytes
+            if state.closing_lu is not None:
+                expected += state.closing_lu.nbytes
+        assert fact.nbytes == expected
 
     def test_validation(self):
         mat, _ = helmholtz_block_system(4, 2)

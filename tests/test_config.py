@@ -1,5 +1,6 @@
 """Tests for repro.config."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -44,14 +45,14 @@ class TestReproConfig:
             cfg.flop_counting = True
 
     def test_kernel_defaults(self):
+        """No field chooses a kernel (docs/KERNELS.md): the one kernel
+        setting is the singularity threshold both block kernels share."""
         cfg = ReproConfig()
-        assert cfg.recurrence_mode == "auto"
-
-    def test_recurrence_mode_validated(self):
-        for mode in ("auto", "sequential", "levelwise"):
-            assert ReproConfig(recurrence_mode=mode).recurrence_mode == mode
-        with pytest.raises(ConfigError, match="recurrence_mode"):
-            ReproConfig(recurrence_mode="vectorized")
+        assert cfg.singularity_rcond == 1e-13
+        assert {f.name for f in dataclasses.fields(ReproConfig)} == {
+            "dtype", "singularity_rcond", "flop_counting",
+            "growth_warn_threshold", "comm_backend", "flightrec",
+            "flightrec_capacity", "incident_dir", "incident_retention"}
 
 
 class TestGlobalConfig:

@@ -84,8 +84,14 @@ class TestModelShapes:
         assert speedup_model(64, 10**6) == pytest.approx(64.0, rel=0.01)
 
 
+#: Shapes for the ARD model checks.  (512, 8, 2, 8) has 256 rows per
+#: rank, where the recurrence runs as one band solve on the 16-column
+#: entry response and the 8-column panel.
+ARD_MODEL_SHAPES = [(64, 4, 4, 8), (96, 8, 8, 4), (512, 8, 2, 8)]
+
+
 class TestModelVsInstrumented:
-    @pytest.mark.parametrize("n,m,p,r", [(64, 4, 4, 8), (96, 8, 8, 4)])
+    @pytest.mark.parametrize("n,m,p,r", ARD_MODEL_SHAPES)
     def test_ard_factor_within_10pct(self, n, m, p, r):
         mat, _ = helmholtz_block_system(n, m)
         fact = ARDFactorization(mat, nranks=p)
@@ -93,7 +99,7 @@ class TestModelVsInstrumented:
         predicted = predict_flops("ard_factor", n=n, m=m, p=p)
         assert measured / predicted == pytest.approx(1.0, abs=0.1)
 
-    @pytest.mark.parametrize("n,m,p,r", [(64, 4, 4, 8), (96, 8, 8, 4)])
+    @pytest.mark.parametrize("n,m,p,r", ARD_MODEL_SHAPES)
     def test_ard_solve_within_10pct(self, n, m, p, r):
         mat, _ = helmholtz_block_system(n, m)
         fact = ARDFactorization(mat, nranks=p)

@@ -9,8 +9,7 @@ interpolation has bounded reach, and the ``method="auto"`` dispatch in
 :func:`repro.core.api.solve` follows the installed table and the
 caller's comm backend.  Also the drift tests pinning the planner
 portfolio against the API's method lists (the same drift-test pattern
-as the collective-op set in ``test_check.py``) and the tunable-threshold
-config plumbing.
+as the collective-op set in ``test_check.py``) and the plan record.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 import pytest
 
 import repro.comm
-from repro.config import TUNABLE_THRESHOLDS, config_context, get_config
+from repro.config import config_context
 from repro.core.api import FACTOR_METHODS, SOLVE_METHODS, solve
 from repro.exceptions import ConfigError
 from repro.harness import tune as tune_cli
@@ -32,6 +31,7 @@ from repro.perfmodel.planner import (
     MAX_INTERP_DISTANCE,
     PLAN_METHODS,
     TUNE_SCHEMA_VERSION,
+    Plan,
     TuneEntry,
     TuningTable,
     _candidates,
@@ -66,11 +66,10 @@ def _fresh_planner_state():
     clear_plan_cache()
 
 
-def _entry(time, *, shape=(64, 8, 4, 8), dtype="float64", method="ard",
-           recurrence_mode="auto"):
+def _entry(time, *, shape=(64, 8, 4, 8), dtype="float64", method="ard"):
     n, m, p, r = shape
     return TuneEntry(n=n, m=m, p=p, r=r, dtype=dtype, method=method,
-                     recurrence_mode=recurrence_mode, time=time)
+                     time=time)
 
 
 def _table(entries, host=None):
@@ -80,7 +79,6 @@ def _table(entries, host=None):
 
 def _assert_reference(result, p, provenance):
     assert (result.method, result.nranks) == ("ard", p)
-    assert result.config_overrides() == {"recurrence_mode": "auto"}
     assert result.provenance == provenance
 
 
@@ -261,15 +259,6 @@ class TestEvidenceGrades:
         result = plan(*self.SHAPE, table=table, calibration=None)
         assert (result.method, result.provenance) == expect
 
-    def test_measured_kernel_variant_is_pinned(self):
-        table = _table([
-            _entry(1e-2, shape=self.SHAPE),
-            _entry(5e-3, shape=self.SHAPE, recurrence_mode="sequential"),
-        ])
-        result = plan(*self.SHAPE, table=table, calibration=None)
-        assert (result.method, result.nranks) == ("ard", self.SHAPE[2])
-        assert result.config_overrides() == {"recurrence_mode": "sequential"}
-
 
 class TestAutoDispatch:
     def test_solve_auto_follows_installed_table(self):
@@ -321,14 +310,13 @@ class TestAutoDispatch:
         assert recorded["auto"] == recorded["ard"] == {None}
 
     def test_quick_tune_measures_every_anchor(self):
-        """The sweep measures every candidate (each method's anchor and
-        ARD's kernel variants) at every shape, so a plan against the
-        fresh table is the measured argmin."""
+        """The sweep measures every candidate method at every shape, so
+        a plan against the fresh table is the measured argmin."""
         shape = (16, 4, 2, 2)
         table = tune_machine(quick=True, shapes=[shape])
         assert table.quick
-        assert sorted(e.config() for e in table.entries) == sorted(
-            (c["method"], c["recurrence_mode"]) for c in _candidates(shape[2]))
+        assert sorted(e.method for e in table.entries) == sorted(
+            c["method"] for c in _candidates(shape[2])) == sorted(PLAN_METHODS)
         result = plan(*shape, table=table, calibration=None)
         assert result.provenance == "measured"
         assert result.predicted_time == min(e.time for e in table.entries)
@@ -384,19 +372,15 @@ class TestPortfolioDrift:
         assert set(FACTOR_METHODS) - {"auto"} <= set(SOLVE_METHODS)
 
 
-class TestTunableThresholds:
-    def test_config_override_and_restore(self):
-        before = get_config().levelwise_min_rows
-        with config_context(levelwise_min_rows=7):
-            assert get_config().levelwise_min_rows == 7
-        assert get_config().levelwise_min_rows == before
-
-    @pytest.mark.parametrize("value", [0, -3, True, 2.5])
-    def test_rejects_non_positive_ints(self, value):
-        for name in TUNABLE_THRESHOLDS:
-            with pytest.raises(ConfigError):
-                with config_context(**{name: value}):
-                    pass
+class TestPlanRecord:
+    def test_plan_holds_method_and_ranks_plus_evidence(self):
+        """Schema 4: a plan and a table entry carry (method, nranks)
+        plus evidence, and nothing that selects a kernel."""
+        assert TUNE_SCHEMA_VERSION == 4
+        assert [f.name for f in dataclasses.fields(Plan)] == [
+            "method", "nranks", "predicted_time", "provenance"]
+        assert [f.name for f in dataclasses.fields(TuneEntry)] == [
+            "n", "m", "p", "r", "dtype", "method", "time"]
 
     def test_plan_is_frozen(self):
         result = plan(64, 8, 4, 8, table=None, calibration=None)
