@@ -8,9 +8,12 @@ wins, and persist one machine-readable baseline
 - the transfer-block kernel (batched inverse, then ``gemm`` per
   solve) vs per-block SciPy LU factor + solve, across an ``(n, m, r)``
   grid;
-- ARD's per-RHS recurrence phase (``g``, one trajectory solve, then
-  ``f + E s_lo``) vs the two-pass row loop it replaced, across an
-  ``(h, m, r)`` grid that crosses ``BAND_MAX_WORK``;
+- ARD's per-RHS recurrence phase (``g``, the zero-entry states, then
+  ``f + E s_lo``) on each of its two kernels, one ``?tbtrs`` call and
+  the lockstep sub-chunk kernel, against two references kept in this
+  file (the two-pass row loop and the one-gemm-per-row loop), across
+  an ``(h, m, r)`` grid that crosses ``BAND_MAX_WORK`` and includes
+  both benchmark workloads' shapes;
 - :func:`repro.comm.fastcopy.fastcopy` vs ``copy.deepcopy`` on the
   message payloads the runtime actually ships.
 
@@ -24,11 +27,14 @@ they are unaffected by ``--benchmark-disable``.
 import copy
 import json
 import time
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import repro.core.recurrence as rec
 from repro.comm import run_spmd
 from repro.comm.fastcopy import fastcopy
 from repro.core.distribute import distribute_matrix
@@ -47,10 +53,12 @@ RNG = np.random.default_rng(0)
 
 #: Floors asserted below (measured on the reference host: inverse +
 #: gemm ~8x the per-block SciPy LU at (256, 8, 16), fastcopy ~9x on an
-#: AffinePair; the per-RHS phase is quoted in docs/KERNELS.md).
+#: AffinePair; the per-RHS kernels are quoted in docs/KERNELS.md).
 LU_SPEEDUP_FLOOR = 3.0
 PER_RHS_SPEEDUP_FLOOR = 1.3
 WIDE_SPEEDUP_FLOOR = 1.0
+LOCKSTEP_OVER_TBTRS_FLOOR = 1.3
+LOCKSTEP_OVER_LOOP_FLOOR = 1.0
 FASTCOPY_SPEEDUP_FLOOR = 5.0
 
 #: (n, m, r) grid for the transfer-kernel comparison; (256, 8, 16) is
@@ -58,13 +66,19 @@ FASTCOPY_SPEEDUP_FLOOR = 5.0
 LU_GRID = [(256, 8, 16), (1024, 4, 8), (64, 8, 16), (256, 16, 32), (128, 32, 32)]
 LU_ACCEPTANCE = (256, 8, 16)
 
-#: (h, m, r) grid for the per-RHS phase: both sides of
-#: ``BAND_MAX_WORK`` (r * m = 128 here).  Thin panels (r <= 16) are
-#: asserted at PER_RHS_SPEEDUP_FLOOR, the wide row at
-#: WIDE_SPEEDUP_FLOOR (one row-loop pass against two); r = 32 and 64
+#: (h, m, r) grid for the per-RHS phase, both sides of
+#: ``BAND_MAX_WORK`` (r * m = 64 here).  (256, 8, 8) is a
+#: ``service_burst`` batch on one rank and (512, 8, 16) an
+#: ``ard_stream`` panel.  Asserted: the dispatched phase against the
+#: two-pass loop for r <= 16 (PER_RHS_SPEEDUP_FLOOR) and at WIDE_ROW
+#: (WIDE_SPEEDUP_FLOOR), the lockstep kernel against ``?tbtrs`` at
+#: LOCKSTEP_ROW and against the row loop at WIDE_ROW; r = 32 and 64
 #: are recorded only.
-REC_GRID = [(64, 8, 1), (128, 8, 8), (256, 8, 16), (256, 16, 8),
-            (256, 16, 16), (128, 8, 32), (512, 8, 64), (512, 8, 256)]
+REC_GRID = [(64, 8, 1), (128, 8, 8), (256, 8, 4), (256, 8, 8),
+            (256, 8, 16), (256, 16, 4), (256, 16, 8), (256, 16, 16),
+            (128, 8, 32), (512, 8, 8), (512, 8, 16), (512, 8, 64),
+            (512, 8, 256)]
+LOCKSTEP_ROW = (512, 8, 16)
 WIDE_ROW = (512, 8, 256)
 
 
@@ -158,45 +172,97 @@ def _two_pass_phase(ops, d, entry, nrows):
     return agg, out
 
 
-def _one_pass_phase(ops, d, entry, nrows):
-    """The per-RHS phase: ``g``, one trajectory solve, ``f + E s_lo``."""
-    agg, f_rows = local_vector_aggregate(ops, ops.g(d))
-    return agg, forward_solution(ops, f_rows, entry, nrows)
+def _entry_response(ops):
+    """The chunk-wide ``E`` (``(t, M, 2M)``) the row loop needs:
+    ``E_loc_j Ê_i``, with ``s_lo``'s halves in the stored order."""
+    b, t = ops.sub_rows, ops.ntransfer
+    return np.stack([ops.e[j] @ ops.e_hat[j // b] for j in range(t)])
+
+
+def _row_loop_phase(ops, e_full, d, entry, nrows):
+    """The per-RHS phase with one ``[T2_j, T1_j]`` gemm per row into a
+    buffer with two zero lead rows, then ``f + E s_lo`` against the
+    chunk-wide ``E``: the wide-panel kernel before the lockstep one."""
+    m, r, t = ops.block_size, d.shape[2], ops.ntransfer
+    g = ops.g(d)
+    buf = np.zeros((t + 2, m, r))
+    flat = buf.reshape((t + 2) * m, r)
+    for j in range(t):
+        row = buf[j + 2]
+        np.matmul(ops.t21[j], flat[j * m:(j + 2) * m], out=row)
+        row += g[j]
+    f = buf[2:]
+    agg = np.concatenate([f[-1], f[-2]])
+    out = np.empty((nrows, m, r))
+    out[0] = entry[:m]
+    k = nrows - 1
+    response = e_full[:k].reshape(k * m, 2 * m) @ entry
+    np.add(f[:k], response.reshape(k, m, r), out=out[1:])
+    return agg, out
+
+
+def _phase(ops, d, entry, nrows, kernel=None):
+    """The per-RHS phase as ARD runs it: ``g``, the zero-entry states,
+    ``f + E s_lo``; ``kernel`` ("tbtrs" or "lockstep") overrides the
+    ``BAND_MAX_WORK`` dispatch."""
+    limit = {None: BAND_MAX_WORK, "tbtrs": 1 << 60, "lockstep": 0}[kernel]
+    with mock.patch.object(rec, "BAND_MAX_WORK", limit):
+        agg, f = local_vector_aggregate(ops, ops.g(d))
+        return agg, forward_solution(ops, f, entry, nrows)
 
 
 class TestPerRhsPhase:
-    def test_one_pass_vs_two_pass_grid(self, kernel_results):
-        """ARD's per-RHS recurrence work on one rank, against the
-        two-pass row loop it replaced (kept above as the reference):
-        ``?tbtrs`` up to ``BAND_MAX_WORK``, the one-gemm row loop
-        above it, and ``f + E s_lo`` in place of the second pass."""
+    def test_per_rhs_kernels_grid(self, kernel_results):
+        """ARD's per-RHS recurrence work on one rank: ``?tbtrs``, the
+        lockstep kernel, the one-gemm row loop and the two-pass loop
+        (the last two kept above as references), each timed on the
+        same panel."""
         rows = []
         for h, m, r in REC_GRID:
             mat, _ = helmholtz_block_system(h, m)
             ops = TransferOperators(distribute_matrix(mat, 1)[0])
+            e_full = _entry_response(ops)
             d = RNG.standard_normal((h, m, r))
             entry = RNG.standard_normal((2 * m, r))
-            new = _one_pass_phase(ops, d, entry, h)
-            old = _two_pass_phase(ops, d, entry, h)
-            for a, b in zip(new, old):
-                np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-            t_old = _best(lambda: _two_pass_phase(ops, d, entry, h))
-            t_new = _best(lambda: _one_pass_phase(ops, d, entry, h))
-            speedup = t_old / t_new
-            rows.append({
-                "h": h, "m": m, "r": r,
-                "kernel": "band" if r * m <= BAND_MAX_WORK else "loop",
-                "two_pass_s": t_old, "one_pass_s": t_new,
-                "speedup": speedup,
-            })
-            floor = (PER_RHS_SPEEDUP_FLOOR if r <= 16
-                     else WIDE_SPEEDUP_FLOOR if (h, m, r) == WIDE_ROW
-                     else None)
-            if floor is not None:
-                assert speedup >= floor, (
-                    f"per-RHS phase at (h,m,r)=({h},{m},{r}) is "
-                    f"{speedup:.2f}x the two-pass row loop, below the "
-                    f"{floor}x floor"
+            runs = {
+                "tbtrs": partial(_phase, ops, d, entry, h, "tbtrs"),
+                "lockstep": partial(_phase, ops, d, entry, h, "lockstep"),
+                "row_loop": partial(_row_loop_phase, ops, e_full, d, entry, h),
+                "two_pass": partial(_two_pass_phase, ops, d, entry, h),
+            }
+            ref = runs["two_pass"]()
+            for run in runs.values():
+                for a, b in zip(run(), ref):
+                    np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+            times = {name: _best(run) for name, run in runs.items()}
+            kernel = "tbtrs" if r * m <= BAND_MAX_WORK else "lockstep"
+            row = {"h": h, "m": m, "r": r, "kernel": kernel}
+            row.update({f"{name}_s": t for name, t in times.items()})
+            row["lockstep_over_tbtrs"] = times["tbtrs"] / times["lockstep"]
+            row["lockstep_over_row_loop"] = (times["row_loop"]
+                                             / times["lockstep"])
+            row["speedup_vs_two_pass"] = times["two_pass"] / times[kernel]
+            rows.append(row)
+            checks = []
+            if r <= 16:
+                checks.append(("speedup_vs_two_pass", PER_RHS_SPEEDUP_FLOOR,
+                               f"the dispatched {kernel} phase over the "
+                               "two-pass row loop"))
+            if (h, m, r) == LOCKSTEP_ROW:
+                checks.append(("lockstep_over_tbtrs",
+                               LOCKSTEP_OVER_TBTRS_FLOOR,
+                               "the lockstep kernel over ?tbtrs"))
+            if (h, m, r) == WIDE_ROW:
+                checks.append(("speedup_vs_two_pass", WIDE_SPEEDUP_FLOOR,
+                               "the dispatched lockstep phase over the "
+                               "two-pass row loop"))
+                checks.append(("lockstep_over_row_loop",
+                               LOCKSTEP_OVER_LOOP_FLOOR,
+                               "the lockstep kernel over the row loop"))
+            for key, floor, what in checks:
+                assert row[key] >= floor, (
+                    f"per-RHS phase at (h,m,r)=({h},{m},{r}): {what} is "
+                    f"{row[key]:.2f}x, below the {floor}x floor"
                 )
         kernel_results["per_rhs_phase"] = rows
 

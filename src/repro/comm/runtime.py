@@ -1,11 +1,12 @@
 """Thread-based SPMD runtime with virtual-time accounting.
 
 :func:`run_spmd` executes one Python function on ``nranks`` simulated
-ranks (one thread each).  Ranks communicate through an in-process
-mailbox fabric with MPI-like matching (communicator, source, tag) and
-carry :class:`~repro.comm.clock.VirtualClock` instances so that the
-simulation yields a modelled parallel makespan in addition to real
-results (see DESIGN.md, "Hardware substitution").
+ranks (rank 0 on the calling thread, one thread for each other rank).
+Ranks communicate through an in-process mailbox fabric with MPI-like
+matching (communicator, source, tag) and carry
+:class:`~repro.comm.clock.VirtualClock` instances so that the simulation
+yields a modelled parallel makespan in addition to real results (see
+DESIGN.md, "Hardware substitution").
 
 This thread backend is the *reference semantics*; ``run_spmd`` can
 alternatively dispatch the same program to the process backend
@@ -444,8 +445,11 @@ def run_spmd(
         The SPMD program.  Its first argument is the rank's
         :class:`repro.comm.communicator.Communicator`.
     nranks:
-        Number of simulated ranks.  ``nranks == 1`` executes on the
-        calling thread with no thread or process spawn.
+        Number of simulated ranks.  On the thread backend rank 0
+        executes on the calling thread (with the worker configuration
+        and the rank's trace context installed for the call, then the
+        caller's restored) and ranks ``1..nranks-1`` on one thread each;
+        ``nranks == 1`` spawns no thread or process.
     cost_model:
         Machine model for virtual time; defaults to
         :data:`repro.comm.costmodel.DEFAULT_COST_MODEL`.
@@ -577,17 +581,15 @@ def run_spmd(
             runtime.rank_finished()
             install_config(previous_config)
 
-    if nranks == 1:
-        worker(0)
-    else:
-        threads = [
-            threading.Thread(target=worker, args=(r,), name=f"repro-rank-{r}", daemon=True)
-            for r in range(nranks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    threads = [
+        threading.Thread(target=worker, args=(r,), name=f"repro-rank-{r}", daemon=True)
+        for r in range(1, nranks)
+    ]
+    for t in threads:
+        t.start()
+    worker(0)
+    for t in threads:
+        t.join()
 
     wall = time.perf_counter() - start
 

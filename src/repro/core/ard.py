@@ -7,19 +7,23 @@ vector-only **solve** phase:
     Performs every RHS-independent computation once and stores it in an
     :class:`ARDRankState`: the inverses of the superdiagonal blocks
     ``U_i``, the transfer operators ``(T1, T2)``, the chunk's recurrence
-    as a LAPACK lower band, the response ``E`` of every row to the
-    chunk's entry state (whose last two rows are the matrix aggregate),
-    the scan trace of the matrix prefix (per-round matrix accumulators —
-    see :mod:`repro.core.scan_affine`), the exclusive matrix prefix, and
-    the factored closing system.  Cost: ``O(M^3 (N/P + log P))``.
+    as a LAPACK lower band, the response ``E_loc`` of every row to its
+    sub-chunk's entry state and the maps ``Ê`` from the chunk's entry
+    state to each sub-chunk's (the last one, carried through the last
+    sub-chunk, is the matrix aggregate), the scan trace of the matrix
+    prefix (per-round matrix accumulators — see
+    :mod:`repro.core.scan_affine`), the exclusive matrix prefix, and the
+    factored closing system.  Cost: ``O(M^3 (N/P + log P))``.
 
 ``ard_solve_spmd``
     For each batch of ``R`` right-hand sides performs only matrix–vector
-    work against the stored state: forming ``g = U^{-1} d``, one
-    trajectory solve for the zero-entry states ``f`` (whose last two
-    rows are the vector aggregate), the replayed vector scan (messages
-    of ``O(M R)`` bytes), the closing back-solve, and the owned rows
-    ``f + E s_lo``.  Cost: ``O(M^2 R (N/P + log P))``.
+    work against the stored state: forming ``g = U^{-1} d``, the
+    zero-entry states ``f`` (one band solve for narrow panels, the
+    lockstep sub-chunk kernel for wide ones; their last two rows are
+    the vector aggregate), the replayed vector scan (messages of
+    ``O(M R)`` bytes), the closing back-solve, and the owned rows
+    ``f + E s_lo``, written into the caller's solution array.  Cost:
+    ``O(M^2 R (N/P + log P))``.
 
 Solving ``R`` right-hand sides therefore costs
 ``O((M^3 + R M^2)(N/P + log P))`` instead of the baseline's
@@ -33,7 +37,6 @@ LAPACK-style ``factor(...)``/``solve(b)`` interface.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
 
 import numpy as np
 
@@ -72,8 +75,9 @@ class ARDRankState:
         The rank's matrix rows (kept for the closing blocks and shape
         checks; the hot path reads only its last row's ``D``/``L``).
     ops:
-        Transfer operators — ``U_i^{-1}``, ``(T1, T2)``, the band and
-        ``E`` (:class:`~repro.core.recurrence.TransferOperators`).
+        Transfer operators — ``U_i^{-1}``, ``(T1, T2)``, the band,
+        ``E_loc`` and ``Ê``
+        (:class:`~repro.core.recurrence.TransferOperators`).
     trace:
         Matrix-side record of the factor scan, replayed per solve.
     closing_rank:
@@ -128,7 +132,8 @@ def ard_factor_spmd(comm, chunk: LocalChunk) -> ARDRankState:
     )
 
 
-def ard_solve_spmd(comm, state: ARDRankState, d_rows: np.ndarray) -> np.ndarray:
+def ard_solve_spmd(comm, state: ARDRankState, d_rows: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Solve phase: matrix–vector work only, against the stored state.
 
     Parameters
@@ -138,17 +143,21 @@ def ard_solve_spmd(comm, state: ARDRankState, d_rows: np.ndarray) -> np.ndarray:
     state:
         This rank's :class:`ARDRankState`.
     d_rows:
-        ``(h, M, R)`` local right-hand-side rows; any ``R >= 1``.
+        ``(h, M, R)`` local right-hand-side rows; any ``R >= 1``.  Only
+        read.
+    out:
+        Optional C-contiguous ``(h, M, R)`` array the solution rows are
+        written into.
 
     Returns
     -------
-    ``(h, M, R)`` local solution rows.
+    ``(h, M, R)`` local solution rows (``out`` when given).
     """
     chunk = state.chunk
     d_rows = validate_rhs_rows(chunk, d_rows)
     with _span("build"):
         g_rows = state.ops.g(d_rows)
-        b_agg, f_rows = local_vector_aggregate(state.ops, g_rows)
+        b_agg, f = local_vector_aggregate(state.ops, g_rows)
     with _span("scan"):
         b_inc, b_exc = replay_scan(comm, b_agg, state.trace)
 
@@ -163,7 +172,7 @@ def ard_solve_spmd(comm, state: ARDRankState, d_rows: np.ndarray) -> np.ndarray:
 
     with _span("backsub"):
         s_lo = entry_state(None, state.trace.a_exclusive, b_exc, x0)
-        return forward_solution(state.ops, f_rows, s_lo, chunk.nrows)
+        return forward_solution(state.ops, f, s_lo, chunk.nrows, out=out)
 
 
 class ARDFactorization(RefinableFactorization):
@@ -235,17 +244,24 @@ class ARDFactorization(RefinableFactorization):
         return sum(s.nbytes for s in self._states)
 
     def _solve_normalized(self, bb: np.ndarray) -> np.ndarray:
+        from ..util.partition import BlockPartition
         from .distribute import distribute_rhs, gather_solution
 
+        # One solution array: each rank writes its own rows in place;
+        # the ranks only read their views of ``bb``.
+        x = np.empty((self.nblocks, self.block_size, bb.shape[2]),
+                     dtype=np.result_type(self.matrix.dtype, bb.dtype))
+        part = BlockPartition(nblocks=self.nblocks, nranks=self.nranks)
+        x_chunks = [x[lo:hi] for lo, hi in part]
         d_chunks = distribute_rhs(bb, self.nranks)
         result = self._run_spmd(
             ard_solve_spmd,
             self.nranks,
             cost_model=self.cost_model,
             copy_messages=False,
-            rank_args=[(s, d) for s, d in zip(self._states, d_chunks)],
+            rank_args=list(zip(self._states, d_chunks, x_chunks)),
             trace=self.trace,
             backend=self.backend,
         )
         self.last_solve_result = result
-        return gather_solution(list(result.values))
+        return gather_solution(list(result.values), out=x)

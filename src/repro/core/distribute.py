@@ -7,8 +7,10 @@ super-diagonal neighbour — the global first and last rows — carry zero
 blocks, which the recurrence treats correctly since ``x_{-1} := 0``).
 
 The driver API in :mod:`repro.core.api` builds chunks with
-:func:`distribute_matrix` and reassembles solutions with
-:func:`gather_solution`; SPMD-level users can construct chunks directly.
+:func:`distribute_matrix`, hands each rank a read-only view of its
+right-hand-side rows with :func:`distribute_rhs`, and reassembles
+solutions with :func:`gather_solution`; SPMD-level users can construct
+chunks directly.
 """
 
 from __future__ import annotations
@@ -107,28 +109,54 @@ def distribute_matrix(
         diag = matrix.diag[lo:hi].copy()
         sub = np.zeros((h, m, m), dtype=matrix.dtype)
         sup = np.zeros((h, m, m), dtype=matrix.dtype)
-        for j in range(h):
-            i = lo + j
-            if i > 0:
-                sub[j] = matrix.lower[i - 1]
-            if i < n - 1:
-                sup[j] = matrix.upper[i]
+        if h:
+            # L_i couples row i to i - 1 (none for row 0); U_i couples
+            # row i to i + 1 (none for row N - 1).
+            first = max(lo, 1)
+            sub[first - lo:] = matrix.lower[first - 1:hi - 1]
+            last = min(hi, n - 1)
+            sup[:last - lo] = matrix.upper[lo:last]
         chunks.append(LocalChunk(nblocks=n, lo=lo, hi=hi, diag=diag, sub=sub, sup=sup))
     return chunks
 
 
 def distribute_rhs(b: np.ndarray, nranks: int) -> list[np.ndarray]:
-    """Split a normalized ``(N, M, R)`` right-hand side into row chunks."""
+    """Split a normalized ``(N, M, R)`` right-hand side into row chunks.
+
+    The chunks are read-only views of ``b``: nothing is copied, and a
+    rank that writes into its rows raises ``ValueError``.
+    """
     b = np.asarray(b)
     if b.ndim != 3:
         raise ShapeError(f"rhs must be (N, M, R), got {b.shape}")
     part = BlockPartition(nblocks=b.shape[0], nranks=nranks)
-    return [b[lo:hi].copy() for lo, hi in part]
+    chunks = [b[lo:hi] for lo, hi in part]
+    for chunk in chunks:
+        chunk.flags.writeable = False
+    return chunks
 
 
-def gather_solution(chunks: list[np.ndarray]) -> np.ndarray:
-    """Concatenate per-rank solution chunks back into ``(N, M, R)``."""
+def gather_solution(chunks: list[np.ndarray],
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Assemble per-rank solution chunks into ``(N, M, R)``.
+
+    Without ``out`` the chunks are concatenated.  With ``out``, chunk
+    ``r`` belongs at the rows after chunks ``0..r-1``; a chunk that is
+    already a view of ``out`` (written in place by its rank) stays
+    where it is, and the others are copied in.
+    """
     nonempty = [c for c in chunks if c.shape[0] > 0]
     if not nonempty:
         raise ShapeError("no solution rows to gather")
-    return np.concatenate(nonempty, axis=0)
+    if out is None:
+        return np.concatenate(nonempty, axis=0)
+    lo = 0
+    for chunk in nonempty:
+        hi = lo + chunk.shape[0]
+        dst = out[lo:hi]
+        if not np.may_share_memory(chunk, dst):
+            dst[...] = chunk
+        lo = hi
+    if lo != out.shape[0]:
+        raise ShapeError(f"gathered {lo} rows into an output of {out.shape[0]}")
+    return out

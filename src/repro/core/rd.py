@@ -52,7 +52,7 @@ def rd_single_pass(
         ops = TransferOperators(chunk)
         g_rows = ops.g(d_rows)
         a_agg = local_matrix_aggregate(ops)
-        b_agg, f_rows = local_vector_aggregate(ops, g_rows)
+        b_agg, f = local_vector_aggregate(ops, g_rows)
         pair = AffinePair(a_agg, b_agg, validate=False)
     with _span("scan"):
         result, _ = affine_scan(comm, pair, record=False)
@@ -67,7 +67,7 @@ def rd_single_pass(
 
     with _span("backsub"):
         s_lo = entry_state(result.exclusive, None, None, x0)
-        return forward_solution(ops, f_rows, s_lo, chunk.nrows)
+        return forward_solution(ops, f, s_lo, chunk.nrows)
 
 
 def rd_solve_spmd(comm, chunk: LocalChunk, d_rows: np.ndarray) -> np.ndarray:

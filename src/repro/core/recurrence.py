@@ -14,34 +14,46 @@ this is the affine map ``s_{i+1} = A_i s_i + [g_i; 0]`` with
 Across a chunk the recurrence is linear in the entry state
 ``s_lo = [x_lo; x_{lo-1}]`` (the paper's ``x_i = E_i x_0 + f_i``): the
 row reached by the chunk's ``j``-th transfer is
-``y_j = x_{lo+j+1} = E_j s_lo + f_j``.  ``E`` (the response to the entry
-state) and ``f`` (the states reached from a zero entry) solve the same
-unit block lower-triangular system
+``y_j = x_{lo+j+1} = E_j s_lo + f_j``, where ``y`` solves the unit block
+lower-triangular system
 
-``y_j - T1_j y_{j-1} - T2_j y_{j-2} = c_j``  (``y_{-1} = y_{-2} = 0``)
+``y_j - T1_j y_{j-1} - T2_j y_{j-2} = c_j``
 
-of scalar lower bandwidth ``3M - 1``: ``E`` with the entry coupling
-``c_0 = [T1_0, T2_0]``, ``c_1 = [T2_1, 0]`` (zero below) as right-hand
-side, ``f`` with ``c = g``.
+of scalar lower bandwidth ``3M - 1``; ``f`` is its solution for
+``c = g`` from a zero entry.
+
+The same split is applied again inside the chunk.  Its ``t`` transfer
+rows are cut into ``S ~ sqrt(t)`` sub-chunks of ``b ~ sqrt(t)`` rows
+(:func:`sub_chunks`; the last one is padded with zero rows).  Row ``j``
+of sub-chunk ``i`` responds to that sub-chunk's entry state ``u_i``
+through ``E_loc_j``, and ``Ê_i`` maps ``s_lo`` to ``u_i``, so
+``E_j = E_loc_j Ê_i``.  Sub-chunk states are stacked oldest first,
+``u_i = [y_{ib-2}; y_{ib-1}]``, so two consecutive rows of a trajectory
+are one contiguous slice and ``[T2_j, T1_j]`` advances it.
 
 :class:`TransferOperators` holds the matrix side, built once: ``T1`` and
-``T2``, the ``U_i^{-1}``, the system as a LAPACK lower band, and ``E``.
-What remains per right-hand side is matrix–vector work:
+``T2``, the ``U_i^{-1}``, the system as a LAPACK lower band, ``E_loc``
+and ``Ê``.  What remains per right-hand side is matrix–vector work:
 
-- :func:`local_matrix_aggregate` — the chunk's composed matrix part,
-  ``E``'s last two rows;
-- :func:`local_vector_aggregate` — one trajectory solve gives ``f``,
-  whose last two rows are the composed vector part;
-- :func:`forward_solution` — the owned solution rows ``f + E s_lo``,
-  one ``gemm``.
+- :func:`local_matrix_aggregate` — the chunk's composed matrix part;
+- :func:`local_vector_aggregate` — the zero-entry states ``f``, whose
+  last two rows are the composed vector part;
+- :func:`forward_solution` — the owned solution rows
+  ``x = f + E s_lo``, one batched ``gemm``.
 
-A trajectory of ``k`` columns is one LAPACK ``?tbtrs`` call while
-``k * M <= BAND_MAX_WORK``.  ``?tbtrs`` sweeps the band once per
-column, so wider panels take a row loop of one ``(M, 2M) @ (2M, k)``
-gemm per row instead (docs/KERNELS.md).
+A ``k``-column panel takes one of two kernels.  While
+``k * M <= BAND_MAX_WORK`` one LAPACK ``?tbtrs`` call solves the
+chunk's whole trajectory.  ``?tbtrs`` sweeps the band once per column,
+so wider panels run the sub-chunks in lockstep instead: ``b`` steps of
+one batched ``(S, M, 2M) @ (S, 2M, k)`` gemm give every row relative to
+its own sub-chunk's entry, then ``S - 1`` small gemms carry the entry
+states across the chunk (docs/KERNELS.md).
 """
 
 from __future__ import annotations
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -56,17 +68,47 @@ from .distribute import LocalChunk
 __all__ = [
     "BAND_MAX_WORK",
     "TransferOperators",
+    "ZeroEntryStates",
+    "sub_chunks",
     "local_matrix_aggregate",
     "local_vector_aggregate",
     "forward_solution",
 ]
 
-#: Widest trajectory, in right-hand-side columns times block order,
-#: solved by one ``?tbtrs`` call; wider panels take the row loop.  The
-#: band solve's cost grows with every column while the row loop's is
-#: mostly per-row dispatch, so the crossover sits at a fixed ``k * M``
-#: (measured on the reference host, docs/KERNELS.md).
-BAND_MAX_WORK = 128
+#: Widest panel, in right-hand-side columns times block order, solved
+#: by one ``?tbtrs`` call; wider panels take the lockstep kernel.  The
+#: band solve's cost grows with every column while the lockstep
+#: kernel's is mostly per-step dispatch, so the crossover sits at a
+#: fixed ``k * M`` (measured on the reference host, docs/KERNELS.md).
+BAND_MAX_WORK = 64
+
+
+def sub_chunks(t: int) -> tuple[int, int]:
+    """``(S, b)``: the sub-chunks ``t`` transfer rows are cut into and
+    the rows in each, ``b = ceil(sqrt(t))`` and ``S = ceil(t / b)``.
+
+    The last sub-chunk holds the ``t - (S - 1) b`` remaining rows and is
+    padded to ``b`` with zero rows.
+    """
+    if t == 0:
+        return 0, 0
+    b = math.isqrt(t - 1) + 1
+    return -(-t // b), b
+
+
+class ZeroEntryStates(NamedTuple):
+    """The states a right-hand-side panel reaches from a zero entry.
+
+    ``rows`` holds row ``y_j`` relative to the entry state of its
+    sub-chunk, and ``sub_entries`` the ``(S, 2M, k)`` sub-chunk entry
+    states themselves (``None`` when ``rows`` is already relative to
+    the chunk's entry, as the band solve leaves it).  Either way the
+    trajectory from entry ``s_lo`` is
+    ``rows + E_loc (Ê s_lo + sub_entries)``.
+    """
+
+    rows: np.ndarray
+    sub_entries: np.ndarray | None
 
 
 class TransferOperators:
@@ -79,23 +121,28 @@ class TransferOperators:
 
     Attributes
     ----------
+    nsub, sub_rows:
+        ``S`` and ``b`` of :func:`sub_chunks`.
     uinv:
         ``(t, M, M)`` inverses of the superdiagonal blocks ``U_i``
         (``None`` when ``t = 0``), so ``g`` is one batched ``gemm``.
     t21:
-        ``(t, M, 2M)`` rows ``[T2_j, T1_j]``, the row loop's operand
-        (``t1`` and ``t2`` are views of it).
+        ``(S b, M, 2M)`` rows ``[T2_j, T1_j]``, zero past row ``t``; the
+        lockstep kernel's operand (``t1`` and ``t2`` are views of it).
     band:
         The trajectory system in LAPACK lower band storage,
         ``(3M, tM)`` in Fortran order: ``band[d, c]`` is the entry
         ``(c + d, c)``, unit diagonal, ``-T1_j`` and ``-T2_j`` below.
     e:
-        ``(t, M, 2M)`` response ``E_j`` of row ``x_{lo+j+1}`` to the
-        entry state ``s_lo``.
+        ``(S b, M, 2M)`` response ``E_loc_j`` of row ``x_{lo+j+1}`` to
+        its sub-chunk's entry state.
+    e_hat:
+        ``(S, 2M, 2M)`` maps ``Ê_i`` from the chunk's entry state
+        ``s_lo`` to the entry state of sub-chunk ``i``.
     """
 
-    __slots__ = ("lo", "ntransfer", "block_size", "dtype", "uinv", "t21",
-                 "band", "e")
+    __slots__ = ("lo", "ntransfer", "block_size", "dtype", "nsub",
+                 "sub_rows", "uinv", "t21", "band", "e", "e_hat")
 
     def __init__(self, chunk: LocalChunk):
         t = chunk.ntransfer
@@ -104,28 +151,30 @@ class TransferOperators:
         self.ntransfer = t
         self.block_size = m
         self.dtype = chunk.dtype
+        s, b = sub_chunks(t)
+        self.nsub, self.sub_rows = s, b
+        self.t21 = np.zeros((s * b, m, 2 * m), dtype=chunk.dtype)
         if t > 0:
             # Invert the superdiagonal blocks; raises SingularBlockError
             # (with the global row index) if any is singular.
             self.uinv = invert_blocks(chunk.sup[:t], block_offset=chunk.lo)
-            self.t21 = -gemm(self.uinv, np.concatenate(
-                [chunk.sub[:t], chunk.diag[:t]], axis=2))
+            np.negative(gemm(self.uinv, np.concatenate(
+                [chunk.sub[:t], chunk.diag[:t]], axis=2)), out=self.t21[:t])
         else:
             self.uinv = None
-            self.t21 = np.empty((0, m, 2 * m), dtype=chunk.dtype)
-        self.band = _lower_band(self.t21)
-        # Own the storage: the row loop returns a view of a padded buffer.
-        self.e = _trajectory(self, _entry_coupling(self.t21)).copy()
+        self.band = _lower_band(self.t21[:t])
+        self.e = _sub_entry_response(self.t21, t, s, b)
+        self.e_hat = _entry_maps(self.e, s, b)
 
     @property
     def t1(self) -> np.ndarray:
         """``(t, M, M)`` blocks ``T1_j = -U_j^{-1} D_j`` (a view)."""
-        return self.t21[:, :, self.block_size:]
+        return self.t21[:self.ntransfer, :, self.block_size:]
 
     @property
     def t2(self) -> np.ndarray:
         """``(t, M, M)`` blocks ``T2_j = -U_j^{-1} L_j`` (a view)."""
-        return self.t21[:, :, :self.block_size]
+        return self.t21[:self.ntransfer, :, :self.block_size]
 
     def g(self, d_rows: np.ndarray) -> np.ndarray:
         """Compute ``g_i = U_i^{-1} d_i`` for the chunk's transfer rows.
@@ -148,7 +197,8 @@ class TransferOperators:
 
     @property
     def nbytes(self) -> int:
-        total = self.t21.nbytes + self.band.nbytes + self.e.nbytes
+        total = (self.t21.nbytes + self.band.nbytes + self.e.nbytes
+                 + self.e_hat.nbytes)
         if self.uinv is not None:
             total += self.uinv.nbytes
         return total
@@ -171,16 +221,95 @@ def _lower_band(t21: np.ndarray) -> np.ndarray:
     return band
 
 
-def _entry_coupling(t21: np.ndarray) -> np.ndarray:
-    """Right-hand side of ``E``: how ``s_lo`` enters rows 0 and 1."""
-    t, m, _ = t21.shape
-    c = np.zeros((t, m, 2 * m), dtype=t21.dtype)
-    if t > 0:
-        c[0, :, :m] = t21[0, :, m:]  # T1_0 x_lo
-        c[0, :, m:] = t21[0, :, :m]  # T2_0 x_{lo-1}
-    if t > 1:
-        c[1, :, :m] = t21[1, :, :m]  # T2_1 x_lo
-    return c
+def _swap(m: int, dtype) -> np.ndarray:
+    """``[[0, I], [I, 0]]``: a stacked state's halves exchanged."""
+    out = np.zeros((2 * m, 2 * m), dtype=dtype)
+    out[:m, m:] = out[m:, :m] = np.eye(m, dtype=dtype)
+    return out
+
+
+def _lockstep(t21: np.ndarray, rhs: np.ndarray, s: int, b: int) -> np.ndarray:
+    """Every sub-chunk's recurrence from a zero entry, in lockstep.
+
+    ``t21`` is the padded ``(S b, M, 2M)`` operand and ``rhs`` the
+    ``(t, M, k)`` right-hand side; returns the ``(S b, M, k)`` rows,
+    zero past row ``t``.  Step ``l`` computes row ``l`` of all ``S``
+    sub-chunks with one batched ``[T2_l, T1_l] @ [y_{l-2}; y_{l-1}]``
+    gemm (row 0 is its right-hand side, row 1 reads only
+    ``T1_1 y_0``), then adds ``rhs`` row ``l`` of the full sub-chunks
+    and, while it has one, of the last.
+    """
+    t, m, k = rhs.shape
+    rows = np.empty((s * b, m, k), dtype=np.result_type(t21.dtype, rhs.dtype))
+    rows[t:] = 0
+    if t == 0:
+        return rows
+    full, tail = divmod(t, b)
+    y = rows.reshape(s, b, m, k)
+    head = rhs[:full * b].reshape(full, b, m, k)
+    last = rhs[full * b:]
+    y[:full, 0] = head[:, 0]
+    if tail:
+        y[full, 0] = last[0]
+    if b < 2:
+        return rows
+    t21 = t21.reshape(s, b, m, 2 * m)
+    step = np.empty((s, m, k), dtype=rows.dtype)
+    with kernel_time("kernel.gemm"):
+        for row in range(1, b):
+            if row == 1:
+                np.matmul(t21[:, 1, :, m:], y[:, 0], out=step)
+            else:
+                np.matmul(t21[:, row],
+                          y[:, row - 2:row].reshape(s, 2 * m, k), out=step)
+            np.add(step[:full], head[:, row], out=y[:full, row])
+            if row < tail:
+                np.add(step[full], last[row], out=y[full, row])
+    if get_config().flop_counting:
+        record_flops("gemm", s * (gemm_flops(m, m, k)
+                                  + (b - 2) * gemm_flops(m, 2 * m, k)))
+    return rows
+
+
+def _sub_exits(rows: np.ndarray, s: int, b: int) -> np.ndarray:
+    """``(S, 2M, k)`` views ``[y_{b-2}; y_{b-1}]``: the state each full
+    sub-chunk of ``(S b, M, k)`` rows leaves (needs ``b >= 2``)."""
+    m, k = rows.shape[1:]
+    return rows.reshape(s, b, m, k)[:, b - 2:].reshape(s, 2 * m, k)
+
+
+def _sub_entry_response(t21: np.ndarray, t: int, s: int, b: int) -> np.ndarray:
+    """``E_loc``: the lockstep kernel driven by the entry coupling.
+
+    Entry ``u = [y_{-2}; y_{-1}]`` enters a sub-chunk's row 0 as
+    ``[T2_0, T1_0] u`` and its row 1 as ``T2_1 y_{-1}``.
+    """
+    m = t21.shape[1]
+    coupling = np.zeros((t, m, 2 * m), dtype=t21.dtype)
+    first = np.arange(s) * b
+    second = first[first + 1 < t] + 1
+    coupling[first] = t21[first]
+    coupling[second, :, m:] = t21[second, :, :m]
+    return _lockstep(t21, coupling, s, b)
+
+
+def _entry_maps(e: np.ndarray, s: int, b: int) -> np.ndarray:
+    """``Ê``: ``Ê_0`` reorders ``s_lo`` oldest first and
+    ``Ê_{i+1} = A_i Ê_i``, where ``A_i``, sub-chunk ``i``'s exit map,
+    is its last two rows of ``E_loc``."""
+    m = e.shape[1]
+    maps = np.empty((s, 2 * m, 2 * m), dtype=e.dtype)
+    if s == 0:
+        return maps
+    maps[0] = _swap(m, e.dtype)
+    if s > 1:
+        exits = _sub_exits(e, s, b)
+        with kernel_time("kernel.gemm"):
+            for i in range(s - 1):
+                np.matmul(exits[i], maps[i], out=maps[i + 1])
+        if get_config().flop_counting:
+            record_flops("gemm", (s - 1) * gemm_flops(2 * m, 2 * m, 2 * m))
+    return maps
 
 
 def _band_trajectory(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -200,60 +329,73 @@ def _band_trajectory(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x.reshape(t, m, k)
 
 
-def _loop_trajectory(t21: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the trajectory system for ``(t, M, k)`` ``rhs`` row by row.
-
-    Row ``j`` is one ``[T2_j, T1_j] @ [y_{j-2}; y_{j-1}]`` gemm into a
-    buffer with two leading zero rows, so the stacked state is a
-    contiguous slice.
-    """
-    t, m, k = rhs.shape
-    buf = np.zeros((t + 2, m, k), dtype=np.result_type(t21.dtype, rhs.dtype))
-    flat = buf.reshape((t + 2) * m, k)
-    with kernel_time("kernel.gemm"):
-        for j in range(t):
-            row = buf[j + 2]
-            np.matmul(t21[j], flat[j * m:(j + 2) * m], out=row)
-            row += rhs[j]
-    if get_config().flop_counting:
-        record_flops("gemm", t * gemm_flops(m, 2 * m, k))
-    return buf[2:]
-
-
-def _trajectory(ops: TransferOperators, rhs: np.ndarray) -> np.ndarray:
-    """The rows ``y_j`` the chunk's recurrence reaches from a zero entry
-    state, driven by ``(t, M, k)`` ``rhs``."""
-    if rhs.shape[2] * ops.block_size <= BAND_MAX_WORK:
-        return _band_trajectory(ops.band, rhs)
-    return _loop_trajectory(ops.t21, rhs)
+def _lockstep_trajectory(
+    ops: TransferOperators, rhs: np.ndarray
+) -> tuple[np.ndarray, ZeroEntryStates]:
+    """The zero-entry states of ``(t, M, k)`` ``rhs`` by the lockstep
+    kernel, then one pass over the sub-chunk entry states that ends in
+    the vector aggregate."""
+    m, k = ops.block_size, rhs.shape[2]
+    s, b = ops.nsub, ops.sub_rows
+    rows = _lockstep(ops.t21, rhs, s, b)
+    entries = np.zeros((s, 2 * m, k), dtype=rows.dtype)
+    b_agg = _chunk_exit(ops, rows, np.zeros((2 * m, k), dtype=rows.dtype))
+    if s > 1:
+        exit_maps = _sub_exits(ops.e, s, b)
+        exit_rows = _sub_exits(rows, s, b)
+        entries[1] = exit_rows[0]
+        with kernel_time("kernel.gemm"):
+            for i in range(1, s - 1):
+                np.matmul(exit_maps[i], entries[i], out=entries[i + 1])
+                entries[i + 1] += exit_rows[i]
+        if get_config().flop_counting:
+            record_flops("gemm", (s - 2) * gemm_flops(2 * m, 2 * m, k))
+        exit_map = _chunk_exit(ops, ops.e, _swap(m, ops.dtype))
+        b_agg += gemm(exit_map, entries[-1])
+    return b_agg, ZeroEntryStates(rows, entries)
 
 
 def _exit_state(rows: np.ndarray, entry: np.ndarray) -> np.ndarray:
-    """``[y_{t-1}; y_{t-2}]`` of a trajectory, reading ``y_{-1}`` and
-    ``y_{-2}`` from the halves of ``entry`` when the chunk is short."""
+    """The last two of ``rows``, newest first, reading ``y_{-1}`` and
+    ``y_{-2}`` from the halves of ``entry`` (newest first) when there
+    are fewer than two rows."""
     m = entry.shape[0] // 2
     seq = [entry[m:], entry[:m], *rows[-2:]]
     return np.concatenate([seq[-1], seq[-2]])
 
 
+def _chunk_exit(ops: TransferOperators, rows: np.ndarray,
+                entry: np.ndarray) -> np.ndarray:
+    """The chunk's exit state ``[y_{t-1}; y_{t-2}]`` from the last
+    sub-chunk's ``rows``, entering that sub-chunk with ``entry``."""
+    first = (ops.nsub - 1) * ops.sub_rows
+    return _exit_state(rows[first:ops.ntransfer], entry)
+
+
 def local_matrix_aggregate(ops: TransferOperators) -> np.ndarray:
     """Composed matrix part of the chunk's transfer maps as ``(2M, 2M)``.
 
-    The exit state's response to the entry state: ``E``'s last two
-    rows (the identity for an empty chunk).
+    The exit state's response to the entry state: the last sub-chunk's
+    exit map times ``Ê`` of that sub-chunk (the identity for an empty
+    chunk).
     """
-    return _exit_state(ops.e, np.eye(2 * ops.block_size, dtype=ops.dtype))
+    m = ops.block_size
+    if ops.ntransfer == 0:
+        return np.eye(2 * m, dtype=ops.dtype)
+    exit_map = _chunk_exit(ops, ops.e, _swap(m, ops.dtype))
+    return gemm(exit_map, ops.e_hat[-1])
 
 
 def local_vector_aggregate(
     ops: TransferOperators, g_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ZeroEntryStates]:
     """Composed vector part of the chunk's transfer maps, and the states
     it comes from.
 
-    One trajectory solve from a zero entry state gives ``f``, the
-    ``(ntransfer, M, R)`` rows the recurrence reaches; pure
-    matrix–vector work, ``O((N/P) M^2 R)``.  Returns ``(b_agg, f)``:
+    The ``(ntransfer, M, R)`` rows ``f`` the recurrence reaches from a
+    zero entry state: one band solve while ``R M <= BAND_MAX_WORK``,
+    else the lockstep kernel; pure matrix–vector work,
+    ``O((N/P) M^2 R)``.  Returns ``(b_agg, f)``:
     ``b_agg = [f_{t-1}; f_{t-2}]``, shape ``(2M, R)``, is what the scan
     composes, and :func:`forward_solution` completes ``f`` once the
     entry state is known.
@@ -264,30 +406,40 @@ def local_vector_aggregate(
             f"expected ({ops.ntransfer}, {ops.block_size}, R) g rows, "
             f"got {g_rows.shape}"
         )
-    f_rows = _trajectory(ops, g_rows)
-    zero = np.zeros((2 * ops.block_size, g_rows.shape[2]), dtype=f_rows.dtype)
-    return _exit_state(f_rows, zero), f_rows
+    m, k = ops.block_size, g_rows.shape[2]
+    if k * m > BAND_MAX_WORK:
+        return _lockstep_trajectory(ops, g_rows)
+    rows = _band_trajectory(ops.band, g_rows)
+    zero = np.zeros((2 * m, k), dtype=rows.dtype)
+    return _exit_state(rows, zero), ZeroEntryStates(rows, None)
 
 
 def forward_solution(
     ops: TransferOperators,
-    f_rows: np.ndarray,
+    f: ZeroEntryStates,
     entry_state: np.ndarray,
     nrows: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The chunk's ``nrows`` solution rows, ``x = f + E s_lo``.
 
-    ``f_rows`` are the zero-entry states from
-    :func:`local_vector_aggregate` and ``entry_state`` is
-    ``s_lo = [x_lo; x_{lo-1}]`` of shape ``(2M, R)``.  The first output
-    row is ``x_lo``; the others are one ``gemm`` against ``E``.  Only
-    the first ``nrows - 1`` transfers are read (the chunk's last
-    transfer produces the *next* rank's first row).
+    ``f`` is what :func:`local_vector_aggregate` returned and
+    ``entry_state`` is ``s_lo = [x_lo; x_{lo-1}]`` of shape ``(2M, R)``.
+    The first output row is ``x_lo``; the others are
+    ``rows + E_loc (Ê s_lo + sub_entries)``, one batched ``gemm`` into
+    the output.  Only the first ``nrows - 1`` transfers are read (the
+    chunk's last transfer produces the *next* rank's first row).  The
+    rows are written into ``out`` when given (a C-contiguous
+    ``(nrows, M, R)`` array).
     """
     m = ops.block_size
     r = entry_state.shape[1]
-    out = np.empty((nrows, m, r), dtype=np.result_type(
-        ops.dtype, f_rows.dtype, entry_state.dtype))
+    if out is None:
+        out = np.empty((nrows, m, r), dtype=np.result_type(
+            ops.dtype, f.rows.dtype, entry_state.dtype))
+    elif out.shape != (nrows, m, r) or not out.flags.c_contiguous:
+        raise ShapeError(f"out must be a C-contiguous ({nrows}, {m}, {r}) "
+                         f"array, got {out.shape}")
     if nrows == 0:
         return out
     k = nrows - 1
@@ -297,6 +449,18 @@ def forward_solution(
         )
     out[0] = entry_state[:m]
     if k:
-        response = gemm(ops.e[:k].reshape(k * m, 2 * m), entry_state)
-        np.add(f_rows[:k], response.reshape(k, m, r), out=out[1:])
+        s, b = ops.nsub, ops.sub_rows
+        u = gemm(ops.e_hat.reshape(s * 2 * m, 2 * m), entry_state)
+        u = u.reshape(s, 2 * m, r)
+        if f.sub_entries is not None:
+            u = u + f.sub_entries
+        # E_loc u straight into the output: the sub-chunks it holds
+        # whole, then the first rows of the next one.
+        rows = out[1:]
+        full, rest = divmod(k, b)
+        gemm(ops.e[:full * b].reshape(full, b * m, 2 * m), u[:full],
+             out=rows[:full * b].reshape(full, b * m, r))
+        if rest:
+            gemm(ops.e[full * b:k], u[full], out=rows[full * b:])
+        rows += f.rows[:k]
     return out

@@ -60,16 +60,18 @@ def as_block_batch(a: np.ndarray, name: str = "array") -> np.ndarray:
     return a
 
 
-def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def gemm(a: np.ndarray, b: np.ndarray,
+         out: np.ndarray | None = None) -> np.ndarray:
     """Batched matrix product ``a @ b`` with flop accounting.
 
     Shapes broadcast like :func:`numpy.matmul`; the common cases here
-    are ``(n,m,m) @ (n,m,m)`` and ``(n,m,m) @ (n,m,r)``.
+    are ``(n,m,m) @ (n,m,m)`` and ``(n,m,m) @ (n,m,r)``.  The product
+    is written into ``out`` when given.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     with kernel_time("kernel.gemm"):
-        out = np.matmul(a, b)
+        out = np.matmul(a, b, out=out)
     if get_config().flop_counting:
         m, k = a.shape[-2], a.shape[-1]
         r = b.shape[-1]

@@ -4,7 +4,8 @@ For each solver these functions compute critical-path flop counts and
 message counts/volumes from the same textbook kernel costs the
 instrumented implementation records (``2mkn`` per GEMM, ``2/3 m^3`` per
 LU, ``2 m^2 r`` per triangular solve pair, two per stored band entry
-and column for the recurrence's band solve).  Experiment recon-T1
+and column for the recurrence's band solve, and the lockstep kernel's
+gemms, padding rows included).  Experiment recon-T1
 compares them against instrumented totals; recon-F6 converts them to
 predicted times via :func:`AlgorithmCost.time` and compares against the
 simulator's virtual makespan.
@@ -19,7 +20,7 @@ import dataclasses
 import math
 
 from ..comm.costmodel import CostModel
-from ..core.recurrence import BAND_MAX_WORK
+from ..core.recurrence import BAND_MAX_WORK, sub_chunks
 from ..util.flops import gemm_flops, tbtrs_flops
 
 __all__ = [
@@ -99,14 +100,27 @@ def _chunk(n: int, p: int) -> int:
     return math.ceil(n / p)
 
 
+def _lockstep_flops(t: int, m: int, k: int) -> float:
+    """The lockstep kernel on ``k`` columns over ``t`` rows cut into
+    ``S`` sub-chunks of ``b``: per sub-chunk one ``(M, M) @ (M, k)`` gemm
+    for row 1 and one ``(M, 2M) @ (2M, k)`` for each later row."""
+    s, b = sub_chunks(t)
+    if b < 2:
+        return 0.0
+    return s * (gemm_flops(m, m, k) + (b - 2) * gemm_flops(m, 2 * m, k))
+
+
 def _trajectory_flops(t: int, m: int, k: int) -> float:
-    """One ``k``-column trajectory solve over ``t`` rows, as
+    """One ``k``-column zero-entry trajectory over ``t`` rows, as
     :mod:`repro.core.recurrence` runs it: one band solve (bandwidth
-    ``3M - 1``) while ``k M <= BAND_MAX_WORK``, else one
-    ``(M, 2M) @ (2M, k)`` gemm per row."""
+    ``3M - 1``) while ``k M <= BAND_MAX_WORK``, else the lockstep kernel
+    and ``S - 1`` ``(2M, 2M) @ (2M, k)`` gemms across the sub-chunk
+    entry states (the last one forms the exit state)."""
     if k * m <= BAND_MAX_WORK:
         return tbtrs_flops(t * m, 3 * m - 1, k)
-    return t * gemm_flops(m, 2 * m, k)
+    s, _ = sub_chunks(t)
+    return (_lockstep_flops(t, m, k)
+            + max(s - 1, 0) * gemm_flops(2 * m, 2 * m, k))
 
 
 def ard_factor_cost(n: int, m: int, p: int) -> AlgorithmCost:
@@ -118,9 +132,13 @@ def ard_factor_cost(n: int, m: int, p: int) -> AlgorithmCost:
         # inv(U_i) (LU + solve against I) + the T1, T2 products
         flops=t * ((2 / 3) * m**3 + 2 * m**3 + 2 * 2 * m**3),
     )
-    # E: the trajectory of the 2M entry-state columns; its last two
-    # rows are the matrix aggregate.
-    aggregate = PhaseCost("aggregate", flops=_trajectory_flops(t, m, 2 * m))
+    # E_loc: the lockstep kernel on the 2M entry-state columns; then the
+    # S - 1 maps Ê and the matrix aggregate, one (2M)^3 gemm each.
+    s, _ = sub_chunks(t)
+    aggregate = PhaseCost(
+        "aggregate",
+        flops=_lockstep_flops(t, m, 2 * m) + s * gemm_flops(2 * m, 2 * m, 2 * m),
+    )
     scan = PhaseCost(
         "scan",
         flops=rho * 2 * (2 * m) ** 3,            # one (2M)^3 product per round
@@ -155,10 +173,13 @@ def ard_solve_cost(n: int, m: int, p: int, r: int) -> AlgorithmCost:
         messages=_rounds(p),                      # bcast of x0
         bytes=_rounds(p) * m * r * _F8,
     )
+    s, b = sub_chunks(t)
     backsub = PhaseCost(
         "backsub",
-        # entry state s_lo, then f + E s_lo for the other t - 1 rows
-        flops=gemm_flops(2 * m, m, r) + (t - 1) * gemm_flops(m, 2 * m, r),
+        # entry state s_lo, the sub-chunk entries Ê s_lo, then
+        # f + E_loc u over all S b rows
+        flops=(gemm_flops(2 * m, m, r) + s * gemm_flops(2 * m, 2 * m, r)
+               + s * b * gemm_flops(m, 2 * m, r)),
     )
     return AlgorithmCost("ard_solve", (g, aggregate, replay, closing, backsub))
 

@@ -158,8 +158,8 @@ class TestDriverFactorization:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_nbytes_counts_every_stored_array(self, dtype):
         """The footprint is every array the rank states hold: ``U^-1``,
-        ``[T2, T1]``, the band and ``E`` (``8 t M^2`` numbers per rank),
-        the scan trace and the closing factors."""
+        ``[T2, T1]`` and ``E_loc`` (padded to ``S b`` rows), the band,
+        ``Ê``, the scan trace and the closing factors."""
         mat, _ = helmholtz_block_system(64, 4)
         mat = BlockTridiagonalMatrix(mat.lower.astype(dtype),
                                      mat.diag.astype(dtype),
@@ -169,11 +169,13 @@ class TestDriverFactorization:
         for state in fact._states:
             ops = state.ops
             t, m = ops.ntransfer, ops.block_size
+            s, b = ops.nsub, ops.sub_rows
             assert ops.band.shape == (3 * m, t * m)
-            assert ops.e.shape == (t, m, 2 * m)
-            arrays = (ops.uinv, ops.t21, ops.band, ops.e)
+            assert ops.t21.shape == ops.e.shape == (s * b, m, 2 * m)
+            assert ops.e_hat.shape == (s, 2 * m, 2 * m)
+            arrays = (ops.uinv, ops.t21, ops.band, ops.e, ops.e_hat)
             assert sum(a.nbytes for a in arrays) == (
-                8 * t * m * m * np.dtype(dtype).itemsize)
+                (4 * t + 4 * s * b + 4 * s) * m * m * np.dtype(dtype).itemsize)
             expected += sum(a.nbytes for a in arrays) + state.trace.nbytes
             if state.closing_lu is not None:
                 expected += state.closing_lu.nbytes
@@ -194,11 +196,13 @@ class TestAcceleration:
         mat, _ = helmholtz_block_system(24, m)
         fact = ARDFactorization(mat, nranks=4)
         flops = {}
-        for r in (1, 8):
+        for r in (1, 4, 8, 32):
             fact.solve(random_rhs(24, m, r, seed=9))
             flops[r] = fact.last_solve_result.total_flops
-        # Perfectly linear in R (same code path, panels widen only).
-        assert flops[8] / flops[1] == pytest.approx(8.0, rel=0.05)
+        # Perfectly linear in R along one code path, panels widen only:
+        # the band solve at R = 1, 4 and the lockstep kernel at 8, 32.
+        assert flops[4] / flops[1] == pytest.approx(4.0, rel=0.05)
+        assert flops[32] / flops[8] == pytest.approx(4.0, rel=0.05)
 
     def test_ard_beats_rd_in_virtual_time(self):
         from repro.core.distribute import distribute_matrix as dm

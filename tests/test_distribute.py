@@ -78,6 +78,26 @@ class TestDistributeMatrix:
         assert chunks[2].owns_closing_row
         assert not chunks[4].owns_closing_row
 
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_boundary_blocks_are_zero(self, n, p):
+        """Row 0 has no ``L`` block and row ``N - 1`` no ``U`` block; every
+        other row carries the source's blocks (N = 2, P = 3 leaves an
+        empty rank)."""
+        mat, _ = helmholtz_block_system(n, 3)
+        chunks = distribute_matrix(mat, p)
+        assert sum(c.nrows for c in chunks) == n
+        if n < p:
+            assert chunks[-1].nrows == 0
+            assert chunks[-1].sub.shape == chunks[-1].sup.shape == (0, 3, 3)
+        np.testing.assert_array_equal(chunks[0].sub[0], 0.0)
+        last = [c for c in chunks if c.nrows][-1]
+        np.testing.assert_array_equal(last.sup[-1], 0.0)
+        sub = np.concatenate([c.sub for c in chunks])
+        sup = np.concatenate([c.sup for c in chunks])
+        np.testing.assert_array_equal(sub[1:], mat.lower)
+        np.testing.assert_array_equal(sup[:-1], mat.upper)
+
     def test_chunks_are_copies(self):
         mat, _ = helmholtz_block_system(4, 2)
         chunks = distribute_matrix(mat, 2)
@@ -90,6 +110,40 @@ class TestDistributeRhs:
         b = random_rhs(10, 3, nrhs=2, seed=0)
         parts = distribute_rhs(b, 3)
         np.testing.assert_array_equal(gather_solution(parts), b)
+
+    def test_chunks_are_read_only_views(self):
+        """Ranks read the caller's rows in place; a write raises and
+        leaves the caller's array writeable."""
+        b = random_rhs(10, 3, nrhs=2, seed=0)
+        parts = distribute_rhs(b, 3)
+        for part in parts:
+            assert np.shares_memory(part, b)
+            with pytest.raises(ValueError, match="read-only"):
+                part[0, 0, 0] = 1.0
+        assert b.flags.writeable
+
+    def test_rank_write_into_rhs_raises(self):
+        from repro.comm import run_spmd
+
+        b = random_rhs(8, 2, nrhs=1, seed=1)
+
+        def program(comm, d):
+            d[0] += 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            run_spmd(program, 2, rank_args=[(d,) for d in distribute_rhs(b, 2)])
+        np.testing.assert_array_equal(b, random_rhs(8, 2, nrhs=1, seed=1))
+
+    def test_gather_into_out_copies_only_foreign_chunks(self):
+        b = random_rhs(10, 3, nrhs=2, seed=0)
+        out = np.zeros_like(b)
+        views = [out[0:4], out[4:7]]
+        views[0][...] = b[0:4]
+        views[1][...] = b[4:7]
+        foreign = b[7:10].copy()
+        got = gather_solution([views[0], views[1], foreign], out=out)
+        assert got is out
+        np.testing.assert_array_equal(out, b)
 
     def test_rejects_non_3d(self):
         with pytest.raises(ShapeError):

@@ -153,6 +153,32 @@ class TestBitwiseParity:
                 == pytest.approx(fp.last_solve_result.virtual_time,
                                  rel=1e-12))
 
+    def test_ard_parity_wide_panel(self):
+        """A panel wide enough for the lockstep kernel (R M > BAND_MAX_WORK),
+        with each rank's rows written in place on threads and copied
+        back on processes."""
+        from repro.core.ard import ARDFactorization
+        from repro.core.recurrence import BAND_MAX_WORK
+
+        matrix, _ = helmholtz_block_system(64, M)
+        b = random_rhs(64, M, nrhs=BAND_MAX_WORK // M + 1, seed=8)
+        xt = ARDFactorization(matrix, nranks=P, backend="threads").solve(b)
+        xp = ARDFactorization(matrix, nranks=P, backend="processes").solve(b)
+        np.testing.assert_array_equal(xt, xp)
+        assert matrix.residual(xt, b) < 1e-10
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_callers_rhs_unchanged(self, system, backend):
+        """Every method only reads the caller's right-hand side, on
+        both backends."""
+        from repro.core.api import SOLVE_METHODS, solve
+
+        matrix, b = system
+        before = b.copy()
+        for method in SOLVE_METHODS:
+            solve(matrix, b, method=method, nranks=2, backend=backend)
+            assert b.tobytes() == before.tobytes(), method
+
     def test_spike_parity(self, system):
         from repro.core.spike import SpikeFactorization
 

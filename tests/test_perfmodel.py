@@ -84,10 +84,13 @@ class TestModelShapes:
         assert speedup_model(64, 10**6) == pytest.approx(64.0, rel=0.01)
 
 
-#: Shapes for the ARD model checks.  (512, 8, 2, 8) has 256 rows per
-#: rank, where the recurrence runs as one band solve on the 16-column
-#: entry response and the 8-column panel.
-ARD_MODEL_SHAPES = [(64, 4, 4, 8), (96, 8, 8, 4), (512, 8, 2, 8)]
+#: Shapes for the ARD model checks.  The factor builds ``E_loc`` with
+#: the lockstep kernel everywhere; per right-hand-side batch,
+#: (512, 8, 2, 8) has 256 rows per rank and an 8-column panel on the
+#: band solve, and (1024, 8, 2, 16), the ``ard_stream`` benchmark
+#: shape, 512 rows and a 16-column panel on the lockstep kernel.
+ARD_MODEL_SHAPES = [(64, 4, 4, 8), (96, 8, 8, 4), (512, 8, 2, 8),
+                    (1024, 8, 2, 16)]
 
 
 class TestModelVsInstrumented:

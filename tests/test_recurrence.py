@@ -3,8 +3,9 @@
 These validate the algebra the solvers build on: the transfer maps
 reproduce the block-row equations, the aggregates equal the explicit
 product of ``2M x 2M`` companion matrices, and the trajectory kernels
-(band solve and row loop), the vector aggregate and the solution rows
-``f + E s_lo`` match a sequential recurrence kept in this file.
+(band solve and the lockstep sub-chunk loop), the composed response
+``E_loc Ê``, the vector aggregate and the solution rows ``f + E s_lo``
+match a sequential recurrence kept in this file.
 """
 
 import numpy as np
@@ -16,9 +17,11 @@ from repro.core.distribute import distribute_matrix
 from repro.core.recurrence import (
     BAND_MAX_WORK,
     TransferOperators,
+    ZeroEntryStates,
     forward_solution,
     local_matrix_aggregate,
     local_vector_aggregate,
+    sub_chunks,
 )
 from repro.exceptions import ReproError, ShapeError, SingularBlockError
 from repro.linalg.blocktridiag import BlockTridiagonalMatrix
@@ -51,6 +54,35 @@ def sequential_states(ops, rhs, entry=None):
         cur, prev = ops.t1[j] @ cur + ops.t2[j] @ prev + rhs[j], cur
         out[j] = cur
     return out
+
+
+def restarted_states(ops, rhs):
+    """Reference for the lockstep rows: the recurrence restarted from a
+    zero entry at every sub-chunk start, padded to ``S b`` rows."""
+    t, m, k = rhs.shape
+    s, b = ops.nsub, ops.sub_rows
+    out = np.zeros((s * b, m, k), dtype=np.result_type(ops.dtype, rhs.dtype))
+    for i in range(s):
+        lo, hi = i * b, min((i + 1) * b, t)
+        cur = np.zeros((m, k), dtype=out.dtype)
+        prev = np.zeros((m, k), dtype=out.dtype)
+        for j in range(lo, hi):
+            cur, prev = ops.t1[j] @ cur + ops.t2[j] @ prev + rhs[j], cur
+            out[j] = cur
+    return out
+
+
+def chunk_relative(ops, f):
+    """A kernel's zero-entry states relative to the chunk's entry:
+    ``rows + E_loc sub_entries`` (the rows as they are for the band
+    solve)."""
+    t, m = ops.ntransfer, ops.block_size
+    if f.sub_entries is None:
+        return f.rows
+    s, b = ops.nsub, ops.sub_rows
+    k = f.rows.shape[2]
+    response = ops.e.reshape(s, b * m, 2 * m) @ f.sub_entries
+    return (f.rows + response.reshape(s * b, m, k))[:t]
 
 
 def random_chunk(nblocks, m, dtype=np.float64, nranks=1, rank=0, seed=0):
@@ -139,7 +171,8 @@ class TestTransferOperators:
         chunk, _ = chunk_and_matrix
         ops = TransferOperators(chunk)
         assert ops.nbytes == (ops.uinv.nbytes + ops.t21.nbytes
-                              + ops.band.nbytes + ops.e.nbytes)
+                              + ops.band.nbytes + ops.e.nbytes
+                              + ops.e_hat.nbytes)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 7])
     def test_band_is_the_trajectory_system(self, t):
@@ -163,14 +196,44 @@ class TestTransferOperators:
 
     @pytest.mark.parametrize("m", [2, 8, 16])
     def test_e_is_the_entry_response(self, m):
-        """``E_j s`` is the row the recurrence reaches from entry ``s``
-        with no right-hand side, on both sides of the crossover."""
+        """``E_loc_j Ê_i s`` is the row the recurrence reaches from entry
+        ``s`` with no right-hand side, with ``M`` on both sides of the
+        crossover."""
         ops = TransferOperators(random_chunk(20, m, nranks=2))
-        assert ops.e.shape == (ops.ntransfer, m, 2 * m)
-        entry = np.eye(2 * m)
-        ref = sequential_states(ops, np.zeros((ops.ntransfer, m, 2 * m)),
-                                entry)
-        assert rel_err(ops.e, ref) < 1e-13
+        t, s, b = ops.ntransfer, ops.nsub, ops.sub_rows
+        assert (s, b) == sub_chunks(t) == (3, 4)
+        assert ops.e.shape == (s * b, m, 2 * m)
+        assert ops.e_hat.shape == (s, 2 * m, 2 * m)
+        composed = np.stack([ops.e[j] @ ops.e_hat[j // b] for j in range(t)])
+        ref = sequential_states(ops, np.zeros((t, m, 2 * m)), np.eye(2 * m))
+        assert rel_err(composed, ref) < 1e-13
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 7, 16, 17, 64])
+    def test_composed_response_matches_sequential(self, t):
+        """``E_loc Ê`` against the sequential ``E`` on closing and
+        interior layouts, including a last sub-chunk of one real row
+        (t = 3, 7); padding rows of ``E_loc`` stay zero."""
+        m = 3
+        for chunk in (random_chunk(t + 1, m), random_chunk(2 * t, m, nranks=2)):
+            ops = TransferOperators(chunk)
+            assert ops.ntransfer == t
+            b = ops.sub_rows
+            composed = np.stack([ops.e[j] @ ops.e_hat[j // b]
+                                 for j in range(t)])
+            ref = sequential_states(ops, np.zeros((t, m, 2 * m)),
+                                    np.eye(2 * m))
+            assert rel_err(composed, ref) < 1e-13
+            np.testing.assert_array_equal(ops.e[t:], 0.0)
+            np.testing.assert_array_equal(ops.t21[t:], 0.0)
+
+    @pytest.mark.parametrize("t, expect", [(0, (0, 0)), (1, (1, 1)),
+                                           (2, (1, 2)), (3, (2, 2)),
+                                           (15, (4, 4)), (16, (4, 4)),
+                                           (17, (4, 5)), (511, (23, 23))])
+    def test_sub_chunks(self, t, expect):
+        s, b = sub_chunks(t)
+        assert (s, b) == expect
+        assert s * b >= t > (s - 1) * b or t == 0
 
 
 class TestLocalMatrixAggregate:
@@ -197,15 +260,15 @@ class TestLocalVectorAggregate:
         rng = np.random.default_rng(1)
         d = rng.standard_normal((chunk.nrows, 3, 2))
         g = ops.g(d)
-        agg, f_rows = local_vector_aggregate(ops, g)
+        agg, f = local_vector_aggregate(ops, g)
         # Run the affine recurrence from zero state explicitly.
         state = np.zeros((6, 2))
         for j in range(ops.ntransfer):
             gfull = np.vstack([g[j], np.zeros((3, 2))])
             state = companion(ops.t1[j], ops.t2[j]) @ state + gfull
         np.testing.assert_allclose(agg, state, atol=1e-10)
-        np.testing.assert_allclose(f_rows, sequential_states(ops, g),
-                                   atol=1e-10)
+        np.testing.assert_allclose(chunk_relative(ops, f),
+                                   sequential_states(ops, g), atol=1e-10)
 
     def test_row_count_validation(self, chunk_and_matrix):
         chunk, _ = chunk_and_matrix
@@ -221,16 +284,17 @@ class TestForwardSolution:
         x_ref = dense_solve(mat, b)
         chunk = distribute_matrix(mat, 1)[0]
         ops = TransferOperators(chunk)
-        _, f_rows = local_vector_aggregate(ops, ops.g(b))
+        _, f = local_vector_aggregate(ops, ops.g(b))
         entry = np.vstack([x_ref[0], np.zeros((2, 2))])  # s_0 = [x_0; 0]
-        x = forward_solution(ops, f_rows, entry, 6)
+        x = forward_solution(ops, f, entry, 6)
         np.testing.assert_allclose(x, x_ref, atol=1e-9)
 
     def test_zero_rows(self):
         mat, _ = helmholtz_block_system(2, 2)
         chunk = distribute_matrix(mat, 3)[2]
         ops = TransferOperators(chunk)
-        out = forward_solution(ops, np.zeros((0, 2, 1)), np.zeros((4, 1)), 0)
+        f = ZeroEntryStates(np.zeros((0, 2, 1)), None)
+        out = forward_solution(ops, f, np.zeros((4, 1)), 0)
         assert out.shape == (0, 2, 1)
 
     def test_first_row_is_entry_state_top(self, chunk_and_matrix):
@@ -238,17 +302,35 @@ class TestForwardSolution:
         ops = TransferOperators(chunk)
         rng = np.random.default_rng(2)
         g = ops.g(rng.standard_normal((chunk.nrows, 3, 1)))
-        _, f_rows = local_vector_aggregate(ops, g)
+        _, f = local_vector_aggregate(ops, g)
         entry = rng.standard_normal((6, 1))
-        out = forward_solution(ops, f_rows, entry, chunk.nrows)
+        out = forward_solution(ops, f, entry, chunk.nrows)
         np.testing.assert_array_equal(out[0], entry[:3])
 
     def test_too_many_rows_rejected(self, chunk_and_matrix):
         chunk, _ = chunk_and_matrix
         ops = TransferOperators(chunk)
+        f = ZeroEntryStates(np.zeros((ops.ntransfer, 3, 1)), None)
         with pytest.raises(ShapeError):
-            forward_solution(ops, np.zeros((ops.ntransfer, 3, 1)),
-                             np.zeros((6, 1)), ops.ntransfer + 2)
+            forward_solution(ops, f, np.zeros((6, 1)), ops.ntransfer + 2)
+
+    def test_writes_into_out(self, chunk_and_matrix):
+        """With ``out`` the rows land in the caller's array, which is
+        returned; a wrong shape is rejected."""
+        chunk, _ = chunk_and_matrix
+        ops = TransferOperators(chunk)
+        rng = np.random.default_rng(3)
+        _, f = local_vector_aggregate(ops, ops.g(
+            rng.standard_normal((chunk.nrows, 3, 2))))
+        entry = rng.standard_normal((6, 2))
+        out = np.empty((chunk.nrows, 3, 2))
+        got = forward_solution(ops, f, entry, chunk.nrows, out=out)
+        assert got is out
+        np.testing.assert_array_equal(
+            out, forward_solution(ops, f, entry, chunk.nrows))
+        with pytest.raises(ShapeError):
+            forward_solution(ops, f, entry, chunk.nrows,
+                             out=np.empty((chunk.nrows, 3, 1)))
 
 
 #: (matrix dtype, rhs dtype, relative tolerance) the trajectory kernels
@@ -263,10 +345,14 @@ DTYPE_CASES = [
 
 
 def run_kernel(kernel, ops, rhs):
-    """One trajectory kernel, called directly."""
+    """One trajectory kernel, called directly: ``band`` is the one
+    ``?tbtrs`` call, ``loop`` the row loop the wide panels take, which
+    advances all sub-chunks in lockstep (then one pass over their entry
+    states)."""
     if kernel == "band":
-        return rec._band_trajectory(ops.band, rhs)
-    return rec._loop_trajectory(ops.t21, rhs)
+        return ZeroEntryStates(rec._band_trajectory(ops.band, rhs), None)
+    _, f = rec._lockstep_trajectory(ops, rhs)
+    return f
 
 
 def _panel(rng, shape, dtype):
@@ -276,12 +362,34 @@ def _panel(rng, shape, dtype):
     return x.astype(dtype)
 
 
+#: Trajectory lengths the kernels are checked at: empty, shorter than
+#: the two-row state, one full sub-chunk, a last sub-chunk of one real
+#: row (3, 7, 13), exact and ragged squares, and a benchmark-size chunk.
+TRAJECTORY_ROWS = [0, 1, 2, 3, 7, 13, 15, 16, 17, 64, 511]
+
+
+def check_kernel(kernel, ops, rhs, tol):
+    """A kernel's states against the sequential recurrence; the lockstep
+    rows also against the recurrence restarted per sub-chunk."""
+    f = run_kernel(kernel, ops, rhs)
+    ref = sequential_states(ops, rhs)
+    got = chunk_relative(ops, f)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert rel_err(got, ref) <= tol
+    if kernel == "loop":
+        local = restarted_states(ops, rhs)
+        assert f.rows.shape == local.shape and f.rows.dtype == local.dtype
+        assert rel_err(f.rows, local) <= tol
+        assert f.sub_entries.shape == (ops.nsub, 2 * ops.block_size,
+                                       rhs.shape[2])
+
+
 class TestTrajectory:
     """Both trajectory kernels, called directly, against the sequential
     recurrence, and the three public kernels built on them."""
 
     @pytest.mark.parametrize("kernel", ["band", "loop"])
-    @pytest.mark.parametrize("t", [0, 1, 2, 3, 64])
+    @pytest.mark.parametrize("t", TRAJECTORY_ROWS)
     @pytest.mark.parametrize("mat_dtype, rhs_dtype, tol", DTYPE_CASES)
     def test_matches_sequential(self, kernel, t, mat_dtype, rhs_dtype, tol):
         # One rank owns all t + 1 rows: the closing-rank layout,
@@ -290,10 +398,20 @@ class TestTrajectory:
         ops = TransferOperators(chunk)
         assert ops.ntransfer == chunk.nrows - 1 == t
         rhs = _panel(np.random.default_rng(t), (t, 3, 4), rhs_dtype)
-        got = run_kernel(kernel, ops, rhs)
-        ref = sequential_states(ops, rhs)
-        assert got.shape == ref.shape and got.dtype == ref.dtype
-        assert rel_err(got, ref) <= tol
+        check_kernel(kernel, ops, rhs, tol)
+
+    @pytest.mark.parametrize("kernel", ["band", "loop"])
+    @pytest.mark.parametrize("t", TRAJECTORY_ROWS[1:])
+    @pytest.mark.parametrize("mat_dtype, rhs_dtype, tol", DTYPE_CASES)
+    def test_interior_matches_sequential(self, kernel, t, mat_dtype,
+                                         rhs_dtype, tol):
+        """The interior layout: rank 0 of two, every owned row a
+        transfer."""
+        chunk = random_chunk(2 * t, 3, dtype=mat_dtype, nranks=2)
+        ops = TransferOperators(chunk)
+        assert ops.ntransfer == chunk.nrows == t
+        rhs = _panel(np.random.default_rng(t), (t, 3, 4), rhs_dtype)
+        check_kernel(kernel, ops, rhs, tol)
 
     @pytest.mark.parametrize("kernel", ["band", "loop"])
     def test_interior_chunk(self, kernel):
@@ -302,25 +420,32 @@ class TestTrajectory:
         ops = TransferOperators(chunk)
         assert ops.ntransfer == chunk.nrows == 20
         rhs = np.random.default_rng(5).standard_normal((20, 4, 3))
-        got = run_kernel(kernel, ops, rhs)
-        assert rel_err(got, sequential_states(ops, rhs)) <= 1e-13
+        check_kernel(kernel, ops, rhs, 1e-13)
 
     @pytest.mark.parametrize("m, k", [(8, BAND_MAX_WORK // 8),
                                       (8, BAND_MAX_WORK // 8 + 1),
-                                      (4, 1), (16, 64)])
+                                      (8, 16), (8, 17), (4, 1), (16, 64)])
     def test_dispatch_and_flops(self, m, k):
-        """One ``?tbtrs`` call up to ``BAND_MAX_WORK``, the row loop
-        above it, each charged what it runs."""
+        """One ``?tbtrs`` call up to ``BAND_MAX_WORK``, the lockstep
+        kernel above it, each charged what it runs: ``S`` gemms for row
+        1 and ``S (b - 2)`` for the rest, ``S - 2`` across the sub-chunk
+        entries and one for the exit state."""
         ops = TransferOperators(random_chunk(11, m))
-        t = ops.ntransfer
+        t, s, b = ops.ntransfer, ops.nsub, ops.sub_rows
+        assert (s, b) == (3, 4)
         rhs = np.random.default_rng(0).standard_normal((t, m, k))
         with config_context(flop_counting=True), counting_flops() as fc:
-            got = rec._trajectory(ops, rhs)
+            _, f = local_vector_aggregate(ops, rhs)
         if k * m <= BAND_MAX_WORK:
+            assert f.sub_entries is None
             assert fc.snapshot() == {"trsm": tbtrs_flops(t * m, 3 * m - 1, k)}
         else:
-            assert fc.snapshot() == {"gemm": t * gemm_flops(m, 2 * m, k)}
-        assert rel_err(got, sequential_states(ops, rhs)) <= 1e-13
+            assert f.sub_entries is not None
+            assert fc.snapshot() == {"gemm": (
+                s * gemm_flops(m, m, k) + s * (b - 2) * gemm_flops(m, 2 * m, k)
+                + (s - 1) * gemm_flops(2 * m, 2 * m, k))}
+        assert rel_err(chunk_relative(ops, f),
+                       sequential_states(ops, rhs)) <= 1e-13
 
     def test_nonzero_info_raises(self, monkeypatch):
         ops = TransferOperators(random_chunk(5, 2))
@@ -345,8 +470,8 @@ class TestTrajectory:
         entry = rng.standard_normal((6, 2))
         t = ops.ntransfer
         agg_a = local_matrix_aggregate(ops)
-        agg_b, f_rows = local_vector_aggregate(ops, g[:t])
-        x = forward_solution(ops, f_rows, entry, chunk.nrows)
+        agg_b, f = local_vector_aggregate(ops, g[:t])
+        x = forward_solution(ops, f, entry, chunk.nrows)
 
         explicit = np.eye(6)
         for j in range(t):
@@ -373,8 +498,8 @@ class TestTrajectory:
             rng = np.random.default_rng(rank)
             g = ops.g(rng.standard_normal((chunk.nrows, m, r)))
             entry = rng.standard_normal((2 * m, r))
-            _, f_rows = local_vector_aggregate(ops, g)
-            x = forward_solution(ops, f_rows, entry, chunk.nrows)
+            _, f = local_vector_aggregate(ops, g)
+            x = forward_solution(ops, f, entry, chunk.nrows)
             two_pass = np.concatenate(
                 [entry[None, :m], sequential_states(ops, g, entry)])
             assert rel_err(x, two_pass[:chunk.nrows]) <= 1e-13
@@ -385,7 +510,7 @@ class TestTrajectory:
         x_ref = dense_solve(mat, b)
         chunk = distribute_matrix(mat, 1)[0]
         ops = TransferOperators(chunk)
-        _, f_rows = local_vector_aggregate(ops, ops.g(b))
+        _, f = local_vector_aggregate(ops, ops.g(b))
         entry = np.vstack([x_ref[0], np.zeros((2, 3))])
-        x = forward_solution(ops, f_rows, entry, 12)
+        x = forward_solution(ops, f, entry, 12)
         np.testing.assert_allclose(x, x_ref, atol=1e-9)

@@ -58,6 +58,94 @@ class TestRunSpmd:
         assert res.wall_time >= 0.0
 
 
+class TestRankZeroOnCallingThread:
+    """On the thread backend rank 0 runs on the thread that called
+    ``run_spmd`` and every other rank on a thread of its own."""
+
+    def test_rank_zero_runs_on_the_caller(self):
+        # Gathered while every rank is alive: finished threads' idents
+        # can be reused.
+        res = run_spmd(lambda comm: comm.allgather(threading.get_ident()), 3)
+        idents = res.values[0]
+        assert idents[0] == threading.get_ident()
+        assert len(set(idents)) == 3
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_exception_in_either_rank(self, bad):
+        """The failing rank's exception reaches the caller; the rank
+        blocked on it is aborted and every rank thread is joined."""
+        def boom(comm):
+            if comm.rank == bad:
+                raise ValueError(f"rank {bad} failed")
+            comm.recv(source=bad)  # would block forever without abort
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"rank {bad} failed"):
+            run_spmd(boom, 2)
+        assert threading.active_count() == before
+
+    def test_deadlock_reported_from_the_caller(self):
+        def program(comm):
+            return comm.recv(source=(comm.rank + 1) % comm.size, tag=5)
+
+        before = threading.active_count()
+        with pytest.raises(DeadlockError) as exc:
+            run_spmd(program, 3)
+        report = str(exc.value)
+        assert all(f"rank {r}" in report for r in range(3))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_callers_config_and_trace_context_restored(self, fail):
+        """Rank 0 sees the worker configuration and its own rank's trace
+        context; the caller's come back afterwards, also on failure."""
+        from repro.config import config_context, get_config
+        from repro.obs.context import (
+            current_trace_context,
+            new_trace_context,
+            trace_context,
+        )
+
+        def program(comm):
+            if fail and comm.rank == 0:
+                raise RuntimeError("rank 0 failed")
+            return get_config().flop_counting, current_trace_context()
+
+        outer = new_trace_context()
+        with config_context(flop_counting=False) as cfg, trace_context(outer):
+            if fail:
+                with pytest.raises(RuntimeError, match="rank 0 failed"):
+                    run_spmd(program, 2, count_flops=True)
+            else:
+                res = run_spmd(program, 2, count_flops=True)
+            assert get_config() is cfg
+            assert current_trace_context() is outer
+        if not fail:
+            for rank, (counting, ctx) in enumerate(res.values):
+                assert counting is True
+                assert ctx.trace_id == outer.trace_id and ctx.rank == rank
+
+    def test_service_worker_as_the_caller(self):
+        """A ``SolverService`` worker thread launches the SPMD runs: the
+        solutions match a direct factor-solve (to rounding: requests may
+        be coalesced into one panel) and each request keeps its own
+        trace id."""
+        from repro import factor
+        from repro.service import SolverService
+        from repro.workloads import helmholtz_block_system, random_rhs
+
+        matrix, _ = helmholtz_block_system(32, 4)
+        bs = [random_rhs(32, 4, 2, seed=s) for s in range(3)]
+        direct = factor(matrix, method="ard", nranks=2)
+        with SolverService(method="ard", nranks=2, workers=1) as svc:
+            tickets = [svc.submit(matrix, b) for b in bs]
+            xs = [t.result(timeout=30.0) for t in tickets]
+        for b, x in zip(bs, xs):
+            np.testing.assert_allclose(x, direct.solve(b), rtol=1e-12,
+                                       atol=1e-14)
+        assert len({t.trace_id for t in tickets}) == len(tickets)
+
+
 class TestDeadlockDetection:
     def test_mutual_recv_deadlocks(self):
         def program(comm):
