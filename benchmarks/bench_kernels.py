@@ -8,12 +8,13 @@ wins, and persist one machine-readable baseline
 - the transfer-block kernel (batched inverse, then ``gemm`` per
   solve) vs per-block SciPy LU factor + solve, across an ``(n, m, r)``
   grid;
-- ARD's per-RHS recurrence phase (``g``, the zero-entry states, then
-  ``f + E s_lo``) on each of its two kernels, one ``?tbtrs`` call and
-  the lockstep sub-chunk kernel, against two references kept in this
-  file (the two-pass row loop and the one-gemm-per-row loop), across
-  an ``(h, m, r)`` grid that crosses ``BAND_MAX_WORK`` and includes
-  both benchmark workloads' shapes;
+- ARD's per-RHS recurrence phase (the zero-entry states, then
+  ``f + E s_lo``) on each of its two kernels, ``g`` plus one ``?tbtrs``
+  call and the lockstep sub-chunk kernel with ``U^{-1}`` folded into
+  its steps, against three references kept in this file (the lockstep
+  kernel after a separate ``g`` pass, the one-gemm-per-row loop and
+  the two-pass row loop), across an ``(h, m, r)`` grid that crosses
+  ``BAND_MAX_WORK`` and includes both benchmark workloads' shapes;
 - :func:`repro.comm.fastcopy.fastcopy` vs ``copy.deepcopy`` on the
   message payloads the runtime actually ships.
 
@@ -59,6 +60,7 @@ PER_RHS_SPEEDUP_FLOOR = 1.3
 WIDE_SPEEDUP_FLOOR = 1.0
 LOCKSTEP_OVER_TBTRS_FLOOR = 1.3
 LOCKSTEP_OVER_LOOP_FLOOR = 1.0
+FOLDED_OVER_G_LOCKSTEP_FLOOR = 1.2
 FASTCOPY_SPEEDUP_FLOOR = 5.0
 
 #: (n, m, r) grid for the transfer-kernel comparison; (256, 8, 16) is
@@ -71,7 +73,8 @@ LU_ACCEPTANCE = (256, 8, 16)
 #: ``service_burst`` batch on one rank and (512, 8, 16) an
 #: ``ard_stream`` panel.  Asserted: the dispatched phase against the
 #: two-pass loop for r <= 16 (PER_RHS_SPEEDUP_FLOOR) and at WIDE_ROW
-#: (WIDE_SPEEDUP_FLOOR), the lockstep kernel against ``?tbtrs`` at
+#: (WIDE_SPEEDUP_FLOOR), the lockstep kernel against ``?tbtrs`` and
+#: against ``g`` + lockstep (FOLDED_OVER_G_LOCKSTEP_FLOOR) at
 #: LOCKSTEP_ROW and against the row loop at WIDE_ROW; r = 32 and 64
 #: are recorded only.
 REC_GRID = [(64, 8, 1), (128, 8, 8), (256, 8, 4), (256, 8, 8),
@@ -91,6 +94,23 @@ def _best(fn, reps=7, inner=1):
             fn()
         out = min(out, (time.perf_counter() - t0) / inner)
     return out
+
+
+def _best_interleaved(runs, reps=7):
+    """Best-of-``reps`` wall seconds of each of ``runs`` (name ->
+    callable), one call of every run per round, so a drift in host
+    speed reaches all of them alike.  Rounds alternate direction, so
+    each run follows a different one (and finds other data in cache)
+    from round to round."""
+    best = dict.fromkeys(runs, float("inf"))
+    order = list(runs.items())
+    for _ in range(reps):
+        for name, fn in order:
+            t0 = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - t0)
+        order.reverse()
+    return best
 
 
 def _blocks(n, m):
@@ -201,22 +221,67 @@ def _row_loop_phase(ops, e_full, d, entry, nrows):
     return agg, out
 
 
+def _g_then_lockstep(w, d, t, s, b):
+    """The lockstep kernel before ``U^{-1}`` was folded into its steps:
+    a separate ``g = U^{-1} d`` pass into a fresh array, then per step
+    one ``[T2_l, T1_l] @ [y_{l-2}; y_{l-1}]`` gemm and an add of the
+    ``g`` rows (one over the full sub-chunks, one for the last while it
+    has rows).  Same signature and result as ``rec._lockstep``."""
+    m, k = w.shape[1], d.shape[2]
+    g = gemm(w[:t, :, 2 * m:], d[:t])
+    rows = np.empty((s * b, m, k), dtype=np.result_type(w.dtype, d.dtype))
+    rows[t:] = 0
+    if t == 0:
+        return rows
+    full, tail = divmod(t, b)
+    y = rows.reshape(s, b, m, k)
+    head = g[:full * b].reshape(full, b, m, k)
+    last = g[full * b:]
+    y[:full, 0] = head[:, 0]
+    if tail:
+        y[full, 0] = last[0]
+    t21 = w.reshape(s, b, m, 3 * m)[..., :2 * m]
+    step = np.empty((s, m, k), dtype=rows.dtype)
+    for row in range(1, b):
+        if row == 1:
+            np.matmul(t21[:, 1, :, m:], y[:, 0], out=step)
+        else:
+            np.matmul(t21[:, row], y[:, row - 2:row].reshape(s, 2 * m, k),
+                      out=step)
+        np.add(step[:full], head[:, row], out=y[:full, row])
+        if row < tail:
+            np.add(step[full], last[row], out=y[full, row])
+    return rows
+
+
+def _states(ops, d, kernel=None):
+    """The zero-entry states and the vector aggregate as ARD computes
+    them; ``kernel`` ("tbtrs", "lockstep" or "g_lockstep", the lockstep
+    kernel after a separate ``g`` pass) overrides the ``BAND_MAX_WORK``
+    dispatch."""
+    limit = {None: BAND_MAX_WORK, "tbtrs": 1 << 60}.get(kernel, 0)
+    lockstep = _g_then_lockstep if kernel == "g_lockstep" else rec._lockstep
+    with mock.patch.object(rec, "BAND_MAX_WORK", limit), \
+            mock.patch.object(rec, "_lockstep", lockstep):
+        return local_vector_aggregate(ops, d)
+
+
 def _phase(ops, d, entry, nrows, kernel=None):
-    """The per-RHS phase as ARD runs it: ``g``, the zero-entry states,
-    ``f + E s_lo``; ``kernel`` ("tbtrs" or "lockstep") overrides the
-    ``BAND_MAX_WORK`` dispatch."""
-    limit = {None: BAND_MAX_WORK, "tbtrs": 1 << 60, "lockstep": 0}[kernel]
-    with mock.patch.object(rec, "BAND_MAX_WORK", limit):
-        agg, f = local_vector_aggregate(ops, ops.g(d))
-        return agg, forward_solution(ops, f, entry, nrows)
+    """The per-RHS phase as ARD runs it: the zero-entry states
+    (:func:`_states`), then ``f + E s_lo``."""
+    agg, f = _states(ops, d, kernel)
+    return agg, forward_solution(ops, f, entry, nrows)
 
 
 class TestPerRhsPhase:
     def test_per_rhs_kernels_grid(self, kernel_results):
         """ARD's per-RHS recurrence work on one rank: ``?tbtrs``, the
-        lockstep kernel, the one-gemm row loop and the two-pass loop
-        (the last two kept above as references), each timed on the
-        same panel."""
+        lockstep kernel, and the three references kept above (``g`` +
+        lockstep, the one-gemm row loop and the two-pass loop), each
+        timed on the same panel, all rounds interleaved.  The folded
+        lockstep kernel and ``g`` + lockstep are also timed without the
+        solution rows they share (``*_states_s``), the step this floor
+        is about; the floor row takes three times the rounds."""
         rows = []
         for h, m, r in REC_GRID:
             mat, _ = helmholtz_block_system(h, m)
@@ -227,6 +292,7 @@ class TestPerRhsPhase:
             runs = {
                 "tbtrs": partial(_phase, ops, d, entry, h, "tbtrs"),
                 "lockstep": partial(_phase, ops, d, entry, h, "lockstep"),
+                "g_lockstep": partial(_phase, ops, d, entry, h, "g_lockstep"),
                 "row_loop": partial(_row_loop_phase, ops, e_full, d, entry, h),
                 "two_pass": partial(_two_pass_phase, ops, d, entry, h),
             }
@@ -234,11 +300,20 @@ class TestPerRhsPhase:
             for run in runs.values():
                 for a, b in zip(run(), ref):
                     np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
-            times = {name: _best(run) for name, run in runs.items()}
+            states = {f"{name}_states": partial(_states, ops, d, name)
+                      for name in ("lockstep", "g_lockstep")}
+            for run in states.values():
+                np.testing.assert_allclose(run()[0], ref[0], rtol=1e-10,
+                                           atol=1e-12)
+            times = _best_interleaved(
+                {**runs, **states},
+                reps=21 if (h, m, r) == LOCKSTEP_ROW else 7)
             kernel = "tbtrs" if r * m <= BAND_MAX_WORK else "lockstep"
             row = {"h": h, "m": m, "r": r, "kernel": kernel}
             row.update({f"{name}_s": t for name, t in times.items()})
             row["lockstep_over_tbtrs"] = times["tbtrs"] / times["lockstep"]
+            row["lockstep_over_g_lockstep"] = (times["g_lockstep_states"]
+                                               / times["lockstep_states"])
             row["lockstep_over_row_loop"] = (times["row_loop"]
                                              / times["lockstep"])
             row["speedup_vs_two_pass"] = times["two_pass"] / times[kernel]
@@ -252,6 +327,10 @@ class TestPerRhsPhase:
                 checks.append(("lockstep_over_tbtrs",
                                LOCKSTEP_OVER_TBTRS_FLOOR,
                                "the lockstep kernel over ?tbtrs"))
+                checks.append(("lockstep_over_g_lockstep",
+                               FOLDED_OVER_G_LOCKSTEP_FLOOR,
+                               "the folded lockstep kernel's zero-entry "
+                               "states over g + lockstep's"))
             if (h, m, r) == WIDE_ROW:
                 checks.append(("speedup_vs_two_pass", WIDE_SPEEDUP_FLOOR,
                                "the dispatched lockstep phase over the "

@@ -1,7 +1,8 @@
 """Thread-based SPMD runtime with virtual-time accounting.
 
 :func:`run_spmd` executes one Python function on ``nranks`` simulated
-ranks (rank 0 on the calling thread, one thread for each other rank).
+ranks (rank 0 on the calling thread, one thread for each other rank;
+rank threads are kept between runs, see :class:`_RankThreads`).
 Ranks communicate through an in-process mailbox fabric with MPI-like
 matching (communicator, source, tag) and carry
 :class:`~repro.comm.clock.VirtualClock` instances so that the simulation
@@ -50,7 +51,10 @@ Key properties
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
+import queue
 import threading
 import time
 import warnings
@@ -424,6 +428,71 @@ class Runtime(Fabric):
             self._cond.notify_all()
 
 
+class _RankThread:
+    """A rank thread kept between runs: it runs the jobs put on its own
+    queue, one at a time, until it receives ``None``."""
+
+    __slots__ = ("jobs", "thread")
+
+    def __init__(self):
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, name="repro-rank",
+                                       daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while (job := self.jobs.get()) is not None:
+            job()
+
+
+class _RankThreads:
+    """The idle rank threads of the thread backend.
+
+    A run takes one thread per rank ``1..P-1``, starting a new one only
+    when none is idle, and gives them back once every rank program has
+    returned.  Starting and joining a thread per rank and run cost more
+    than a small ARD solve; keeping them removes that cost.  Harness
+    sweeps reach hundreds of ranks, so at most ``os.cpu_count()`` idle
+    threads are kept and the rest are stopped and joined.  Concurrent
+    runs take disjoint threads.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self._lock = threading.Lock()
+        self._idle: list[_RankThread] = []
+        os.register_at_fork(after_in_child=self._forget)
+
+    @property
+    def idle(self) -> int:
+        """How many threads wait for a run."""
+        return len(self._idle)
+
+    def take(self, n: int) -> list[_RankThread]:
+        with self._lock:
+            split = max(len(self._idle) - n, 0)
+            taken, self._idle = self._idle[split:], self._idle[:split]
+        return taken + [_RankThread() for _ in range(n - len(taken))]
+
+    def give_back(self, threads: list[_RankThread]) -> None:
+        with self._lock:
+            room = max(self.limit - len(self._idle), 0)
+            self._idle.extend(threads[:room])
+        surplus = threads[room:]
+        for t in surplus:
+            t.jobs.put(None)
+        for t in surplus:
+            t.thread.join()
+
+    def _forget(self) -> None:
+        # A forked child inherits the list but not the threads.
+        self._lock = threading.Lock()
+        self._idle = []
+
+
+_RANK_THREADS = _RankThreads(os.cpu_count() or 1)
+
+
 def run_spmd(
     fn: Callable[..., Any],
     nranks: int,
@@ -448,8 +517,10 @@ def run_spmd(
         Number of simulated ranks.  On the thread backend rank 0
         executes on the calling thread (with the worker configuration
         and the rank's trace context installed for the call, then the
-        caller's restored) and ranks ``1..nranks-1`` on one thread each;
-        ``nranks == 1`` spawns no thread or process.
+        caller's restored) and ranks ``1..nranks-1`` on one thread each,
+        taken from the threads kept idle since earlier runs
+        (:class:`_RankThreads`); ``nranks == 1`` uses no thread or
+        process.
     cost_model:
         Machine model for virtual time; defaults to
         :data:`repro.comm.costmodel.DEFAULT_COST_MODEL`.
@@ -566,10 +637,10 @@ def run_spmd(
 
     def worker(rank: int) -> None:
         ctx = runtime.contexts[rank]
-        extra = tuple(rank_args[rank]) if rank_args is not None else ()
         previous_config = get_config()
         install_config(worker_config)
         try:
+            extra = tuple(rank_args[rank]) if rank_args is not None else ()
             values[rank] = ctx.run(fn, *args, *extra, **kwargs)
         except CommAborted as exc:
             errors[rank] = exc
@@ -581,15 +652,27 @@ def run_spmd(
             runtime.rank_finished()
             install_config(previous_config)
 
-    threads = [
-        threading.Thread(target=worker, args=(r,), name=f"repro-rank-{r}", daemon=True)
-        for r in range(1, nranks)
-    ]
-    for t in threads:
-        t.start()
+    # Each helper reports on ``done`` once its rank program, stats and
+    # configuration are finished with, so the run returns only after
+    # every rank has returned.
+    done: queue.SimpleQueue = queue.SimpleQueue()
+
+    def job(rank: int) -> None:
+        try:
+            worker(rank)
+        except BaseException as exc:  # noqa: BLE001 - the thread is kept
+            if errors[rank] is None:
+                errors[rank] = exc
+        finally:
+            done.put(rank)
+
+    helpers = _RANK_THREADS.take(nranks - 1)
+    for rank, helper in enumerate(helpers, start=1):
+        helper.jobs.put(functools.partial(job, rank))
     worker(0)
-    for t in threads:
-        t.join()
+    for _ in helpers:
+        done.get()
+    _RANK_THREADS.give_back(helpers)
 
     wall = time.perf_counter() - start
 

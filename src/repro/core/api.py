@@ -167,7 +167,9 @@ def solve(
         The system matrix.
     b:
         Right-hand side(s); any layout accepted by
-        :func:`repro.linalg.blocktridiag.reshape_rhs`.
+        :func:`repro.linalg.blocktridiag.reshape_rhs`.  With no
+        right-hand side (``R = 0``) every method returns an empty
+        solution without factoring or launching ranks.
     method:
         One of :data:`SOLVE_METHODS` (default ``"ard"``).
     nranks:
@@ -271,7 +273,12 @@ def solve(
             instant("plan.selected", cat="plan", **planned.to_dict())
             note_event("plan.selected", **planned.to_dict())
 
-        if method in ("ard", "spike"):
+        if nrhs == 0:
+            # Every method returns the same empty solution and launches
+            # no rank.
+            x = np.empty((n, m, 0), dtype=np.result_type(matrix.dtype,
+                                                         bb.dtype))
+        elif method in ("ard", "spike"):
             cls = ARDFactorization if method == "ard" else SpikeFactorization
             fact = cls(matrix, nranks=nranks, cost_model=cost_model,
                        trace=trace, backend=backend)

@@ -5,25 +5,25 @@ vector-only **solve** phase:
 
 ``ard_factor_spmd``
     Performs every RHS-independent computation once and stores it in an
-    :class:`ARDRankState`: the inverses of the superdiagonal blocks
-    ``U_i``, the transfer operators ``(T1, T2)``, the chunk's recurrence
-    as a LAPACK lower band, the response ``E_loc`` of every row to its
-    sub-chunk's entry state and the maps ``Ê`` from the chunk's entry
-    state to each sub-chunk's (the last one, carried through the last
-    sub-chunk, is the matrix aggregate), the scan trace of the matrix
-    prefix (per-round matrix accumulators — see
-    :mod:`repro.core.scan_affine`), the exclusive matrix prefix, and the
-    factored closing system.  Cost: ``O(M^3 (N/P + log P))``.
+    :class:`ARDRankState`: the transfer operators ``(T1, T2)`` and the
+    inverses of the superdiagonal blocks ``U_i``, side by side in one
+    array, the chunk's recurrence as a LAPACK lower band, the response
+    ``E_loc`` of every row to its sub-chunk's entry state and the maps
+    ``Ê`` from the chunk's entry state to each sub-chunk's (the last
+    one, carried through the last sub-chunk, is the matrix aggregate),
+    the scan trace of the matrix prefix (per-round matrix accumulators
+    — see :mod:`repro.core.scan_affine`), the exclusive matrix prefix,
+    and the factored closing system.  Cost: ``O(M^3 (N/P + log P))``.
 
 ``ard_solve_spmd``
     For each batch of ``R`` right-hand sides performs only matrix–vector
-    work against the stored state: forming ``g = U^{-1} d``, the
-    zero-entry states ``f`` (one band solve for narrow panels, the
-    lockstep sub-chunk kernel for wide ones; their last two rows are
-    the vector aggregate), the replayed vector scan (messages of
-    ``O(M R)`` bytes), the closing back-solve, and the owned rows
-    ``f + E s_lo``, written into the caller's solution array.  Cost:
-    ``O(M^2 R (N/P + log P))``.
+    work against the stored state: the zero-entry states ``f`` (for
+    narrow panels ``g = U^{-1} d`` and one band solve, for wide ones
+    the lockstep sub-chunk kernel with ``U^{-1}`` folded into each
+    step; their last two rows are the vector aggregate), the replayed
+    vector scan (messages of ``O(M R)`` bytes), the closing back-solve,
+    and the owned rows ``f + E s_lo``, written into the caller's
+    solution array.  Cost: ``O(M^2 R (N/P + log P))``.
 
 Solving ``R`` right-hand sides therefore costs
 ``O((M^3 + R M^2)(N/P + log P))`` instead of the baseline's
@@ -75,7 +75,7 @@ class ARDRankState:
         The rank's matrix rows (kept for the closing blocks and shape
         checks; the hot path reads only its last row's ``D``/``L``).
     ops:
-        Transfer operators — ``U_i^{-1}``, ``(T1, T2)``, the band,
+        Transfer operators — ``W = [T2, T1, U^{-1}]``, the band,
         ``E_loc`` and ``Ê``
         (:class:`~repro.core.recurrence.TransferOperators`).
     trace:
@@ -156,8 +156,7 @@ def ard_solve_spmd(comm, state: ARDRankState, d_rows: np.ndarray,
     chunk = state.chunk
     d_rows = validate_rhs_rows(chunk, d_rows)
     with _span("build"):
-        g_rows = state.ops.g(d_rows)
-        b_agg, f = local_vector_aggregate(state.ops, g_rows)
+        b_agg, f = local_vector_aggregate(state.ops, d_rows)
     with _span("scan"):
         b_inc, b_exc = replay_scan(comm, b_agg, state.trace)
 

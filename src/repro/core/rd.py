@@ -50,9 +50,8 @@ def rd_single_pass(
     """
     with _span("build"):
         ops = TransferOperators(chunk)
-        g_rows = ops.g(d_rows)
         a_agg = local_matrix_aggregate(ops)
-        b_agg, f = local_vector_aggregate(ops, g_rows)
+        b_agg, f = local_vector_aggregate(ops, d_rows)
         pair = AffinePair(a_agg, b_agg, validate=False)
     with _span("scan"):
         result, _ = affine_scan(comm, pair, record=False)

@@ -31,9 +31,10 @@ through ``E_loc_j``, and ``Ê_i`` maps ``s_lo`` to ``u_i``, so
 ``u_i = [y_{ib-2}; y_{ib-1}]``, so two consecutive rows of a trajectory
 are one contiguous slice and ``[T2_j, T1_j]`` advances it.
 
-:class:`TransferOperators` holds the matrix side, built once: ``T1`` and
-``T2``, the ``U_i^{-1}``, the system as a LAPACK lower band, ``E_loc``
-and ``Ê``.  What remains per right-hand side is matrix–vector work:
+:class:`TransferOperators` holds the matrix side, built once: each
+transfer row as ``W_j = [T2_j, T1_j, U_j^{-1}]``, the system as a LAPACK
+lower band, ``E_loc`` and ``Ê``.  What remains per right-hand side is
+matrix–vector work:
 
 - :func:`local_matrix_aggregate` — the chunk's composed matrix part;
 - :func:`local_vector_aggregate` — the zero-entry states ``f``, whose
@@ -42,12 +43,13 @@ and ``Ê``.  What remains per right-hand side is matrix–vector work:
   ``x = f + E s_lo``, one batched ``gemm``.
 
 A ``k``-column panel takes one of two kernels.  While
-``k * M <= BAND_MAX_WORK`` one LAPACK ``?tbtrs`` call solves the
-chunk's whole trajectory.  ``?tbtrs`` sweeps the band once per column,
-so wider panels run the sub-chunks in lockstep instead: ``b`` steps of
-one batched ``(S, M, 2M) @ (S, 2M, k)`` gemm give every row relative to
-its own sub-chunk's entry, then ``S - 1`` small gemms carry the entry
-states across the chunk (docs/KERNELS.md).
+``k * M <= BAND_MAX_WORK`` one batched ``gemm`` forms ``g = U^{-1} d``
+and one LAPACK ``?tbtrs`` call solves the chunk's whole trajectory.
+``?tbtrs`` sweeps the band once per column, so wider panels run the
+sub-chunks in lockstep instead, straight from the right-hand-side rows:
+``b`` steps of one batched ``W_l @ [y_{l-2}; y_{l-1}; d_l]`` gemm give
+every row relative to its own sub-chunk's entry, then ``S - 1`` small
+gemms carry the entry states across the chunk (docs/KERNELS.md).
 """
 
 from __future__ import annotations
@@ -123,12 +125,11 @@ class TransferOperators:
     ----------
     nsub, sub_rows:
         ``S`` and ``b`` of :func:`sub_chunks`.
-    uinv:
-        ``(t, M, M)`` inverses of the superdiagonal blocks ``U_i``
-        (``None`` when ``t = 0``), so ``g`` is one batched ``gemm``.
-    t21:
-        ``(S b, M, 2M)`` rows ``[T2_j, T1_j]``, zero past row ``t``; the
-        lockstep kernel's operand (``t1`` and ``t2`` are views of it).
+    w:
+        ``(S b, M, 3M)`` rows ``W_j = [T2_j, T1_j, U_j^{-1}]``, zero
+        past row ``t``: the lockstep kernel's operand, each transfer
+        block stored once (``t1``, ``t2``, ``t21`` and ``uinv`` are
+        views of it).
     band:
         The trajectory system in LAPACK lower band storage,
         ``(3M, tM)`` in Fortran order: ``band[d, c]`` is the entry
@@ -142,7 +143,7 @@ class TransferOperators:
     """
 
     __slots__ = ("lo", "ntransfer", "block_size", "dtype", "nsub",
-                 "sub_rows", "uinv", "t21", "band", "e", "e_hat")
+                 "sub_rows", "w", "band", "e", "e_hat")
 
     def __init__(self, chunk: LocalChunk):
         t = chunk.ntransfer
@@ -153,28 +154,41 @@ class TransferOperators:
         self.dtype = chunk.dtype
         s, b = sub_chunks(t)
         self.nsub, self.sub_rows = s, b
-        self.t21 = np.zeros((s * b, m, 2 * m), dtype=chunk.dtype)
+        self.w = np.zeros((s * b, m, 3 * m), dtype=chunk.dtype)
         if t > 0:
             # Invert the superdiagonal blocks; raises SingularBlockError
             # (with the global row index) if any is singular.
-            self.uinv = invert_blocks(chunk.sup[:t], block_offset=chunk.lo)
-            np.negative(gemm(self.uinv, np.concatenate(
-                [chunk.sub[:t], chunk.diag[:t]], axis=2)), out=self.t21[:t])
-        else:
-            self.uinv = None
+            uinv = self.uinv
+            uinv[...] = invert_blocks(chunk.sup[:t], block_offset=chunk.lo)
+            np.negative(gemm(uinv, np.concatenate(
+                [chunk.sub[:t], chunk.diag[:t]], axis=2)),
+                out=self.w[:t, :, :2 * m])
         self.band = _lower_band(self.t21[:t])
-        self.e = _sub_entry_response(self.t21, t, s, b)
+        self.e = _sub_entry_response(self.w, s, b)
         self.e_hat = _entry_maps(self.e, s, b)
 
     @property
     def t1(self) -> np.ndarray:
         """``(t, M, M)`` blocks ``T1_j = -U_j^{-1} D_j`` (a view)."""
-        return self.t21[:self.ntransfer, :, self.block_size:]
+        m = self.block_size
+        return self.w[:self.ntransfer, :, m:2 * m]
 
     @property
     def t2(self) -> np.ndarray:
         """``(t, M, M)`` blocks ``T2_j = -U_j^{-1} L_j`` (a view)."""
-        return self.t21[:self.ntransfer, :, :self.block_size]
+        return self.w[:self.ntransfer, :, :self.block_size]
+
+    @property
+    def t21(self) -> np.ndarray:
+        """``(S b, M, 2M)`` rows ``[T2_j, T1_j]``, zero past row ``t``
+        (a view)."""
+        return self.w[:, :, :2 * self.block_size]
+
+    @property
+    def uinv(self) -> np.ndarray:
+        """``(t, M, M)`` inverses of the superdiagonal blocks ``U_j``
+        (a view), so ``g`` is one batched ``gemm``."""
+        return self.w[:self.ntransfer, :, 2 * self.block_size:]
 
     def g(self, d_rows: np.ndarray) -> np.ndarray:
         """Compute ``g_i = U_i^{-1} d_i`` for the chunk's transfer rows.
@@ -182,26 +196,30 @@ class TransferOperators:
         ``d_rows`` must be the ``(h, M, R)`` right-hand-side rows of the
         chunk; only the first ``ntransfer`` rows are consumed.
         """
-        d_rows = np.asarray(d_rows)
-        if d_rows.ndim != 3 or d_rows.shape[1] != self.block_size:
-            raise ShapeError(
-                f"rhs rows must be (h, {self.block_size}, R), got {d_rows.shape}"
-            )
-        if d_rows.shape[0] < self.ntransfer:
-            raise ShapeError(
-                f"need at least {self.ntransfer} rhs rows, got {d_rows.shape[0]}"
-            )
+        d_rows = _rhs_rows(self, d_rows)
         if self.ntransfer == 0:
-            return np.empty((0, self.block_size, d_rows.shape[2]), dtype=self.dtype)
+            return np.empty((0, self.block_size, d_rows.shape[2]),
+                            dtype=np.result_type(self.dtype, d_rows.dtype))
         return gemm(self.uinv, d_rows[: self.ntransfer])
 
     @property
     def nbytes(self) -> int:
-        total = (self.t21.nbytes + self.band.nbytes + self.e.nbytes
-                 + self.e_hat.nbytes)
-        if self.uinv is not None:
-            total += self.uinv.nbytes
-        return total
+        return (self.w.nbytes + self.band.nbytes + self.e.nbytes
+                + self.e_hat.nbytes)
+
+
+def _rhs_rows(ops: TransferOperators, d_rows: np.ndarray) -> np.ndarray:
+    """``d_rows`` as an array of at least ``ntransfer`` ``(M, R)`` rows."""
+    d_rows = np.asarray(d_rows)
+    if d_rows.ndim != 3 or d_rows.shape[1] != ops.block_size:
+        raise ShapeError(
+            f"rhs rows must be (h, {ops.block_size}, R), got {d_rows.shape}"
+        )
+    if d_rows.shape[0] < ops.ntransfer:
+        raise ShapeError(
+            f"need at least {ops.ntransfer} rhs rows, got {d_rows.shape[0]}"
+        )
+    return d_rows
 
 
 def _lower_band(t21: np.ndarray) -> np.ndarray:
@@ -228,46 +246,46 @@ def _swap(m: int, dtype) -> np.ndarray:
     return out
 
 
-def _lockstep(t21: np.ndarray, rhs: np.ndarray, s: int, b: int) -> np.ndarray:
-    """Every sub-chunk's recurrence from a zero entry, in lockstep.
+def _lockstep(w: np.ndarray, d: np.ndarray, t: int, s: int,
+              b: int) -> np.ndarray:
+    """Every sub-chunk's recurrence from a zero entry, in lockstep,
+    straight from the right-hand-side rows.
 
-    ``t21`` is the padded ``(S b, M, 2M)`` operand and ``rhs`` the
-    ``(t, M, k)`` right-hand side; returns the ``(S b, M, k)`` rows,
-    zero past row ``t``.  Step ``l`` computes row ``l`` of all ``S``
-    sub-chunks with one batched ``[T2_l, T1_l] @ [y_{l-2}; y_{l-1}]``
-    gemm (row 0 is its right-hand side, row 1 reads only
-    ``T1_1 y_0``), then adds ``rhs`` row ``l`` of the full sub-chunks
-    and, while it has one, of the last.
+    ``w`` is the padded ``(S b, M, 3M)`` operand and ``d`` holds at
+    least ``t`` ``(M, k)`` right-hand-side rows; returns the
+    ``(S b, M, k)`` rows, zero past row ``t``.  The rows start as a
+    copy of ``d``, and step ``l`` overwrites ``d_l`` of all ``S``
+    sub-chunks with ``y_l = [T2_l, T1_l, U_l^{-1}] [y_{l-2}; y_{l-1};
+    d_l]``, one batched gemm over three consecutive rows.  Rows 0 and 1
+    start from the zero entry, so they read only their nonzero blocks:
+    ``U_0^{-1} d_0``, then ``[T1_1, U_1^{-1}] [y_0; d_1]``.
     """
-    t, m, k = rhs.shape
-    rows = np.empty((s * b, m, k), dtype=np.result_type(t21.dtype, rhs.dtype))
+    m, k = w.shape[1], d.shape[2]
+    rows = np.empty((s * b, m, k), dtype=np.result_type(w.dtype, d.dtype))
+    rows[:t] = d[:t]
     rows[t:] = 0
     if t == 0:
         return rows
-    full, tail = divmod(t, b)
     y = rows.reshape(s, b, m, k)
-    head = rhs[:full * b].reshape(full, b, m, k)
-    last = rhs[full * b:]
-    y[:full, 0] = head[:, 0]
-    if tail:
-        y[full, 0] = last[0]
-    if b < 2:
-        return rows
-    t21 = t21.reshape(s, b, m, 2 * m)
+    w = w.reshape(s, b, m, 3 * m)
+    # Each step's product goes through ``step``: the rows it reads
+    # include the one it replaces.
     step = np.empty((s, m, k), dtype=rows.dtype)
     with kernel_time("kernel.gemm"):
-        for row in range(1, b):
-            if row == 1:
-                np.matmul(t21[:, 1, :, m:], y[:, 0], out=step)
-            else:
-                np.matmul(t21[:, row],
-                          y[:, row - 2:row].reshape(s, 2 * m, k), out=step)
-            np.add(step[:full], head[:, row], out=y[:full, row])
-            if row < tail:
-                np.add(step[full], last[row], out=y[full, row])
+        np.matmul(w[:, 0, :, 2 * m:], y[:, 0], out=step)
+        y[:, 0] = step
+        if b > 1:
+            np.matmul(w[:, 1, :, m:], y[:, :2].reshape(s, 2 * m, k),
+                      out=step)
+            y[:, 1] = step
+        for row in range(2, b):
+            np.matmul(w[:, row], y[:, row - 2:row + 1].reshape(s, 3 * m, k),
+                      out=step)
+            y[:, row] = step
     if get_config().flop_counting:
         record_flops("gemm", s * (gemm_flops(m, m, k)
-                                  + (b - 2) * gemm_flops(m, 2 * m, k)))
+                                  + min(b - 1, 1) * gemm_flops(m, 2 * m, k)
+                                  + max(b - 2, 0) * gemm_flops(m, 3 * m, k)))
     return rows
 
 
@@ -278,19 +296,33 @@ def _sub_exits(rows: np.ndarray, s: int, b: int) -> np.ndarray:
     return rows.reshape(s, b, m, k)[:, b - 2:].reshape(s, 2 * m, k)
 
 
-def _sub_entry_response(t21: np.ndarray, t: int, s: int, b: int) -> np.ndarray:
-    """``E_loc``: the lockstep kernel driven by the entry coupling.
+def _sub_entry_response(w: np.ndarray, s: int, b: int) -> np.ndarray:
+    """``E_loc``: every sub-chunk's rows driven by its entry state alone.
 
-    Entry ``u = [y_{-2}; y_{-1}]`` enters a sub-chunk's row 0 as
-    ``[T2_0, T1_0] u`` and its row 1 as ``T2_1 y_{-1}``.
+    Entry ``u = [y_{-2}; y_{-1}]`` gives row 0 ``[T2_0, T1_0] u`` and
+    row 1 ``T1_1 y_0 + T2_1 y_{-1}``; each later row is
+    ``[T2_l, T1_l] [y_{l-2}; y_{l-1}]``, the sub-chunks in lockstep.
     """
-    m = t21.shape[1]
-    coupling = np.zeros((t, m, 2 * m), dtype=t21.dtype)
-    first = np.arange(s) * b
-    second = first[first + 1 < t] + 1
-    coupling[first] = t21[first]
-    coupling[second, :, m:] = t21[second, :, :m]
-    return _lockstep(t21, coupling, s, b)
+    m = w.shape[1]
+    e = np.empty((s * b, m, 2 * m), dtype=w.dtype)
+    if s == 0:
+        return e
+    y = e.reshape(s, b, m, 2 * m)
+    w = w.reshape(s, b, m, 3 * m)
+    y[:, 0] = w[:, 0, :, :2 * m]
+    if b < 2:
+        return e
+    with kernel_time("kernel.gemm"):
+        np.matmul(w[:, 1, :, m:2 * m], y[:, 0], out=y[:, 1])
+        y[:, 1, :, m:] += w[:, 1, :, :m]
+        for row in range(2, b):
+            np.matmul(w[:, row, :, :2 * m],
+                      y[:, row - 2:row].reshape(s, 2 * m, 2 * m),
+                      out=y[:, row])
+    if get_config().flop_counting:
+        record_flops("gemm", s * (gemm_flops(m, m, 2 * m)
+                                  + (b - 2) * gemm_flops(m, 2 * m, 2 * m)))
+    return e
 
 
 def _entry_maps(e: np.ndarray, s: int, b: int) -> np.ndarray:
@@ -330,14 +362,14 @@ def _band_trajectory(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _lockstep_trajectory(
-    ops: TransferOperators, rhs: np.ndarray
+    ops: TransferOperators, d_rows: np.ndarray
 ) -> tuple[np.ndarray, ZeroEntryStates]:
-    """The zero-entry states of ``(t, M, k)`` ``rhs`` by the lockstep
-    kernel, then one pass over the sub-chunk entry states that ends in
-    the vector aggregate."""
-    m, k = ops.block_size, rhs.shape[2]
+    """The zero-entry states of the right-hand-side rows ``d_rows`` by
+    the lockstep kernel, then one pass over the sub-chunk entry states
+    that ends in the vector aggregate."""
+    m, k = ops.block_size, d_rows.shape[2]
     s, b = ops.nsub, ops.sub_rows
-    rows = _lockstep(ops.t21, rhs, s, b)
+    rows = _lockstep(ops.w, d_rows, ops.ntransfer, s, b)
     entries = np.zeros((s, 2 * m, k), dtype=rows.dtype)
     b_agg = _chunk_exit(ops, rows, np.zeros((2 * m, k), dtype=rows.dtype))
     if s > 1:
@@ -387,29 +419,26 @@ def local_matrix_aggregate(ops: TransferOperators) -> np.ndarray:
 
 
 def local_vector_aggregate(
-    ops: TransferOperators, g_rows: np.ndarray
+    ops: TransferOperators, d_rows: np.ndarray
 ) -> tuple[np.ndarray, ZeroEntryStates]:
     """Composed vector part of the chunk's transfer maps, and the states
     it comes from.
 
-    The ``(ntransfer, M, R)`` rows ``f`` the recurrence reaches from a
-    zero entry state: one band solve while ``R M <= BAND_MAX_WORK``,
-    else the lockstep kernel; pure matrix–vector work,
-    ``O((N/P) M^2 R)``.  Returns ``(b_agg, f)``:
-    ``b_agg = [f_{t-1}; f_{t-2}]``, shape ``(2M, R)``, is what the scan
-    composes, and :func:`forward_solution` completes ``f`` once the
-    entry state is known.
+    ``d_rows`` are the chunk's ``(h, M, R)`` right-hand-side rows (only
+    the first ``ntransfer`` are read).  The ``(ntransfer, M, R)`` rows
+    ``f`` the recurrence reaches from a zero entry state come from
+    ``g = U^{-1} d`` and one band solve while ``R M <= BAND_MAX_WORK``,
+    else from the lockstep kernel, which folds ``U^{-1}`` into its
+    steps; pure matrix–vector work, ``O((N/P) M^2 R)``.  Returns
+    ``(b_agg, f)``: ``b_agg = [f_{t-1}; f_{t-2}]``, shape ``(2M, R)``,
+    is what the scan composes, and :func:`forward_solution` completes
+    ``f`` once the entry state is known.
     """
-    g_rows = np.asarray(g_rows)
-    if g_rows.ndim != 3 or g_rows.shape[:2] != (ops.ntransfer, ops.block_size):
-        raise ShapeError(
-            f"expected ({ops.ntransfer}, {ops.block_size}, R) g rows, "
-            f"got {g_rows.shape}"
-        )
-    m, k = ops.block_size, g_rows.shape[2]
+    d_rows = _rhs_rows(ops, d_rows)
+    m, k = ops.block_size, d_rows.shape[2]
     if k * m > BAND_MAX_WORK:
-        return _lockstep_trajectory(ops, g_rows)
-    rows = _band_trajectory(ops.band, g_rows)
+        return _lockstep_trajectory(ops, d_rows)
+    rows = _band_trajectory(ops.band, ops.g(d_rows))
     zero = np.zeros((2 * m, k), dtype=rows.dtype)
     return _exit_state(rows, zero), ZeroEntryStates(rows, None)
 

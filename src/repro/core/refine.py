@@ -45,13 +45,18 @@ class RefinableFactorization:
         returned in the same layout.  ``max_batch`` caps the number of
         right-hand sides processed per internal pass (for memory-bounded
         solves with very large R; wider batches amortize per-pass
-        latency better — see experiment abl-A2).
+        latency better — see experiment abl-A2).  With no right-hand
+        side (``R = 0``) the solution is empty and no rank runs.
         """
         if refine < 0:
             raise ShapeError(f"refine must be >= 0, got {refine}")
         if max_batch is not None and max_batch < 1:
             raise ShapeError(f"max_batch must be >= 1, got {max_batch}")
         bb, original = reshape_rhs(b, self.nblocks, self.block_size)
+        if bb.shape[2] == 0:
+            # No right-hand side: an empty solution, nothing launched.
+            return restore_rhs_shape(np.empty(bb.shape, dtype=np.result_type(
+                self.matrix.dtype, bb.dtype)), original)
         x = self._solve_batched(bb, max_batch)
         for _ in range(refine):
             residual = bb - self.matrix.matvec(x)

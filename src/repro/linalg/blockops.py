@@ -34,6 +34,8 @@ paper's ``R``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
@@ -75,8 +77,7 @@ def gemm(a: np.ndarray, b: np.ndarray,
     if get_config().flop_counting:
         m, k = a.shape[-2], a.shape[-1]
         r = b.shape[-1]
-        batch = int(np.prod(out.shape[:-2], dtype=np.int64)) if out.ndim > 2 else 1
-        record_flops("gemm", batch * gemm_flops(m, k, r))
+        record_flops("gemm", math.prod(out.shape[:-2]) * gemm_flops(m, k, r))
     return out
 
 

@@ -250,10 +250,10 @@ class BlockTridiagonalMatrix:
 
     def residual(self, x: np.ndarray, b: np.ndarray, relative: bool = True) -> float:
         """Max-norm residual ``||A x - b||`` (relative to ``||b||`` by
-        default; absolute if ``b`` is all zeros)."""
-        r = np.abs(np.asarray(self.matvec(x)) - np.asarray(b)).max()
+        default; absolute if ``b`` is all zeros; 0 for an empty panel)."""
+        r = np.abs(np.asarray(self.matvec(x)) - np.asarray(b)).max(initial=0.0)
         if relative:
-            scale = np.abs(b).max()
+            scale = np.abs(b).max(initial=0.0)
             if scale > 0:
                 return float(r / scale)
         return float(r)

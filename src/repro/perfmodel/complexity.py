@@ -5,10 +5,10 @@ message counts/volumes from the same textbook kernel costs the
 instrumented implementation records (``2mkn`` per GEMM, ``2/3 m^3`` per
 LU, ``2 m^2 r`` per triangular solve pair, two per stored band entry
 and column for the recurrence's band solve, and the lockstep kernel's
-gemms, padding rows included).  Experiment recon-T1
-compares them against instrumented totals; recon-F6 converts them to
-predicted times via :func:`AlgorithmCost.time` and compares against the
-simulator's virtual makespan.
+gemms with ``U^{-1}`` folded in, padding rows included).  Experiment
+recon-T1 compares them against instrumented totals; recon-F6 converts
+them to predicted times via :func:`AlgorithmCost.time` and compares
+against the simulator's virtual makespan.
 
 All counts model the *critical-path rank*: the one owning the largest
 chunk (``ceil(N/P)`` rows) and participating in every scan round.
@@ -100,24 +100,36 @@ def _chunk(n: int, p: int) -> int:
     return math.ceil(n / p)
 
 
-def _lockstep_flops(t: int, m: int, k: int) -> float:
-    """The lockstep kernel on ``k`` columns over ``t`` rows cut into
-    ``S`` sub-chunks of ``b``: per sub-chunk one ``(M, M) @ (M, k)`` gemm
-    for row 1 and one ``(M, 2M) @ (2M, k)`` for each later row."""
+def _entry_response_flops(t: int, m: int) -> float:
+    """``E_loc``: each of ``S`` sub-chunks of ``b`` rows driven by its
+    ``2M``-column entry state, one ``(M, M) @ (M, 2M)`` gemm for row 1
+    and one ``(M, 2M) @ (2M, 2M)`` for each later row."""
     s, b = sub_chunks(t)
     if b < 2:
         return 0.0
-    return s * (gemm_flops(m, m, k) + (b - 2) * gemm_flops(m, 2 * m, k))
+    return s * (gemm_flops(m, m, 2 * m) + (b - 2) * gemm_flops(m, 2 * m, 2 * m))
+
+
+def _lockstep_flops(t: int, m: int, k: int) -> float:
+    """The lockstep kernel on ``k`` columns over ``t`` rows cut into
+    ``S`` sub-chunks of ``b``: per sub-chunk one ``(M, M) @ (M, k)``
+    gemm for row 0 (``U^{-1}``), one ``(M, 2M) @ (2M, k)`` for row 1
+    (``[T1, U^{-1}]``) and one ``(M, 3M) @ (3M, k)`` for each later row
+    (``W``), padding rows included."""
+    s, b = sub_chunks(t)
+    return s * (gemm_flops(m, m, k) + min(b - 1, 1) * gemm_flops(m, 2 * m, k)
+                + max(b - 2, 0) * gemm_flops(m, 3 * m, k))
 
 
 def _trajectory_flops(t: int, m: int, k: int) -> float:
-    """One ``k``-column zero-entry trajectory over ``t`` rows, as
-    :mod:`repro.core.recurrence` runs it: one band solve (bandwidth
-    ``3M - 1``) while ``k M <= BAND_MAX_WORK``, else the lockstep kernel
+    """One ``k``-column zero-entry trajectory over ``t`` right-hand-side
+    rows, as :mod:`repro.core.recurrence` runs it: ``g = U^{-1} d`` and
+    one band solve (bandwidth ``3M - 1``) while ``k M <= BAND_MAX_WORK``,
+    else the lockstep kernel, which folds ``U^{-1}`` into its steps,
     and ``S - 1`` ``(2M, 2M) @ (2M, k)`` gemms across the sub-chunk
     entry states (the last one forms the exit state)."""
     if k * m <= BAND_MAX_WORK:
-        return tbtrs_flops(t * m, 3 * m - 1, k)
+        return t * gemm_flops(m, m, k) + tbtrs_flops(t * m, 3 * m - 1, k)
     s, _ = sub_chunks(t)
     return (_lockstep_flops(t, m, k)
             + max(s - 1, 0) * gemm_flops(2 * m, 2 * m, k))
@@ -132,12 +144,12 @@ def ard_factor_cost(n: int, m: int, p: int) -> AlgorithmCost:
         # inv(U_i) (LU + solve against I) + the T1, T2 products
         flops=t * ((2 / 3) * m**3 + 2 * m**3 + 2 * 2 * m**3),
     )
-    # E_loc: the lockstep kernel on the 2M entry-state columns; then the
-    # S - 1 maps Ê and the matrix aggregate, one (2M)^3 gemm each.
+    # E_loc, then the S - 1 maps Ê and the matrix aggregate, one (2M)^3
+    # gemm each.
     s, _ = sub_chunks(t)
     aggregate = PhaseCost(
         "aggregate",
-        flops=_lockstep_flops(t, m, 2 * m) + s * gemm_flops(2 * m, 2 * m, 2 * m),
+        flops=_entry_response_flops(t, m) + s * gemm_flops(2 * m, 2 * m, 2 * m),
     )
     scan = PhaseCost(
         "scan",
@@ -158,8 +170,8 @@ def ard_solve_cost(n: int, m: int, p: int, r: int) -> AlgorithmCost:
     """ARD solve phase: ``O(M^2 R (N/P + log P))`` with ``O(M R)`` messages."""
     t = _chunk(n, p)
     rho = _rounds(p)
-    g = PhaseCost("g", flops=t * 2 * m**2 * r)
-    # f: the zero-entry trajectory; its last two rows are the aggregate.
+    # f: the zero-entry trajectory from the right-hand-side rows; its
+    # last two rows are the aggregate.
     aggregate = PhaseCost("aggregate", flops=_trajectory_flops(t, m, r))
     replay = PhaseCost(
         "scan",
@@ -181,7 +193,7 @@ def ard_solve_cost(n: int, m: int, p: int, r: int) -> AlgorithmCost:
         flops=(gemm_flops(2 * m, m, r) + s * gemm_flops(2 * m, 2 * m, r)
                + s * b * gemm_flops(m, 2 * m, r)),
     )
-    return AlgorithmCost("ard_solve", (g, aggregate, replay, closing, backsub))
+    return AlgorithmCost("ard_solve", (aggregate, replay, closing, backsub))
 
 
 def rd_cost(n: int, m: int, p: int, r: int) -> AlgorithmCost:

@@ -112,6 +112,44 @@ class TestFactor:
             factor(np.eye(4), method="thomas")
 
 
+def forbid_launches(monkeypatch):
+    """Make any SPMD run, on either backend, fail the test."""
+    import repro.comm.mp as mp
+    import repro.comm.runtime as runtime
+
+    def launched(*args, **kwargs):
+        raise AssertionError("ranks were launched")
+
+    monkeypatch.setattr(runtime, "Runtime", launched)
+    monkeypatch.setattr(mp, "run_spmd_processes", launched)
+
+
+class TestNoRightHandSide:
+    """One contract for ``R = 0``: an empty ``(N, M, 0)`` solution from
+    every method and factorization, with no rank launched."""
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("method", SOLVE_METHODS)
+    def test_solve(self, system, method, backend, monkeypatch):
+        mat, _ = system
+        forbid_launches(monkeypatch)
+        x, info = solve(mat, np.zeros((12, 3, 0), dtype=mat.dtype),
+                        method=method, nranks=2, backend=backend,
+                        return_info=True)
+        assert x.shape == (12, 3, 0) and x.dtype == mat.dtype
+        assert info.nrhs == 0 and info.residual == 0.0
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("method", FACTOR_METHODS)
+    def test_factorization_solve(self, system, method, backend,
+                                 monkeypatch):
+        mat, _ = system
+        fact = factor(mat, method=method, nranks=2, backend=backend)
+        forbid_launches(monkeypatch)
+        x = fact.solve(np.zeros((12, 3, 0), dtype=mat.dtype))
+        assert x.shape == (12, 3, 0) and x.dtype == mat.dtype
+
+
 class TestUnknownKwargs:
     """Mistyped options must fail loudly as ConfigError, not silently."""
 

@@ -157,9 +157,9 @@ class TestDriverFactorization:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_nbytes_counts_every_stored_array(self, dtype):
-        """The footprint is every array the rank states hold: ``U^-1``,
-        ``[T2, T1]`` and ``E_loc`` (padded to ``S b`` rows), the band,
-        ``Ê``, the scan trace and the closing factors."""
+        """The footprint is every array the rank states hold:
+        ``W = [T2, T1, U^-1]`` and ``E_loc`` (padded to ``S b`` rows),
+        the band, ``Ê``, the scan trace and the closing factors."""
         mat, _ = helmholtz_block_system(64, 4)
         mat = BlockTridiagonalMatrix(mat.lower.astype(dtype),
                                      mat.diag.astype(dtype),
@@ -171,11 +171,12 @@ class TestDriverFactorization:
             t, m = ops.ntransfer, ops.block_size
             s, b = ops.nsub, ops.sub_rows
             assert ops.band.shape == (3 * m, t * m)
-            assert ops.t21.shape == ops.e.shape == (s * b, m, 2 * m)
+            assert ops.w.shape == (s * b, m, 3 * m)
+            assert ops.e.shape == (s * b, m, 2 * m)
             assert ops.e_hat.shape == (s, 2 * m, 2 * m)
-            arrays = (ops.uinv, ops.t21, ops.band, ops.e, ops.e_hat)
+            arrays = (ops.w, ops.band, ops.e, ops.e_hat)
             assert sum(a.nbytes for a in arrays) == (
-                (4 * t + 4 * s * b + 4 * s) * m * m * np.dtype(dtype).itemsize)
+                (3 * t + 5 * s * b + 4 * s) * m * m * np.dtype(dtype).itemsize)
             expected += sum(a.nbytes for a in arrays) + state.trace.nbytes
             if state.closing_lu is not None:
                 expected += state.closing_lu.nbytes

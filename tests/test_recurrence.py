@@ -168,10 +168,13 @@ class TestTransferOperators:
             ops.g(np.zeros((chunk.nrows, 5, 1)))  # wrong block size
 
     def test_nbytes(self, chunk_and_matrix):
+        """Each block is stored once: ``T1``, ``T2`` and ``U^{-1}`` are
+        views of ``W``."""
         chunk, _ = chunk_and_matrix
         ops = TransferOperators(chunk)
-        assert ops.nbytes == (ops.uinv.nbytes + ops.t21.nbytes
-                              + ops.band.nbytes + ops.e.nbytes
+        for view in (ops.t1, ops.t2, ops.t21, ops.uinv):
+            assert view.base is ops.w
+        assert ops.nbytes == (ops.w.nbytes + ops.band.nbytes + ops.e.nbytes
                               + ops.e_hat.nbytes)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 7])
@@ -224,7 +227,7 @@ class TestTransferOperators:
                                     np.eye(2 * m))
             assert rel_err(composed, ref) < 1e-13
             np.testing.assert_array_equal(ops.e[t:], 0.0)
-            np.testing.assert_array_equal(ops.t21[t:], 0.0)
+            np.testing.assert_array_equal(ops.w[t:], 0.0)
 
     @pytest.mark.parametrize("t, expect", [(0, (0, 0)), (1, (1, 1)),
                                            (2, (1, 2)), (3, (2, 2)),
@@ -260,7 +263,7 @@ class TestLocalVectorAggregate:
         rng = np.random.default_rng(1)
         d = rng.standard_normal((chunk.nrows, 3, 2))
         g = ops.g(d)
-        agg, f = local_vector_aggregate(ops, g)
+        agg, f = local_vector_aggregate(ops, d)
         # Run the affine recurrence from zero state explicitly.
         state = np.zeros((6, 2))
         for j in range(ops.ntransfer):
@@ -271,10 +274,14 @@ class TestLocalVectorAggregate:
                                    sequential_states(ops, g), atol=1e-10)
 
     def test_row_count_validation(self, chunk_and_matrix):
+        """The right-hand-side rows must cover every transfer and match
+        the block size."""
         chunk, _ = chunk_and_matrix
         ops = TransferOperators(chunk)
         with pytest.raises(ShapeError):
-            local_vector_aggregate(ops, np.zeros((ops.ntransfer + 1, 3, 1)))
+            local_vector_aggregate(ops, np.zeros((ops.ntransfer - 1, 3, 1)))
+        with pytest.raises(ShapeError):
+            local_vector_aggregate(ops, np.zeros((ops.ntransfer, 2, 1)))
 
 
 class TestForwardSolution:
@@ -284,7 +291,7 @@ class TestForwardSolution:
         x_ref = dense_solve(mat, b)
         chunk = distribute_matrix(mat, 1)[0]
         ops = TransferOperators(chunk)
-        _, f = local_vector_aggregate(ops, ops.g(b))
+        _, f = local_vector_aggregate(ops, b)
         entry = np.vstack([x_ref[0], np.zeros((2, 2))])  # s_0 = [x_0; 0]
         x = forward_solution(ops, f, entry, 6)
         np.testing.assert_allclose(x, x_ref, atol=1e-9)
@@ -301,8 +308,8 @@ class TestForwardSolution:
         chunk, _ = chunk_and_matrix
         ops = TransferOperators(chunk)
         rng = np.random.default_rng(2)
-        g = ops.g(rng.standard_normal((chunk.nrows, 3, 1)))
-        _, f = local_vector_aggregate(ops, g)
+        d = rng.standard_normal((chunk.nrows, 3, 1))
+        _, f = local_vector_aggregate(ops, d)
         entry = rng.standard_normal((6, 1))
         out = forward_solution(ops, f, entry, chunk.nrows)
         np.testing.assert_array_equal(out[0], entry[:3])
@@ -320,8 +327,8 @@ class TestForwardSolution:
         chunk, _ = chunk_and_matrix
         ops = TransferOperators(chunk)
         rng = np.random.default_rng(3)
-        _, f = local_vector_aggregate(ops, ops.g(
-            rng.standard_normal((chunk.nrows, 3, 2))))
+        _, f = local_vector_aggregate(
+            ops, rng.standard_normal((chunk.nrows, 3, 2)))
         entry = rng.standard_normal((6, 2))
         out = np.empty((chunk.nrows, 3, 2))
         got = forward_solution(ops, f, entry, chunk.nrows, out=out)
@@ -344,14 +351,16 @@ DTYPE_CASES = [
 ]
 
 
-def run_kernel(kernel, ops, rhs):
-    """One trajectory kernel, called directly: ``band`` is the one
-    ``?tbtrs`` call, ``loop`` the row loop the wide panels take, which
-    advances all sub-chunks in lockstep (then one pass over their entry
-    states)."""
+def run_kernel(kernel, ops, d):
+    """One trajectory kernel, called directly on right-hand-side rows
+    ``d``: ``band`` is ``g = U^{-1} d`` and the one ``?tbtrs`` call,
+    ``loop`` the row loop the wide panels take, which advances all
+    sub-chunks in lockstep with ``U^{-1}`` folded into each step (then
+    one pass over their entry states)."""
     if kernel == "band":
-        return ZeroEntryStates(rec._band_trajectory(ops.band, rhs), None)
-    _, f = rec._lockstep_trajectory(ops, rhs)
+        return ZeroEntryStates(rec._band_trajectory(ops.band, ops.g(d)),
+                               None)
+    _, f = rec._lockstep_trajectory(ops, d)
     return f
 
 
@@ -368,20 +377,26 @@ def _panel(rng, shape, dtype):
 TRAJECTORY_ROWS = [0, 1, 2, 3, 7, 13, 15, 16, 17, 64, 511]
 
 
-def check_kernel(kernel, ops, rhs, tol):
-    """A kernel's states against the sequential recurrence; the lockstep
-    rows also against the recurrence restarted per sub-chunk."""
-    f = run_kernel(kernel, ops, rhs)
-    ref = sequential_states(ops, rhs)
+def check_kernel(kernel, ops, d, tol):
+    """A kernel's states from right-hand-side rows ``d`` against the
+    sequential recurrence on ``g = U^{-1} d``; the lockstep rows also
+    against the recurrence restarted per sub-chunk.  The caller's rows
+    are only read."""
+    before = d.copy()
+    d.flags.writeable = False
+    f = run_kernel(kernel, ops, d)
+    np.testing.assert_array_equal(d, before)
+    g = ops.g(d)
+    ref = sequential_states(ops, g)
     got = chunk_relative(ops, f)
     assert got.shape == ref.shape and got.dtype == ref.dtype
     assert rel_err(got, ref) <= tol
     if kernel == "loop":
-        local = restarted_states(ops, rhs)
+        local = restarted_states(ops, g)
         assert f.rows.shape == local.shape and f.rows.dtype == local.dtype
         assert rel_err(f.rows, local) <= tol
         assert f.sub_entries.shape == (ops.nsub, 2 * ops.block_size,
-                                       rhs.shape[2])
+                                       d.shape[2])
 
 
 class TestTrajectory:
@@ -397,8 +412,8 @@ class TestTrajectory:
         chunk = random_chunk(t + 1, 3, dtype=mat_dtype)
         ops = TransferOperators(chunk)
         assert ops.ntransfer == chunk.nrows - 1 == t
-        rhs = _panel(np.random.default_rng(t), (t, 3, 4), rhs_dtype)
-        check_kernel(kernel, ops, rhs, tol)
+        d = _panel(np.random.default_rng(t), (t + 1, 3, 4), rhs_dtype)
+        check_kernel(kernel, ops, d, tol)
 
     @pytest.mark.parametrize("kernel", ["band", "loop"])
     @pytest.mark.parametrize("t", TRAJECTORY_ROWS[1:])
@@ -410,8 +425,8 @@ class TestTrajectory:
         chunk = random_chunk(2 * t, 3, dtype=mat_dtype, nranks=2)
         ops = TransferOperators(chunk)
         assert ops.ntransfer == chunk.nrows == t
-        rhs = _panel(np.random.default_rng(t), (t, 3, 4), rhs_dtype)
-        check_kernel(kernel, ops, rhs, tol)
+        d = _panel(np.random.default_rng(t), (t, 3, 4), rhs_dtype)
+        check_kernel(kernel, ops, d, tol)
 
     @pytest.mark.parametrize("kernel", ["band", "loop"])
     def test_interior_chunk(self, kernel):
@@ -426,26 +441,31 @@ class TestTrajectory:
                                       (8, BAND_MAX_WORK // 8 + 1),
                                       (8, 16), (8, 17), (4, 1), (16, 64)])
     def test_dispatch_and_flops(self, m, k):
-        """One ``?tbtrs`` call up to ``BAND_MAX_WORK``, the lockstep
-        kernel above it, each charged what it runs: ``S`` gemms for row
-        1 and ``S (b - 2)`` for the rest, ``S - 2`` across the sub-chunk
-        entries and one for the exit state."""
+        """``g`` and one ``?tbtrs`` call up to ``BAND_MAX_WORK``, the
+        lockstep kernel above it, each charged what it runs: per
+        sub-chunk one ``U^{-1}`` gemm for row 0, one ``[T1, U^{-1}]``
+        for row 1 and ``b - 2`` ``W`` gemms for the rest (padding rows
+        included), then ``S - 2`` across the sub-chunk entries and one
+        for the exit state."""
         ops = TransferOperators(random_chunk(11, m))
         t, s, b = ops.ntransfer, ops.nsub, ops.sub_rows
         assert (s, b) == (3, 4)
-        rhs = np.random.default_rng(0).standard_normal((t, m, k))
+        d = np.random.default_rng(0).standard_normal((t + 1, m, k))
         with config_context(flop_counting=True), counting_flops() as fc:
-            _, f = local_vector_aggregate(ops, rhs)
+            _, f = local_vector_aggregate(ops, d)
         if k * m <= BAND_MAX_WORK:
             assert f.sub_entries is None
-            assert fc.snapshot() == {"trsm": tbtrs_flops(t * m, 3 * m - 1, k)}
+            assert fc.snapshot() == {
+                "gemm": t * gemm_flops(m, m, k),
+                "trsm": tbtrs_flops(t * m, 3 * m - 1, k)}
         else:
             assert f.sub_entries is not None
             assert fc.snapshot() == {"gemm": (
-                s * gemm_flops(m, m, k) + s * (b - 2) * gemm_flops(m, 2 * m, k)
+                s * gemm_flops(m, m, k) + s * gemm_flops(m, 2 * m, k)
+                + s * (b - 2) * gemm_flops(m, 3 * m, k)
                 + (s - 1) * gemm_flops(2 * m, 2 * m, k))}
         assert rel_err(chunk_relative(ops, f),
-                       sequential_states(ops, rhs)) <= 1e-13
+                       sequential_states(ops, ops.g(d))) <= 1e-13
 
     def test_nonzero_info_raises(self, monkeypatch):
         ops = TransferOperators(random_chunk(5, 2))
@@ -466,11 +486,12 @@ class TestTrajectory:
         chunk = distribute_matrix(mat, 1)[0]
         ops = TransferOperators(chunk)
         rng = np.random.default_rng(4)
-        g = ops.g(rng.standard_normal((chunk.nrows, 3, 2)))
+        d = rng.standard_normal((chunk.nrows, 3, 2))
+        g = ops.g(d)
         entry = rng.standard_normal((6, 2))
         t = ops.ntransfer
         agg_a = local_matrix_aggregate(ops)
-        agg_b, f = local_vector_aggregate(ops, g[:t])
+        agg_b, f = local_vector_aggregate(ops, d)
         x = forward_solution(ops, f, entry, chunk.nrows)
 
         explicit = np.eye(6)
@@ -496,9 +517,10 @@ class TestTrajectory:
             chunk = random_chunk(n, m, nranks=p, rank=rank, seed=rank)
             ops = TransferOperators(chunk)
             rng = np.random.default_rng(rank)
-            g = ops.g(rng.standard_normal((chunk.nrows, m, r)))
+            d = rng.standard_normal((chunk.nrows, m, r))
+            g = ops.g(d)
             entry = rng.standard_normal((2 * m, r))
-            _, f = local_vector_aggregate(ops, g)
+            _, f = local_vector_aggregate(ops, d)
             x = forward_solution(ops, f, entry, chunk.nrows)
             two_pass = np.concatenate(
                 [entry[None, :m], sequential_states(ops, g, entry)])
@@ -510,7 +532,7 @@ class TestTrajectory:
         x_ref = dense_solve(mat, b)
         chunk = distribute_matrix(mat, 1)[0]
         ops = TransferOperators(chunk)
-        _, f = local_vector_aggregate(ops, ops.g(b))
+        _, f = local_vector_aggregate(ops, b)
         entry = np.vstack([x_ref[0], np.zeros((2, 3))])
         x = forward_solution(ops, f, entry, 12)
         np.testing.assert_allclose(x, x_ref, atol=1e-9)

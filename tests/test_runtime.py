@@ -1,12 +1,14 @@
 """Tests for the SPMD runtime: lifecycle, errors, deadlock, timing."""
 
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.comm import CostModel, run_spmd
+from repro.comm import CostModel, run_spmd, runtime
 from repro.comm.runtime import CommAborted
 from repro.exceptions import CommError, DeadlockError
 from repro.util.flops import record_flops
@@ -73,27 +75,42 @@ class TestRankZeroOnCallingThread:
     @pytest.mark.parametrize("bad", [0, 1])
     def test_exception_in_either_rank(self, bad):
         """The failing rank's exception reaches the caller; the rank
-        blocked on it is aborted and every rank thread is joined."""
-        def boom(comm):
-            if comm.rank == bad:
-                raise ValueError(f"rank {bad} failed")
-            comm.recv(source=bad)  # would block forever without abort
+        blocked on it is aborted, and the run returns only after every
+        rank program has returned and its thread is idle again."""
+        returned = []
 
-        before = threading.active_count()
+        def boom(comm):
+            try:
+                if comm.rank == bad:
+                    raise ValueError(f"rank {bad} failed")
+                comm.recv(source=bad)  # would block forever without abort
+            finally:
+                time.sleep(0.02)
+                returned.append(comm.rank)
+
+        expected = kept_after(2)
         with pytest.raises(ValueError, match=f"rank {bad} failed"):
             run_spmd(boom, 2)
-        assert threading.active_count() == before
+        assert sorted(returned) == [0, 1]
+        assert runtime._RANK_THREADS.idle == expected
 
     def test_deadlock_reported_from_the_caller(self):
-        def program(comm):
-            return comm.recv(source=(comm.rank + 1) % comm.size, tag=5)
+        returned = []
 
-        before = threading.active_count()
+        def program(comm):
+            try:
+                return comm.recv(source=(comm.rank + 1) % comm.size, tag=5)
+            finally:
+                time.sleep(0.02)
+                returned.append(comm.rank)
+
+        expected = kept_after(3)
         with pytest.raises(DeadlockError) as exc:
             run_spmd(program, 3)
         report = str(exc.value)
         assert all(f"rank {r}" in report for r in range(3))
-        assert threading.active_count() == before
+        assert sorted(returned) == [0, 1, 2]
+        assert runtime._RANK_THREADS.idle == expected
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_callers_config_and_trace_context_restored(self, fail):
@@ -144,6 +161,111 @@ class TestRankZeroOnCallingThread:
             np.testing.assert_allclose(x, direct.solve(b), rtol=1e-12,
                                        atol=1e-14)
         assert len({t.trace_id for t in tickets}) == len(tickets)
+
+
+def kept_after(nranks):
+    """Idle rank threads after an ``nranks`` run: the run takes the
+    idle ones, starts the rest, and gives all back up to the cap."""
+    return min(max(runtime._RANK_THREADS.idle, nranks - 1),
+               runtime._RANK_THREADS.limit)
+
+
+class TestKeptRankThreads:
+    """Rank threads outlive a run and serve the next one."""
+
+    def test_threads_are_reused(self):
+        def idents():
+            # Native ids: the kernel does not hand a new thread the id
+            # of one that just exited, as pthread idents may.
+            res = run_spmd(
+                lambda comm: comm.allgather(threading.get_native_id()), 2)
+            return res.values[0]
+
+        first = idents()
+        assert idents() == first
+        assert runtime._RANK_THREADS.idle >= 1
+
+    def test_idle_threads_capped_at_cpu_count(self):
+        """A run with more ranks than CPUs keeps ``os.cpu_count()`` idle
+        threads and joins the rest."""
+        assert runtime._RANK_THREADS.limit == (os.cpu_count() or 1)
+        res = run_spmd(
+            lambda comm: comm.allgather(threading.get_native_id()), 6)
+        helpers = set(res.values[0][1:])
+        assert len(helpers) == 5
+        idle = {t.thread.native_id for t in runtime._RANK_THREADS._idle}
+        assert len(idle) <= os.cpu_count()
+        alive = {t.native_id for t in threading.enumerate()}
+        # Every helper is either kept idle or already joined.
+        assert helpers & alive <= idle
+        assert len(helpers - alive) >= 5 - runtime._RANK_THREADS.limit
+
+    def test_failure_outside_the_program_keeps_threads_usable(self):
+        """An error raised before a rank's program starts (here an
+        unpackable ``rank_args`` entry) reaches the caller, and the
+        thread that hit it serves the next run."""
+        with pytest.raises(TypeError):
+            run_spmd(lambda comm, x: x, 2, rank_args=[(1,), 5])
+        res = run_spmd(lambda comm, x: x, 2, rank_args=[(1,), (2,)])
+        assert res.values == [1, 2]
+
+    def test_concurrent_runs_get_disjoint_threads(self):
+        """Two runs live at once, launched from different threads, never
+        share a rank thread."""
+        both_live = threading.Barrier(4, timeout=30)  # repro: noqa[RC103]
+
+        def program(comm):
+            both_live.wait()
+            return threading.get_ident()
+
+        out = []
+        callers = [threading.Thread(  # repro: noqa[RC103]
+            target=lambda: out.append(run_spmd(program, 2).values))
+            for _ in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+        assert len(out) == 2
+        idents = [i for values in out for i in values]
+        assert len(set(idents)) == 4
+
+    def test_concurrent_runs_stress(self):
+        """More callers and ranks than cores, with short thread
+        switches: every run completes with its own result, the idle
+        list never exceeds the cap, and it ends with each thread once
+        and no other rank thread alive."""
+        callers, runs, nranks = 4, 25, 3
+        results = [[] for _ in range(callers)]
+        idle_seen = []
+
+        def caller(i):
+            for j in range(runs):
+                res = run_spmd(lambda comm: comm.allreduce(comm.rank + j),
+                               nranks)
+                results[i].append(res.values)
+                idle_seen.append(runtime._RANK_THREADS.idle)
+
+        threads = [threading.Thread(target=caller, args=(i,))  # repro: noqa[RC103]
+                   for i in range(callers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        expected = [[[sum(range(nranks)) + nranks * j] * nranks
+                     for j in range(runs)]] * callers
+        assert results == expected
+        assert max(idle_seen) <= runtime._RANK_THREADS.limit
+        idle = runtime._RANK_THREADS._idle
+        assert len({id(t) for t in idle}) == len(idle)
+        alive = [t for t in threading.enumerate() if t.name == "repro-rank"]
+        assert len(alive) == len(idle)
 
 
 class TestDeadlockDetection:
