@@ -19,14 +19,24 @@ claims the backend PR makes:
 - **parity** — both backends return bitwise-identical solutions and
   modelled virtual times: the backend changes where code runs, never
   what it computes.
+- **shipped state** — a process-backend solve pickles each rank's
+  whole ``ARDRankState`` into its job, so those bytes stay within 1% +
+  4 KiB per rank of the states' ``nbytes``: nothing rides along that
+  the solve does not read.  Recorded beside the solve-only wall time of
+  each backend against one factorization.
 
 Measurements land in ``results/BENCH_backends.json``; the
 perf-trajectory record (``harness bench-history``) carries the speedup
-as ``backends.process_speedup`` when the host can measure it.
+as ``backends.process_speedup`` when the host can measure it.  Only the
+speedup floor depends on the host's core count, so CI runs
+``TestSpeedup::test_process_backend_speedup`` in a non-blocking step
+and everything else in the blocking benchmark smoke.
 """
 
 import json
 import os
+import pickle
+import statistics
 import time
 
 import numpy as np
@@ -48,6 +58,9 @@ else:
 #: Asserted wall-clock speedup floor of processes over threads (>= 4
 #: cores only); measured headroom on a 4-core reference host is ~2.6x.
 PROCESS_SPEEDUP_FLOOR = 2.0
+
+#: Interleaved solve-only rounds per backend against one factorization.
+SOLVE_ROUNDS = 10
 
 _ENOUGH_CORES = (os.cpu_count() or 1) >= 4
 
@@ -118,6 +131,38 @@ class TestParity:
             "modelled virtual time diverged across backends")
         backend_results["parity"] = {"virtual_time_threads": vt_t,
                                      "virtual_time_processes": vt_p}
+
+
+class TestSolveCost:
+    def test_shipped_state_and_solve_wall_are_recorded(self, matrix_and_rhs,
+                                                       backend_results):
+        """Solve-only wall time per backend (median of interleaved
+        rounds after a warm-up solve) and the pickled rank-state bytes
+        each process-backend solve ships, against ``nbytes``."""
+        matrix, b = matrix_and_rhs
+        facts = {backend: ARDFactorization(matrix, nranks=P, backend=backend)
+                 for backend in ("threads", "processes")}
+        walls = {backend: [] for backend in facts}
+        for fact in facts.values():
+            fact.solve(b)
+        for _ in range(SOLVE_ROUNDS):
+            for backend, fact in facts.items():
+                t0 = time.perf_counter()
+                fact.solve(b)
+                walls[backend].append(time.perf_counter() - t0)
+        states = facts["processes"]._states
+        shipped = sum(len(pickle.dumps(s, protocol=5)) for s in states)
+        nbytes = facts["processes"].nbytes
+        backend_results["solve"] = {
+            "rounds": SOLVE_ROUNDS,
+            "threads_solve_s": statistics.median(walls["threads"]),
+            "processes_solve_s": statistics.median(walls["processes"]),
+            "shipped_state_bytes": shipped,
+            "state_nbytes": nbytes,
+        }
+        assert abs(shipped - nbytes) <= 0.01 * nbytes + 4096 * P, (
+            f"a solve ships {shipped} B of rank state for {nbytes} B "
+            "of stored factorization")
 
 
 class TestSpeedup:

@@ -7,23 +7,26 @@ vector-only **solve** phase:
     Performs every RHS-independent computation once and stores it in an
     :class:`ARDRankState`: the transfer operators ``(T1, T2)`` and the
     inverses of the superdiagonal blocks ``U_i``, side by side in one
-    array, the chunk's recurrence as a LAPACK lower band, the response
-    ``E_loc`` of every row to its sub-chunk's entry state and the maps
-    ``Ê`` from the chunk's entry state to each sub-chunk's (the last
-    one, carried through the last sub-chunk, is the matrix aggregate),
-    the scan trace of the matrix prefix (per-round matrix accumulators
-    — see :mod:`repro.core.scan_affine`), the exclusive matrix prefix,
-    and the factored closing system.  Cost: ``O(M^3 (N/P + log P))``.
+    array, the response ``E_loc`` of every row to its sub-chunk's entry
+    state and the maps ``Ê`` from the chunk's entry state to each
+    sub-chunk's (the last one, carried through the last sub-chunk, is
+    the matrix aggregate), the scan trace of the matrix prefix
+    (per-round matrix accumulators — see :mod:`repro.core.scan_affine`),
+    the exclusive matrix prefix, and on the closing rank the factored
+    closing system and the two closing-row blocks its right-hand side
+    reads.  The matrix rows themselves are not kept.  Cost:
+    ``O(M^3 (N/P + log P))``.
 
 ``ard_solve_spmd``
     For each batch of ``R`` right-hand sides performs only matrix–vector
     work against the stored state: the zero-entry states ``f`` (for
-    narrow panels ``g = U^{-1} d`` and one band solve, for wide ones
-    the lockstep sub-chunk kernel with ``U^{-1}`` folded into each
-    step; their last two rows are the vector aggregate), the replayed
-    vector scan (messages of ``O(M R)`` bytes), the closing back-solve,
-    and the owned rows ``f + E s_lo``, written into the caller's
-    solution array.  Cost: ``O(M^2 R (N/P + log P))``.
+    narrow panels ``g = U^{-1} d`` and one band solve, the band built
+    by the first of them and kept; for wide ones the lockstep sub-chunk
+    kernel with ``U^{-1}`` folded into each step; their last two rows
+    are the vector aggregate), the replayed vector scan (messages of
+    ``O(M R)`` bytes), the closing back-solve, and the owned rows
+    ``f + E s_lo``, written into the caller's solution array.  Cost:
+    ``O(M^2 R (N/P + log P))``.
 
 Solving ``R`` right-hand sides therefore costs
 ``O((M^3 + R M^2)(N/P + log P))`` instead of the baseline's
@@ -67,16 +70,23 @@ __all__ = ["ARDRankState", "ard_factor_spmd", "ard_solve_spmd", "ARDFactorizatio
 
 @dataclasses.dataclass
 class ARDRankState:
-    """Everything one rank stores between ARD factor and solve phases.
+    """Everything one rank stores between ARD factor and solve phases,
+    and nothing the solve does not read.
+
+    A rank holds ``(5 S b + 4 S) M^2`` numbers of transfer operators
+    (``S``, ``b`` of :func:`~repro.core.recurrence.sub_chunks` for its
+    ``t`` transfer rows), ``3 t M^2`` more once a narrow panel has built
+    the band, the scan trace, and on the closing rank the closing
+    factors and blocks.  :attr:`nbytes` counts every array it holds.
 
     Attributes
     ----------
-    chunk:
-        The rank's matrix rows (kept for the closing blocks and shape
-        checks; the hot path reads only its last row's ``D``/``L``).
+    nrows, block_size:
+        The rank's row count ``h`` and block order ``M`` (the shape
+        each solve's right-hand-side rows must have).
     ops:
-        Transfer operators — ``W = [T2, T1, U^{-1}]``, the band,
-        ``E_loc`` and ``Ê``
+        Transfer operators — ``W = [T2, T1, U^{-1}]``, ``E_loc``, ``Ê``
+        and, once built, the band
         (:class:`~repro.core.recurrence.TransferOperators`).
     trace:
         Matrix-side record of the factor scan, replayed per solve.
@@ -84,20 +94,28 @@ class ARDRankState:
         Rank owning the closing row (broadcast root).
     closing_lu:
         Factored closing system (only on the closing rank).
+    closing_blocks:
+        ``(D_{N-1}, L_{N-1})``, the closing row's blocks that
+        :func:`~repro.core.engine.closing_rhs` reads (only on the
+        closing rank).
     """
 
-    chunk: LocalChunk
+    nrows: int
+    block_size: int
     ops: TransferOperators
     trace: ScanTrace
     closing_rank: int
     closing_lu: BatchedLU | None
+    closing_blocks: tuple[np.ndarray, np.ndarray] | None
 
     @property
     def nbytes(self) -> int:
-        """Stored factorization footprint (excludes the matrix chunk)."""
+        """Bytes of every array the state holds."""
         total = self.ops.nbytes + self.trace.nbytes
         if self.closing_lu is not None:
             total += self.closing_lu.nbytes
+        if self.closing_blocks is not None:
+            total += sum(block.nbytes for block in self.closing_blocks)
         return total
 
 
@@ -120,15 +138,18 @@ def ard_factor_spmd(comm, chunk: LocalChunk) -> ARDRankState:
     assert trace is not None
     with _span("closing"):
         closing_rank = find_closing_rank(comm, chunk)
-        closing_lu = None
+        closing_lu = closing_blocks = None
         if comm.rank == closing_rank:
             closing_lu = factor_closing(chunk, result.inclusive.a)
+            closing_blocks = (chunk.diag[-1].copy(), chunk.sub[-1].copy())
     return ARDRankState(
-        chunk=chunk,
+        nrows=chunk.nrows,
+        block_size=chunk.block_size,
         ops=ops,
         trace=trace,
         closing_rank=closing_rank,
         closing_lu=closing_lu,
+        closing_blocks=closing_blocks,
     )
 
 
@@ -153,8 +174,7 @@ def ard_solve_spmd(comm, state: ARDRankState, d_rows: np.ndarray,
     -------
     ``(h, M, R)`` local solution rows (``out`` when given).
     """
-    chunk = state.chunk
-    d_rows = validate_rhs_rows(chunk, d_rows)
+    d_rows = validate_rhs_rows(state, d_rows)
     with _span("build"):
         b_agg, f = local_vector_aggregate(state.ops, d_rows)
     with _span("scan"):
@@ -165,13 +185,13 @@ def ard_solve_spmd(comm, state: ARDRankState, d_rows: np.ndarray,
         if comm.rank == state.closing_rank:
             if state.closing_lu is None:  # pragma: no cover - factor invariant
                 raise ShapeError("closing rank is missing its factored system")
-            rhs = closing_rhs(chunk, b_inc, d_rows[-1])
+            rhs = closing_rhs(*state.closing_blocks, b_inc, d_rows[-1])
             x0 = state.closing_lu.solve(rhs[None, :, :])[0]
         x0 = broadcast_x0(comm, state.closing_rank, x0)
 
     with _span("backsub"):
         s_lo = entry_state(None, state.trace.a_exclusive, b_exc, x0)
-        return forward_solution(state.ops, f, s_lo, chunk.nrows, out=out)
+        return forward_solution(state.ops, f, s_lo, state.nrows, out=out)
 
 
 class ARDFactorization(RefinableFactorization):

@@ -36,12 +36,14 @@ __all__ = [
 ]
 
 
-def validate_rhs_rows(chunk: LocalChunk, d_rows: np.ndarray) -> np.ndarray:
-    """Check that ``d_rows`` matches the chunk's rows; return as array."""
+def validate_rhs_rows(owner, d_rows: np.ndarray) -> np.ndarray:
+    """Check that ``d_rows`` matches the rows of ``owner`` (a
+    :class:`LocalChunk`, or a rank state with its ``nrows`` and
+    ``block_size``); return as array."""
     d_rows = np.asarray(d_rows)
-    if d_rows.ndim != 3 or d_rows.shape[:2] != (chunk.nrows, chunk.block_size):
+    if d_rows.ndim != 3 or d_rows.shape[:2] != (owner.nrows, owner.block_size):
         raise ShapeError(
-            f"rhs rows must be ({chunk.nrows}, {chunk.block_size}, R), "
+            f"rhs rows must be ({owner.nrows}, {owner.block_size}, R), "
             f"got {d_rows.shape}"
         )
     if d_rows.shape[2] < 1:
@@ -79,18 +81,19 @@ def closing_matrix(chunk: LocalChunk, a_inclusive: np.ndarray) -> np.ndarray:
     return gemm(d_last, e1) + gemm(l_last, e2)
 
 
-def closing_rhs(chunk: LocalChunk, b_inclusive: np.ndarray,
-                d_last: np.ndarray) -> np.ndarray:
+def closing_rhs(d_block: np.ndarray, l_block: np.ndarray,
+                b_inclusive: np.ndarray, d_last: np.ndarray) -> np.ndarray:
     """Right-hand side of the closing system.
 
-    ``b_inclusive`` is the closing rank's ``(2M, R)`` inclusive vector
-    prefix (``f1`` on top, ``f2`` below); ``d_last`` is the last block
-    row of the global right-hand side, shape ``(M, R)``.
+    ``d_block`` and ``l_block`` are the closing row's ``D_{N-1}`` and
+    ``L_{N-1}``; ``b_inclusive`` is the closing rank's ``(2M, R)``
+    inclusive vector prefix (``f1`` on top, ``f2`` below); ``d_last`` is
+    the last block row of the global right-hand side, shape ``(M, R)``.
     """
-    m = chunk.block_size
+    m = d_block.shape[0]
     f1 = b_inclusive[:m]
     f2 = b_inclusive[m:]
-    return d_last - gemm(chunk.diag[-1], f1) - gemm(chunk.sub[-1], f2)
+    return d_last - gemm(d_block, f1) - gemm(l_block, f2)
 
 
 def broadcast_x0(comm, closing_rank: int, x0: np.ndarray | None) -> np.ndarray:

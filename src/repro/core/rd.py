@@ -60,7 +60,8 @@ def rd_single_pass(
         x0 = None
         if comm.rank == closing_rank:
             lu = factor_closing(chunk, result.inclusive.a)
-            rhs = closing_rhs(chunk, result.inclusive.b, d_rows[-1])
+            rhs = closing_rhs(chunk.diag[-1], chunk.sub[-1],
+                              result.inclusive.b, d_rows[-1])
             x0 = lu.solve(rhs[None, :, :])[0]
         x0 = broadcast_x0(comm, closing_rank, x0)
 

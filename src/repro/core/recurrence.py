@@ -32,9 +32,9 @@ through ``E_loc_j``, and ``Ê_i`` maps ``s_lo`` to ``u_i``, so
 are one contiguous slice and ``[T2_j, T1_j]`` advances it.
 
 :class:`TransferOperators` holds the matrix side, built once: each
-transfer row as ``W_j = [T2_j, T1_j, U_j^{-1}]``, the system as a LAPACK
-lower band, ``E_loc`` and ``Ê``.  What remains per right-hand side is
-matrix–vector work:
+transfer row as ``W_j = [T2_j, T1_j, U_j^{-1}]``, ``E_loc`` and ``Ê``,
+plus the system as a LAPACK lower band once a narrow panel needs it.
+What remains per right-hand side is matrix–vector work:
 
 - :func:`local_matrix_aggregate` — the chunk's composed matrix part;
 - :func:`local_vector_aggregate` — the zero-entry states ``f``, whose
@@ -119,7 +119,10 @@ class TransferOperators:
     Built from a :class:`~repro.core.distribute.LocalChunk`; covers the
     chunk's ``ntransfer`` rows (all owned rows except a final closing
     row).  The construction is the ``O((N/P) M^3)`` matrix work that RD
-    repeats per right-hand side and ARD performs once.
+    repeats per right-hand side and ARD performs once.  It keeps no
+    reference to the chunk and stores ``(5 S b + 4 S) M^2`` numbers
+    (``w``, ``e`` and ``e_hat``), plus ``3 t M^2`` once the band is
+    built; :attr:`nbytes` counts what is held.
 
     Attributes
     ----------
@@ -134,6 +137,8 @@ class TransferOperators:
         The trajectory system in LAPACK lower band storage,
         ``(3M, tM)`` in Fortran order: ``band[d, c]`` is the entry
         ``(c + d, c)``, unit diagonal, ``-T1_j`` and ``-T2_j`` below.
+        Only panels of ``k M <= BAND_MAX_WORK`` read it, so it is
+        ``None`` until the first of them calls :meth:`lower_band`.
     e:
         ``(S b, M, 2M)`` response ``E_loc_j`` of row ``x_{lo+j+1}`` to
         its sub-chunk's entry state.
@@ -163,7 +168,7 @@ class TransferOperators:
             np.negative(gemm(uinv, np.concatenate(
                 [chunk.sub[:t], chunk.diag[:t]], axis=2)),
                 out=self.w[:t, :, :2 * m])
-        self.band = _lower_band(self.t21[:t])
+        self.band = None
         self.e = _sub_entry_response(self.w, s, b)
         self.e_hat = _entry_maps(self.e, s, b)
 
@@ -190,6 +195,19 @@ class TransferOperators:
         (a view), so ``g`` is one batched ``gemm``."""
         return self.w[:self.ntransfer, :, 2 * self.block_size:]
 
+    def lower_band(self) -> np.ndarray:
+        """``band``, built on the first call and kept.
+
+        The band is built into a local and published by one assignment,
+        so concurrent first calls may each build one, and every caller
+        gets a complete, equal array.
+        """
+        band = self.band
+        if band is None:
+            band = _lower_band(self.t21[:self.ntransfer])
+            self.band = band
+        return band
+
     def g(self, d_rows: np.ndarray) -> np.ndarray:
         """Compute ``g_i = U_i^{-1} d_i`` for the chunk's transfer rows.
 
@@ -204,8 +222,10 @@ class TransferOperators:
 
     @property
     def nbytes(self) -> int:
-        return (self.w.nbytes + self.band.nbytes + self.e.nbytes
-                + self.e_hat.nbytes)
+        """Bytes of every stored array, the band once it is built."""
+        band = self.band
+        return (self.w.nbytes + self.e.nbytes + self.e_hat.nbytes
+                + (0 if band is None else band.nbytes))
 
 
 def _rhs_rows(ops: TransferOperators, d_rows: np.ndarray) -> np.ndarray:
@@ -427,9 +447,10 @@ def local_vector_aggregate(
     ``d_rows`` are the chunk's ``(h, M, R)`` right-hand-side rows (only
     the first ``ntransfer`` are read).  The ``(ntransfer, M, R)`` rows
     ``f`` the recurrence reaches from a zero entry state come from
-    ``g = U^{-1} d`` and one band solve while ``R M <= BAND_MAX_WORK``,
-    else from the lockstep kernel, which folds ``U^{-1}`` into its
-    steps; pure matrix–vector work, ``O((N/P) M^2 R)``.  Returns
+    ``g = U^{-1} d`` and one band solve while ``R M <= BAND_MAX_WORK``
+    (the first such panel builds the band), else from the lockstep
+    kernel, which folds ``U^{-1}`` into its steps; pure matrix–vector
+    work, ``O((N/P) M^2 R)``.  Returns
     ``(b_agg, f)``: ``b_agg = [f_{t-1}; f_{t-2}]``, shape ``(2M, R)``,
     is what the scan composes, and :func:`forward_solution` completes
     ``f`` once the entry state is known.
@@ -438,7 +459,7 @@ def local_vector_aggregate(
     m, k = ops.block_size, d_rows.shape[2]
     if k * m > BAND_MAX_WORK:
         return _lockstep_trajectory(ops, d_rows)
-    rows = _band_trajectory(ops.band, ops.g(d_rows))
+    rows = _band_trajectory(ops.lower_band(), ops.g(d_rows))
     zero = np.zeros((2 * m, k), dtype=rows.dtype)
     return _exit_state(rows, zero), ZeroEntryStates(rows, None)
 

@@ -16,9 +16,12 @@ factorization from each waiter would multiply the damage, not fix it.
 **Byte budget.**  Every entry is charged its factorization's ``nbytes``
 (all factorization classes expose it); inserting past ``max_bytes``
 evicts least-recently-used entries until the budget holds again.  A
-single entry larger than the whole budget is still admitted (evicting
-everything else) — rejecting it would livelock the request that needs
-it.
+factorization may grow after insert (an ARD factorization builds its
+band on its first narrow solve), so every hit re-reads the entry's
+``nbytes`` and evicts again if the total grew past the budget; the
+entry being returned is never evicted.  A single entry larger than the
+whole budget is still admitted (evicting everything else) — rejecting
+it would livelock the request that needs it.
 
 **Honest counters.**  ``hits`` counts requests served without building
 (including single-flight waiters), ``misses`` counts builds, and
@@ -134,13 +137,10 @@ class FactorizationCache:
         """The cached factorization for ``key`` (refreshing its LRU
         position), or ``None``.  Counts a hit or a miss."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            if key not in self._entries:
                 self._misses += 1
                 return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry[0]
+            return self._hit_locked(key)
 
     def get_or_create(self, key: str,
                       build: Callable[[], Any]) -> tuple[Any, bool]:
@@ -154,11 +154,8 @@ class FactorizationCache:
         """
         while True:
             with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    self._hits += 1
-                    return entry[0], True
+                if key in self._entries:
+                    return self._hit_locked(key), True
                 flight = self._inflight.get(key)
                 if flight is None:
                     flight = self._inflight[key] = _InFlight()
@@ -186,9 +183,10 @@ class FactorizationCache:
                 raise flight.exc
             if flight.fact is not None:
                 with self._lock:
-                    self._hits += 1
                     if key in self._entries:
-                        self._entries.move_to_end(key)
+                        self._hit_locked(key)
+                    else:
+                        self._hits += 1
                 return flight.fact, True
             # Leader vanished without result or exception (evicted
             # between set() and our wakeup is impossible — fact is kept
@@ -229,6 +227,24 @@ class FactorizationCache:
         nbytes = _entry_nbytes(fact)
         self._entries[key] = (fact, nbytes)
         self._bytes += nbytes
+        self._evict_locked()
+
+    def _hit_locked(self, key: str) -> Any:
+        """Count a hit on a present ``key``, make it most recent, charge
+        its current ``nbytes`` and evict other entries if it grew."""
+        fact, charged = self._entries[key]
+        self._entries.move_to_end(key)
+        self._hits += 1
+        nbytes = _entry_nbytes(fact)
+        if nbytes != charged:
+            self._entries[key] = (fact, nbytes)
+            self._bytes += nbytes - charged
+            self._evict_locked()
+        return fact
+
+    def _evict_locked(self) -> None:
+        """Evict least-recently-used entries until the budget holds,
+        never the most recent one."""
         while len(self._entries) > 1 and (
             (self.max_bytes is not None and self._bytes > self.max_bytes)
             or (self.max_entries is not None

@@ -169,12 +169,16 @@ class TestTransferOperators:
 
     def test_nbytes(self, chunk_and_matrix):
         """Each block is stored once: ``T1``, ``T2`` and ``U^{-1}`` are
-        views of ``W``."""
+        views of ``W``.  The band is counted once it is built."""
         chunk, _ = chunk_and_matrix
         ops = TransferOperators(chunk)
         for view in (ops.t1, ops.t2, ops.t21, ops.uinv):
             assert view.base is ops.w
-        assert ops.nbytes == (ops.w.nbytes + ops.band.nbytes + ops.e.nbytes
+        assert ops.band is None
+        assert ops.nbytes == ops.w.nbytes + ops.e.nbytes + ops.e_hat.nbytes
+        band = ops.lower_band()
+        assert ops.lower_band() is band and ops.band is band
+        assert ops.nbytes == (ops.w.nbytes + band.nbytes + ops.e.nbytes
                               + ops.e_hat.nbytes)
 
     @pytest.mark.parametrize("t", [1, 2, 3, 7])
@@ -184,11 +188,12 @@ class TestTransferOperators:
         m = 3
         ops = TransferOperators(random_chunk(t + 1, m))
         n = t * m
-        assert ops.band.shape == (3 * m, n) and ops.band.flags.f_contiguous
+        band = ops.lower_band()
+        assert band.shape == (3 * m, n) and band.flags.f_contiguous
         dense = np.zeros((n, n))
         for d in range(3 * m):
             for c in range(n - d):
-                dense[c + d, c] = ops.band[d, c]
+                dense[c + d, c] = band[d, c]
         expect = np.eye(n)
         for j in range(t):
             if j >= 1:
@@ -358,8 +363,8 @@ def run_kernel(kernel, ops, d):
     sub-chunks in lockstep with ``U^{-1}`` folded into each step (then
     one pass over their entry states)."""
     if kernel == "band":
-        return ZeroEntryStates(rec._band_trajectory(ops.band, ops.g(d)),
-                               None)
+        return ZeroEntryStates(
+            rec._band_trajectory(ops.lower_band(), ops.g(d)), None)
     _, f = rec._lockstep_trajectory(ops, d)
     return f
 
@@ -441,12 +446,12 @@ class TestTrajectory:
                                       (8, BAND_MAX_WORK // 8 + 1),
                                       (8, 16), (8, 17), (4, 1), (16, 64)])
     def test_dispatch_and_flops(self, m, k):
-        """``g`` and one ``?tbtrs`` call up to ``BAND_MAX_WORK``, the
-        lockstep kernel above it, each charged what it runs: per
-        sub-chunk one ``U^{-1}`` gemm for row 0, one ``[T1, U^{-1}]``
-        for row 1 and ``b - 2`` ``W`` gemms for the rest (padding rows
-        included), then ``S - 2`` across the sub-chunk entries and one
-        for the exit state."""
+        """``g`` and one ``?tbtrs`` call up to ``BAND_MAX_WORK`` (the
+        band built on the way), the lockstep kernel above it (no band),
+        each charged what it runs: per sub-chunk one ``U^{-1}`` gemm
+        for row 0, one ``[T1, U^{-1}]`` for row 1 and ``b - 2`` ``W``
+        gemms for the rest (padding rows included), then ``S - 2``
+        across the sub-chunk entries and one for the exit state."""
         ops = TransferOperators(random_chunk(11, m))
         t, s, b = ops.ntransfer, ops.nsub, ops.sub_rows
         assert (s, b) == (3, 4)
@@ -454,12 +459,12 @@ class TestTrajectory:
         with config_context(flop_counting=True), counting_flops() as fc:
             _, f = local_vector_aggregate(ops, d)
         if k * m <= BAND_MAX_WORK:
-            assert f.sub_entries is None
+            assert f.sub_entries is None and ops.band is not None
             assert fc.snapshot() == {
                 "gemm": t * gemm_flops(m, m, k),
                 "trsm": tbtrs_flops(t * m, 3 * m - 1, k)}
         else:
-            assert f.sub_entries is not None
+            assert f.sub_entries is not None and ops.band is None
             assert fc.snapshot() == {"gemm": (
                 s * gemm_flops(m, m, k) + s * gemm_flops(m, 2 * m, k)
                 + s * (b - 2) * gemm_flops(m, 3 * m, k)
@@ -478,7 +483,7 @@ class TestTrajectory:
 
         monkeypatch.setattr(rec, "get_lapack_funcs", fake_lapack)
         with pytest.raises(ReproError, match="info=-3"):
-            rec._band_trajectory(ops.band, np.ones((4, 2, 1)))
+            rec._band_trajectory(ops.lower_band(), np.ones((4, 2, 1)))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 8, 16, 19])
     def test_all_kernels_match_sequential(self, n):

@@ -160,6 +160,56 @@ class TestFactorizationCache:
         cache.put("a", _FakeFact(30))
         assert cache.nbytes == 30 and len(cache) == 1
 
+    def test_hit_recharges_an_entry_that_grew(self):
+        """A hit re-reads the entry's ``nbytes`` and evicts least
+        recently used entries until the budget holds, never the entry it
+        returns; a shrunken entry frees budget."""
+        cache = FactorizationCache(max_bytes=250)
+        a, b, c = _FakeFact(100), _FakeFact(100), _FakeFact(10)
+        cache.put("a", a)
+        cache.put("b", b)
+        a.nbytes = 160
+        assert cache.nbytes == 200          # charged at insert until a hit
+        assert cache.get_or_create("a", _FakeFact) == (a, True)
+        assert "b" not in cache and cache.nbytes == 160
+        assert cache.stats().evictions == 1
+        cache.put("c", c)
+        a.nbytes = 400                      # larger than the whole budget
+        assert cache.get("a") is a
+        assert list(cache.keys()) == ["a"] and cache.nbytes == 400
+        a.nbytes = 50
+        assert cache.get("a") is a and cache.nbytes == 50
+
+    def test_budget_follows_ard_bands(self):
+        """A budget that holds two wide-only ARD factorizations but not
+        two with their bands: the first hit after a narrow solve built a
+        band evicts the other entry."""
+        from repro.core.recurrence import BAND_MAX_WORK
+
+        n, m = 64, 4
+        facts = {}
+        for key, theta in (("a", 0.3), ("b", 0.9)):
+            matrix, _ = helmholtz_block_system(n, m, theta=theta)
+            facts[key] = factor(matrix, method="ard", nranks=2,
+                                backend="threads")
+        wide_only = facts["a"].nbytes
+        assert facts["b"].nbytes == wide_only
+        band = sum(3 * s.ops.ntransfer * m * m * 8
+                   for s in facts["a"]._states)
+        cache = FactorizationCache(max_bytes=2 * wide_only + band // 2)
+        for key, fact in facts.items():
+            assert cache.get_or_create(key, lambda f=fact: f) == (fact, False)
+        wide = random_rhs(n, m, BAND_MAX_WORK // m + 1, seed=1)
+        for key in ("a", "b", "a"):
+            cache.get(key).solve(wide)
+        assert "a" in cache and "b" in cache
+        assert cache.nbytes == 2 * wide_only
+        cache.get("a").solve(random_rhs(n, m, 1, seed=2))
+        assert facts["a"].nbytes == wide_only + band
+        assert "b" in cache                 # one-hit lag
+        assert cache.get("a") is facts["a"]
+        assert "b" not in cache and cache.nbytes == wide_only + band
+
     def test_single_flight_exactly_one_build(self, system):
         matrix, _ = system
         cache = FactorizationCache()
