@@ -27,6 +27,7 @@ from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Sequence
 
 from ..exceptions import CommError, RankError, TagError
+from . import collectives
 from .costmodel import payload_nbytes
 from .runtime import Fabric, RankContext, _Message
 
@@ -347,64 +348,44 @@ class Communicator:
 
     def barrier(self) -> None:
         """Synchronize all ranks (dissemination algorithm)."""
-        from . import collectives
-
         collectives.barrier(self)
 
     def bcast(self, obj: Any = None, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns it."""
-        from . import collectives
-
         return collectives.bcast(self, obj, root)
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather one object per rank to ``root`` (list indexed by rank)."""
-        from . import collectives
-
         return collectives.gather(self, obj, root)
 
     def allgather(self, obj: Any) -> list[Any]:
         """Gather one object per rank to every rank."""
-        from . import collectives
-
         return collectives.allgather(self, obj)
 
     def scatter(self, objs: Sequence[Any] | None = None, root: int = 0) -> Any:
         """Scatter ``objs`` (length ``size``, significant at root only)."""
-        from . import collectives
-
         return collectives.scatter(self, objs, root)
 
     def alltoall(self, objs: Sequence[Any]) -> list[Any]:
         """Personalized all-to-all exchange."""
-        from . import collectives
-
         return collectives.alltoall(self, objs)
 
     def reduce(self, obj: Any, op: Callable[[Any, Any], Any] = SUM,
                root: int = 0) -> Any | None:
         """Reduce with binary ``op``; result only at ``root``."""
-        from . import collectives
-
         return collectives.reduce(self, obj, op, root)
 
     def allreduce(self, obj: Any, op: Callable[[Any, Any], Any] = SUM) -> Any:
         """Reduce with binary ``op``; result on every rank."""
-        from . import collectives
-
         return collectives.allreduce(self, obj, op)
 
     def scan(self, obj: Any, op: Callable[[Any, Any], Any] = SUM) -> Any:
         """Inclusive prefix reduction over ranks (rank r gets
         ``op(...op(obj_0, obj_1)..., obj_r)``)."""
-        from . import collectives
-
         return collectives.scan(self, obj, op)
 
     def exscan(self, obj: Any, op: Callable[[Any, Any], Any] = SUM) -> Any:
         """Exclusive prefix reduction; rank 0 receives ``None``."""
-        from . import collectives
-
         return collectives.exscan(self, obj, op)
 
     # -- communicator management -----------------------------------------

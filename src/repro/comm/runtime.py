@@ -51,6 +51,7 @@ Key properties
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import os
@@ -61,6 +62,7 @@ import warnings
 from contextlib import nullcontext
 from typing import Any, Callable, Sequence
 
+from ..config import ReproConfig, env_flag, get_config, install_config
 from ..exceptions import (
     CommError,
     DeadlockError,
@@ -130,8 +132,6 @@ class RankContext:
                  "seqs")
 
     def __init__(self, rank: int, runtime: "Fabric"):
-        from ..config import get_config  # deferred: avoids import cycle
-
         self.rank = rank
         self.runtime = runtime
         self.counter = FlopCounter()
@@ -171,10 +171,9 @@ class RankContext:
         The flop counter, trace context, flight recorder and tracer are
         installed on the calling thread for the duration of the call.
         """
-        from .communicator import Communicator  # deferred: import cycle
-
-        world = Communicator(self.runtime, self, ("world",),
-                             list(range(self.runtime.nranks)), self.rank)
+        world = communicator.Communicator(
+            self.runtime, self, ("world",), list(range(self.runtime.nranks)),
+            self.rank)
         ctx = (trace_context(self.trace_ctx)
                if self.trace_ctx is not None else nullcontext())
         tr = tracing(self.tracer) if self.tracer is not None else nullcontext()
@@ -443,6 +442,10 @@ class _RankThread:
     def _serve(self) -> None:
         while (job := self.jobs.get()) is not None:
             job()
+            # Unbound before the wait: an idle thread must not keep the
+            # finished run's closure (its arguments, runtime and values)
+            # alive.
+            del job
 
 
 class _RankThreads:
@@ -491,6 +494,14 @@ class _RankThreads:
 
 
 _RANK_THREADS = _RankThreads(os.cpu_count() or 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _worker_config(config: ReproConfig, count_flops: bool) -> ReproConfig:
+    """The configuration rank programs run under: the caller's, with
+    flop counting as ``run_spmd`` was asked.  Configurations are frozen,
+    so one is built per distinct pair."""
+    return dataclasses.replace(config, flop_counting=count_flops)
 
 
 def run_spmd(
@@ -578,10 +589,6 @@ def run_spmd(
         The first (lowest-rank) exception raised inside ``fn`` is
         re-raised in the caller after all ranks have stopped.
     """
-    import dataclasses as _dc
-
-    from ..config import env_flag, get_config, install_config
-
     if "deadlock_timeout" in kwargs:
         # Removed after one release as a deprecated no-op.  Without this
         # check it would silently forward to ``fn`` as a program kwarg.
@@ -598,7 +605,7 @@ def run_spmd(
             f"unknown backend {backend!r}: expected 'threads' or "
             f"'processes'"
         )
-    worker_config = _dc.replace(config, flop_counting=count_flops)
+    worker_config = _worker_config(config, count_flops)
     if rank_args is not None and len(rank_args) != nranks:
         raise CommError(
             f"rank_args has {len(rank_args)} entries for {nranks} ranks"
@@ -726,3 +733,10 @@ def run_spmd(
         trace_id=run_ctx.trace_id if run_ctx is not None else None,
         backend="threads",
     )
+
+
+# ``communicator`` imports this module for ``Fabric`` and
+# ``RankContext``, so it is bound here, after both exist; rank programs
+# reach ``communicator.Communicator`` through it without an import
+# statement per run.
+from . import communicator  # noqa: E402

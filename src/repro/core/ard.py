@@ -19,14 +19,13 @@ vector-only **solve** phase:
 
 ``ard_solve_spmd``
     For each batch of ``R`` right-hand sides performs only matrix–vector
-    work against the stored state: the zero-entry states ``f`` (for
-    narrow panels ``g = U^{-1} d`` and one band solve, the band built
-    by the first of them and kept; for wide ones the lockstep sub-chunk
-    kernel with ``U^{-1}`` folded into each step; their last two rows
-    are the vector aggregate), the replayed vector scan (messages of
-    ``O(M R)`` bytes), the closing back-solve, and the owned rows
-    ``f + E s_lo``, written into the caller's solution array.  Cost:
-    ``O(M^2 R (N/P + log P))``.
+    work against the stored state, which it never changes: the
+    zero-entry states ``f`` (the lockstep sub-chunk kernel with
+    ``U^{-1}`` folded into each step, at every panel width; their last
+    two rows are the vector aggregate), the replayed vector scan
+    (messages of ``O(M R)`` bytes), the closing back-solve, and the
+    owned rows ``f + E s_lo``, written into the caller's solution
+    array.  Cost: ``O(M^2 R (N/P + log P))``.
 
 Solving ``R`` right-hand sides therefore costs
 ``O((M^3 + R M^2)(N/P + log P))`` instead of the baseline's
@@ -47,7 +46,8 @@ from ..exceptions import ShapeError
 from ..linalg.blockops import BatchedLU
 from ..obs import span as _span
 from ..prefix.affine import AffinePair
-from .distribute import LocalChunk
+from ..util.partition import BlockPartition
+from .distribute import LocalChunk, distribute_rhs, gather_solution
 from .engine import (
     broadcast_x0,
     closing_rhs,
@@ -75,9 +75,9 @@ class ARDRankState:
 
     A rank holds ``(5 S b + 4 S) M^2`` numbers of transfer operators
     (``S``, ``b`` of :func:`~repro.core.recurrence.sub_chunks` for its
-    ``t`` transfer rows), ``3 t M^2`` more once a narrow panel has built
-    the band, the scan trace, and on the closing rank the closing
-    factors and blocks.  :attr:`nbytes` counts every array it holds.
+    ``t`` transfer rows), the scan trace, and on the closing rank the
+    closing factors and blocks, all fixed at factor time: solves only
+    read them.  :attr:`nbytes` counts every array it holds.
 
     Attributes
     ----------
@@ -85,9 +85,8 @@ class ARDRankState:
         The rank's row count ``h`` and block order ``M`` (the shape
         each solve's right-hand-side rows must have).
     ops:
-        Transfer operators — ``W = [T2, T1, U^{-1}]``, ``E_loc``, ``Ê``
-        and, once built, the band
-        (:class:`~repro.core.recurrence.TransferOperators`).
+        Transfer operators — ``W = [T2, T1, U^{-1}]``, ``E_loc`` and
+        ``Ê`` (:class:`~repro.core.recurrence.TransferOperators`).
     trace:
         Matrix-side record of the factor scan, replayed per solve.
     closing_rank:
@@ -263,9 +262,6 @@ class ARDFactorization(RefinableFactorization):
         return sum(s.nbytes for s in self._states)
 
     def _solve_normalized(self, bb: np.ndarray) -> np.ndarray:
-        from ..util.partition import BlockPartition
-        from .distribute import distribute_rhs, gather_solution
-
         # One solution array: each rank writes its own rows in place;
         # the ranks only read their views of ``bb``.
         x = np.empty((self.nblocks, self.block_size, bb.shape[2]),

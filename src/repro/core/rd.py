@@ -47,6 +47,9 @@ def rd_single_pass(
     side; classic RD uses ``r = 1``.  All matrix work (transfer
     operators, aggregates, matrix scan, closing factorization) is
     redone inside this call — that is the baseline's defining cost.
+    The vector work is ARD's per-RHS kernel, the lockstep sub-chunk
+    recurrence of :func:`~repro.core.recurrence.local_vector_aggregate`,
+    so the two methods differ only in what they repeat.
     """
     with _span("build"):
         ops = TransferOperators(chunk)

@@ -32,8 +32,7 @@ through ``E_loc_j``, and ``Ê_i`` maps ``s_lo`` to ``u_i``, so
 are one contiguous slice and ``[T2_j, T1_j]`` advances it.
 
 :class:`TransferOperators` holds the matrix side, built once: each
-transfer row as ``W_j = [T2_j, T1_j, U_j^{-1}]``, ``E_loc`` and ``Ê``,
-plus the system as a LAPACK lower band once a narrow panel needs it.
+transfer row as ``W_j = [T2_j, T1_j, U_j^{-1}]``, ``E_loc`` and ``Ê``.
 What remains per right-hand side is matrix–vector work:
 
 - :func:`local_matrix_aggregate` — the chunk's composed matrix part;
@@ -42,14 +41,13 @@ What remains per right-hand side is matrix–vector work:
 - :func:`forward_solution` — the owned solution rows
   ``x = f + E s_lo``, one batched ``gemm``.
 
-A ``k``-column panel takes one of two kernels.  While
-``k * M <= BAND_MAX_WORK`` one batched ``gemm`` forms ``g = U^{-1} d``
-and one LAPACK ``?tbtrs`` call solves the chunk's whole trajectory.
-``?tbtrs`` sweeps the band once per column, so wider panels run the
-sub-chunks in lockstep instead, straight from the right-hand-side rows:
-``b`` steps of one batched ``W_l @ [y_{l-2}; y_{l-1}; d_l]`` gemm give
-every row relative to its own sub-chunk's entry, then ``S - 1`` small
-gemms carry the entry states across the chunk (docs/KERNELS.md).
+A panel of any width runs the sub-chunks in lockstep, straight from
+the right-hand-side rows: ``b`` steps of one batched
+``W_l @ [y_{l-2}; y_{l-1}; d_l]`` gemm give every row relative to its
+own sub-chunk's entry, then ``S - 1`` small gemms carry the entry
+states across the chunk (docs/KERNELS.md).  The kernel only reads
+what the operators stored at construction, so their footprint never
+changes after it.
 """
 
 from __future__ import annotations
@@ -58,17 +56,15 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from ..config import get_config
-from ..exceptions import ReproError, ShapeError
+from ..exceptions import ShapeError
 from ..linalg.blockops import gemm, invert_blocks
 from ..obs.tracer import kernel_time
-from ..util.flops import gemm_flops, record_flops, tbtrs_flops
+from ..util.flops import gemm_flops, record_flops
 from .distribute import LocalChunk
 
 __all__ = [
-    "BAND_MAX_WORK",
     "TransferOperators",
     "ZeroEntryStates",
     "sub_chunks",
@@ -76,13 +72,6 @@ __all__ = [
     "local_vector_aggregate",
     "forward_solution",
 ]
-
-#: Widest panel, in right-hand-side columns times block order, solved
-#: by one ``?tbtrs`` call; wider panels take the lockstep kernel.  The
-#: band solve's cost grows with every column while the lockstep
-#: kernel's is mostly per-step dispatch, so the crossover sits at a
-#: fixed ``k * M`` (measured on the reference host, docs/KERNELS.md).
-BAND_MAX_WORK = 64
 
 
 def sub_chunks(t: int) -> tuple[int, int]:
@@ -103,14 +92,12 @@ class ZeroEntryStates(NamedTuple):
 
     ``rows`` holds row ``y_j`` relative to the entry state of its
     sub-chunk, and ``sub_entries`` the ``(S, 2M, k)`` sub-chunk entry
-    states themselves (``None`` when ``rows`` is already relative to
-    the chunk's entry, as the band solve leaves it).  Either way the
-    trajectory from entry ``s_lo`` is
+    states themselves, so the trajectory from entry ``s_lo`` is
     ``rows + E_loc (Ê s_lo + sub_entries)``.
     """
 
     rows: np.ndarray
-    sub_entries: np.ndarray | None
+    sub_entries: np.ndarray
 
 
 class TransferOperators:
@@ -121,8 +108,8 @@ class TransferOperators:
     row).  The construction is the ``O((N/P) M^3)`` matrix work that RD
     repeats per right-hand side and ARD performs once.  It keeps no
     reference to the chunk and stores ``(5 S b + 4 S) M^2`` numbers
-    (``w``, ``e`` and ``e_hat``), plus ``3 t M^2`` once the band is
-    built; :attr:`nbytes` counts what is held.
+    (``w``, ``e`` and ``e_hat``), set at construction; :attr:`nbytes`
+    counts them.
 
     Attributes
     ----------
@@ -133,12 +120,6 @@ class TransferOperators:
         past row ``t``: the lockstep kernel's operand, each transfer
         block stored once (``t1``, ``t2``, ``t21`` and ``uinv`` are
         views of it).
-    band:
-        The trajectory system in LAPACK lower band storage,
-        ``(3M, tM)`` in Fortran order: ``band[d, c]`` is the entry
-        ``(c + d, c)``, unit diagonal, ``-T1_j`` and ``-T2_j`` below.
-        Only panels of ``k M <= BAND_MAX_WORK`` read it, so it is
-        ``None`` until the first of them calls :meth:`lower_band`.
     e:
         ``(S b, M, 2M)`` response ``E_loc_j`` of row ``x_{lo+j+1}`` to
         its sub-chunk's entry state.
@@ -148,7 +129,7 @@ class TransferOperators:
     """
 
     __slots__ = ("lo", "ntransfer", "block_size", "dtype", "nsub",
-                 "sub_rows", "w", "band", "e", "e_hat")
+                 "sub_rows", "w", "e", "e_hat")
 
     def __init__(self, chunk: LocalChunk):
         t = chunk.ntransfer
@@ -168,7 +149,6 @@ class TransferOperators:
             np.negative(gemm(uinv, np.concatenate(
                 [chunk.sub[:t], chunk.diag[:t]], axis=2)),
                 out=self.w[:t, :, :2 * m])
-        self.band = None
         self.e = _sub_entry_response(self.w, s, b)
         self.e_hat = _entry_maps(self.e, s, b)
 
@@ -195,19 +175,6 @@ class TransferOperators:
         (a view), so ``g`` is one batched ``gemm``."""
         return self.w[:self.ntransfer, :, 2 * self.block_size:]
 
-    def lower_band(self) -> np.ndarray:
-        """``band``, built on the first call and kept.
-
-        The band is built into a local and published by one assignment,
-        so concurrent first calls may each build one, and every caller
-        gets a complete, equal array.
-        """
-        band = self.band
-        if band is None:
-            band = _lower_band(self.t21[:self.ntransfer])
-            self.band = band
-        return band
-
     def g(self, d_rows: np.ndarray) -> np.ndarray:
         """Compute ``g_i = U_i^{-1} d_i`` for the chunk's transfer rows.
 
@@ -222,10 +189,8 @@ class TransferOperators:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of every stored array, the band once it is built."""
-        band = self.band
-        return (self.w.nbytes + self.e.nbytes + self.e_hat.nbytes
-                + (0 if band is None else band.nbytes))
+        """Bytes of every stored array."""
+        return self.w.nbytes + self.e.nbytes + self.e_hat.nbytes
 
 
 def _rhs_rows(ops: TransferOperators, d_rows: np.ndarray) -> np.ndarray:
@@ -240,23 +205,6 @@ def _rhs_rows(ops: TransferOperators, d_rows: np.ndarray) -> np.ndarray:
             f"need at least {ops.ntransfer} rhs rows, got {d_rows.shape[0]}"
         )
     return d_rows
-
-
-def _lower_band(t21: np.ndarray) -> np.ndarray:
-    """The unit lower band of the trajectory system, LAPACK layout.
-
-    Column ``J M + b`` of the ``(3M, tM)`` Fortran-order result holds
-    ``-T1_{J+1}[a, b]`` at offset ``M + a - b`` and ``-T2_{J+2}[a, b]``
-    at offset ``2M + a - b``.
-    """
-    t, m, _ = t21.shape
-    band = np.zeros((3 * m, t * m), dtype=t21.dtype, order="F")
-    band[0] = 1.0
-    cols = band.T.reshape(t, m, 3 * m)  # a C-order view: [J, b, offset]
-    a, b = np.indices((m, m))
-    cols[:max(t - 1, 0), b, m + a - b] = -t21[1:, a, m + b]
-    cols[:max(t - 2, 0), b, 2 * m + a - b] = -t21[2:, a, b]
-    return band
 
 
 def _swap(m: int, dtype) -> np.ndarray:
@@ -364,49 +312,6 @@ def _entry_maps(e: np.ndarray, s: int, b: int) -> np.ndarray:
     return maps
 
 
-def _band_trajectory(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the trajectory system for ``(t, M, k)`` ``rhs``: one ``?tbtrs``."""
-    t, m, k = rhs.shape
-    n = t * m
-    if n == 0:
-        return np.zeros(rhs.shape, dtype=np.result_type(band.dtype, rhs.dtype))
-    b = rhs.reshape(n, k)
-    tbtrs, = get_lapack_funcs(("tbtrs",), (band, b))
-    with kernel_time("kernel.trsm"):
-        x, info = tbtrs(band, b, uplo="L", diag="U")
-    if info != 0:
-        raise ReproError(f"LAPACK {tbtrs.typecode}tbtrs failed with info={info}")
-    if get_config().flop_counting:
-        record_flops("trsm", tbtrs_flops(n, band.shape[0] - 1, k))
-    return x.reshape(t, m, k)
-
-
-def _lockstep_trajectory(
-    ops: TransferOperators, d_rows: np.ndarray
-) -> tuple[np.ndarray, ZeroEntryStates]:
-    """The zero-entry states of the right-hand-side rows ``d_rows`` by
-    the lockstep kernel, then one pass over the sub-chunk entry states
-    that ends in the vector aggregate."""
-    m, k = ops.block_size, d_rows.shape[2]
-    s, b = ops.nsub, ops.sub_rows
-    rows = _lockstep(ops.w, d_rows, ops.ntransfer, s, b)
-    entries = np.zeros((s, 2 * m, k), dtype=rows.dtype)
-    b_agg = _chunk_exit(ops, rows, np.zeros((2 * m, k), dtype=rows.dtype))
-    if s > 1:
-        exit_maps = _sub_exits(ops.e, s, b)
-        exit_rows = _sub_exits(rows, s, b)
-        entries[1] = exit_rows[0]
-        with kernel_time("kernel.gemm"):
-            for i in range(1, s - 1):
-                np.matmul(exit_maps[i], entries[i], out=entries[i + 1])
-                entries[i + 1] += exit_rows[i]
-        if get_config().flop_counting:
-            record_flops("gemm", (s - 2) * gemm_flops(2 * m, 2 * m, k))
-        exit_map = _chunk_exit(ops, ops.e, _swap(m, ops.dtype))
-        b_agg += gemm(exit_map, entries[-1])
-    return b_agg, ZeroEntryStates(rows, entries)
-
-
 def _exit_state(rows: np.ndarray, entry: np.ndarray) -> np.ndarray:
     """The last two of ``rows``, newest first, reading ``y_{-1}`` and
     ``y_{-2}`` from the halves of ``entry`` (newest first) when there
@@ -445,23 +350,34 @@ def local_vector_aggregate(
     it comes from.
 
     ``d_rows`` are the chunk's ``(h, M, R)`` right-hand-side rows (only
-    the first ``ntransfer`` are read).  The ``(ntransfer, M, R)`` rows
-    ``f`` the recurrence reaches from a zero entry state come from
-    ``g = U^{-1} d`` and one band solve while ``R M <= BAND_MAX_WORK``
-    (the first such panel builds the band), else from the lockstep
-    kernel, which folds ``U^{-1}`` into its steps; pure matrix–vector
-    work, ``O((N/P) M^2 R)``.  Returns
+    the first ``ntransfer`` are read).  The lockstep kernel, which
+    folds ``U^{-1}`` into its steps, gives each row ``f`` the
+    recurrence reaches from a zero entry relative to its sub-chunk's
+    entry; one pass over the sub-chunk entry states then ends in the
+    exit state.  Pure matrix–vector work, ``O((N/P) M^2 R)``.  Returns
     ``(b_agg, f)``: ``b_agg = [f_{t-1}; f_{t-2}]``, shape ``(2M, R)``,
     is what the scan composes, and :func:`forward_solution` completes
     ``f`` once the entry state is known.
     """
     d_rows = _rhs_rows(ops, d_rows)
     m, k = ops.block_size, d_rows.shape[2]
-    if k * m > BAND_MAX_WORK:
-        return _lockstep_trajectory(ops, d_rows)
-    rows = _band_trajectory(ops.lower_band(), ops.g(d_rows))
-    zero = np.zeros((2 * m, k), dtype=rows.dtype)
-    return _exit_state(rows, zero), ZeroEntryStates(rows, None)
+    s, b = ops.nsub, ops.sub_rows
+    rows = _lockstep(ops.w, d_rows, ops.ntransfer, s, b)
+    entries = np.zeros((s, 2 * m, k), dtype=rows.dtype)
+    b_agg = _chunk_exit(ops, rows, np.zeros((2 * m, k), dtype=rows.dtype))
+    if s > 1:
+        exit_maps = _sub_exits(ops.e, s, b)
+        exit_rows = _sub_exits(rows, s, b)
+        entries[1] = exit_rows[0]
+        with kernel_time("kernel.gemm"):
+            for i in range(1, s - 1):
+                np.matmul(exit_maps[i], entries[i], out=entries[i + 1])
+                entries[i + 1] += exit_rows[i]
+        if get_config().flop_counting:
+            record_flops("gemm", (s - 2) * gemm_flops(2 * m, 2 * m, k))
+        exit_map = _chunk_exit(ops, ops.e, _swap(m, ops.dtype))
+        b_agg += gemm(exit_map, entries[-1])
+    return b_agg, ZeroEntryStates(rows, entries)
 
 
 def forward_solution(
@@ -501,9 +417,7 @@ def forward_solution(
     if k:
         s, b = ops.nsub, ops.sub_rows
         u = gemm(ops.e_hat.reshape(s * 2 * m, 2 * m), entry_state)
-        u = u.reshape(s, 2 * m, r)
-        if f.sub_entries is not None:
-            u = u + f.sub_entries
+        u = u.reshape(s, 2 * m, r) + f.sub_entries
         # E_loc u straight into the output: the sub-chunks it holds
         # whole, then the first rows of the next one.
         rows = out[1:]

@@ -35,6 +35,7 @@ paper's ``R``).
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -50,6 +51,14 @@ __all__ = [
     "invert_blocks",
     "BatchedLU",
 ]
+
+#: Serializes every ``getrs`` call.  SciPy's bundled OpenBLAS (0.3.30
+#: with SciPy 1.17.1) corrupts the heap when several threads solve
+#: against one LU at once with more than one BLAS thread; separate LUs
+#: do not.  One module-level lock rather than one per ``BatchedLU``
+#: keeps the factors picklable for the process backend.  Nothing else
+#: is acquired while it is held.
+_GETRS_LOCK = threading.Lock()  # repro: noqa[RC103]
 
 
 def as_block_batch(a: np.ndarray, name: str = "array") -> np.ndarray:
@@ -219,7 +228,7 @@ class BatchedLU:
         trans = 1 if transposed else 0
         out = np.empty_like(b, dtype=np.result_type(self.dtype, b.dtype))
         getrs, = get_lapack_funcs(("getrs",), (self._lu, b))
-        with kernel_time("kernel.trsm"):
+        with kernel_time("kernel.trsm"), _GETRS_LOCK:
             for i in range(self.n):
                 out[i] = getrs(self._lu[i], self._piv[i], b[i], trans=trans)[0]
         if get_config().flop_counting:
@@ -233,7 +242,7 @@ class BatchedLU:
             raise ShapeError(f"block index {i} out of range [0, {self.n})")
         b = np.asarray(b)
         getrs, = get_lapack_funcs(("getrs",), (self._lu, b))
-        with kernel_time("kernel.trsm"):
+        with kernel_time("kernel.trsm"), _GETRS_LOCK:
             out = getrs(self._lu[i], self._piv[i], b,
                         trans=1 if transposed else 0)[0]
         if get_config().flop_counting:

@@ -3,12 +3,12 @@
 For each solver these functions compute critical-path flop counts and
 message counts/volumes from the same textbook kernel costs the
 instrumented implementation records (``2mkn`` per GEMM, ``2/3 m^3`` per
-LU, ``2 m^2 r`` per triangular solve pair, two per stored band entry
-and column for the recurrence's band solve, and the lockstep kernel's
-gemms with ``U^{-1}`` folded in, padding rows included).  Experiment
-recon-T1 compares them against instrumented totals; recon-F6 converts
-them to predicted times via :func:`AlgorithmCost.time` and compares
-against the simulator's virtual makespan.
+LU, ``2 m^2 r`` per triangular solve pair, and the recurrence's
+lockstep kernel's gemms with ``U^{-1}`` folded in, padding rows
+included).  Experiment recon-T1 compares them against instrumented
+totals; recon-F6 converts them to predicted times via
+:func:`AlgorithmCost.time` and compares against the simulator's virtual
+makespan.
 
 All counts model the *critical-path rank*: the one owning the largest
 chunk (``ceil(N/P)`` rows) and participating in every scan round.
@@ -20,8 +20,8 @@ import dataclasses
 import math
 
 from ..comm.costmodel import CostModel
-from ..core.recurrence import BAND_MAX_WORK, sub_chunks
-from ..util.flops import gemm_flops, tbtrs_flops
+from ..core.recurrence import sub_chunks
+from ..util.flops import gemm_flops
 
 __all__ = [
     "PhaseCost",
@@ -110,28 +110,18 @@ def _entry_response_flops(t: int, m: int) -> float:
     return s * (gemm_flops(m, m, 2 * m) + (b - 2) * gemm_flops(m, 2 * m, 2 * m))
 
 
-def _lockstep_flops(t: int, m: int, k: int) -> float:
-    """The lockstep kernel on ``k`` columns over ``t`` rows cut into
-    ``S`` sub-chunks of ``b``: per sub-chunk one ``(M, M) @ (M, k)``
-    gemm for row 0 (``U^{-1}``), one ``(M, 2M) @ (2M, k)`` for row 1
-    (``[T1, U^{-1}]``) and one ``(M, 3M) @ (3M, k)`` for each later row
-    (``W``), padding rows included."""
-    s, b = sub_chunks(t)
-    return s * (gemm_flops(m, m, k) + min(b - 1, 1) * gemm_flops(m, 2 * m, k)
-                + max(b - 2, 0) * gemm_flops(m, 3 * m, k))
-
-
 def _trajectory_flops(t: int, m: int, k: int) -> float:
     """One ``k``-column zero-entry trajectory over ``t`` right-hand-side
-    rows, as :mod:`repro.core.recurrence` runs it: ``g = U^{-1} d`` and
-    one band solve (bandwidth ``3M - 1``) while ``k M <= BAND_MAX_WORK``,
-    else the lockstep kernel, which folds ``U^{-1}`` into its steps,
-    and ``S - 1`` ``(2M, 2M) @ (2M, k)`` gemms across the sub-chunk
-    entry states (the last one forms the exit state)."""
-    if k * m <= BAND_MAX_WORK:
-        return t * gemm_flops(m, m, k) + tbtrs_flops(t * m, 3 * m - 1, k)
-    s, _ = sub_chunks(t)
-    return (_lockstep_flops(t, m, k)
+    rows, as :mod:`repro.core.recurrence` runs it at every width: the
+    lockstep kernel over ``S`` sub-chunks of ``b`` rows, per sub-chunk
+    one ``(M, M) @ (M, k)`` gemm for row 0 (``U^{-1}``), one
+    ``(M, 2M) @ (2M, k)`` for row 1 (``[T1, U^{-1}]``) and one
+    ``(M, 3M) @ (3M, k)`` for each later row (``W``), padding rows
+    included; then ``S - 1`` ``(2M, 2M) @ (2M, k)`` gemms across the
+    sub-chunk entry states (the last one forms the exit state)."""
+    s, b = sub_chunks(t)
+    return (s * (gemm_flops(m, m, k) + min(b - 1, 1) * gemm_flops(m, 2 * m, k)
+                 + max(b - 2, 0) * gemm_flops(m, 3 * m, k))
             + max(s - 1, 0) * gemm_flops(2 * m, 2 * m, k))
 
 

@@ -15,13 +15,15 @@ factorization from each waiter would multiply the damage, not fix it.
 
 **Byte budget.**  Every entry is charged its factorization's ``nbytes``
 (all factorization classes expose it); inserting past ``max_bytes``
-evicts least-recently-used entries until the budget holds again.  A
-factorization may grow after insert (an ARD factorization builds its
-band on its first narrow solve), so every hit re-reads the entry's
-``nbytes`` and evicts again if the total grew past the budget; the
-entry being returned is never evicted.  A single entry larger than the
-whole budget is still admitted (evicting everything else) — rejecting
-it would livelock the request that needs it.
+evicts least-recently-used entries until the budget holds again.  No
+factorization class of this package changes size after it is built
+(an ARD factorization's rank states are fixed at factor time), but an
+entry is whatever the build callable returns, and its ``nbytes`` may
+change; so every hit re-reads the entry's ``nbytes`` and evicts again
+if the total grew past the budget.  The entry being returned is never
+evicted.  A single entry larger than the whole budget is still
+admitted (evicting everything else) — rejecting it would livelock the
+request that needs it.
 
 **Honest counters.**  ``hits`` counts requests served without building
 (including single-flight waiters), ``misses`` counts builds, and

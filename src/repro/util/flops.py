@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 __all__ = ["FlopCounter", "current_counter", "counting_flops", "record_flops",
-           "gemm_flops", "lu_flops", "lu_solve_flops", "tbtrs_flops"]
+           "gemm_flops", "lu_flops", "lu_solve_flops"]
 
 
 class FlopCounter:
@@ -113,10 +113,3 @@ def lu_solve_flops(m: int, nrhs: int) -> int:
     """Flops for forward+back substitution with ``nrhs`` columns."""
     return 2 * m * m * nrhs
 
-
-def tbtrs_flops(n: int, kd: int, nrhs: int) -> int:
-    """Flops for a unit triangular band solve (LAPACK ``?tbtrs``) of
-    order ``n`` and bandwidth ``kd`` with ``nrhs`` columns: one
-    multiply-add per stored off-diagonal entry and column."""
-    kd = min(kd, max(n - 1, 0))
-    return 2 * nrhs * (n * kd - kd * (kd + 1) // 2)

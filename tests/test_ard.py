@@ -1,5 +1,6 @@
 """Tests for accelerated recursive doubling — the paper's contribution."""
 
+import builtins
 import dataclasses
 import pickle
 import sys
@@ -15,7 +16,6 @@ from repro.core.ard import (
     ard_solve_spmd,
 )
 from repro.core.distribute import distribute_matrix, distribute_rhs, gather_solution
-from repro.core.recurrence import BAND_MAX_WORK
 from repro.exceptions import ShapeError
 from repro.linalg.blocktridiag import BlockTridiagonalMatrix
 from repro.linalg.reference import dense_solve
@@ -165,10 +165,9 @@ class TestDriverFactorization:
     def test_nbytes_counts_every_stored_array(self, dtype):
         """The footprint is every array the rank states hold:
         ``W = [T2, T1, U^-1]`` and ``E_loc`` (padded to ``S b`` rows),
-        ``Ê``, the scan trace, the closing factors and blocks, and the
-        band once a narrow panel has built it, ``3 t M^2`` numbers (on
-        the thread backend, where the ranks solve against these
-        states)."""
+        ``Ê``, the scan trace and the closing factors and blocks, and
+        solves of widths 1 to 17 leave it as the factor set it (on the
+        thread backend, where the ranks solve against these states)."""
         mat, _ = helmholtz_block_system(64, 4)
         mat = BlockTridiagonalMatrix(mat.lower.astype(dtype),
                                      mat.diag.astype(dtype),
@@ -180,7 +179,6 @@ class TestDriverFactorization:
             ops = state.ops
             t, m = ops.ntransfer, ops.block_size
             s, b = ops.nsub, ops.sub_rows
-            assert ops.band is None
             assert ops.w.shape == (s * b, m, 3 * m)
             assert ops.e.shape == (s * b, m, 2 * m)
             assert ops.e_hat.shape == (s, 2 * m, 2 * m)
@@ -191,12 +189,8 @@ class TestDriverFactorization:
             if state.closing_lu is not None:
                 expected += state.closing_lu.nbytes + 2 * m * m * itemsize
         assert fact.nbytes == expected
-        fact.solve(random_rhs(64, 4, 1, seed=3))
-        for state in fact._states:
-            ops = state.ops
-            t, m = ops.ntransfer, ops.block_size
-            assert ops.band.shape == (3 * m, t * m)
-            expected += 3 * t * m * m * itemsize
+        for k in range(1, 18):
+            fact.solve(random_rhs(64, 4, k, seed=k).astype(dtype))
         assert fact.nbytes == expected
 
     def test_validation(self):
@@ -205,6 +199,29 @@ class TestDriverFactorization:
             ARDFactorization(np.eye(8), nranks=2)
         with pytest.raises(ShapeError):
             ARDFactorization(mat, nranks=0)
+
+
+class TestWarmSolve:
+    def test_runs_no_import_statement(self, monkeypatch):
+        """A warm 2-rank solve executes no ``import`` statement: each
+        one takes the import lock and searches the module cache, and
+        does so on every solve."""
+        mat, _ = helmholtz_block_system(64, 4)
+        fact = ARDFactorization(mat, nranks=2, backend="threads")
+        b = random_rhs(64, 4, 4, seed=0)
+        fact.solve(b)
+        imports = []
+        real = builtins.__import__
+
+        def counting(name, *args, **kwargs):
+            imports.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counting)
+        x = fact.solve(b)
+        monkeypatch.undo()
+        assert imports == []
+        assert mat.residual(x, b) < 1e-10
 
 
 class TestAcceleration:
@@ -217,10 +234,9 @@ class TestAcceleration:
         for r in (1, 4, 8, 32):
             fact.solve(random_rhs(24, m, r, seed=9))
             flops[r] = fact.last_solve_result.total_flops
-        # Perfectly linear in R along one code path, panels widen only:
-        # the band solve at R = 1, 4 and the lockstep kernel at 8, 32.
-        assert flops[4] / flops[1] == pytest.approx(4.0, rel=0.05)
-        assert flops[32] / flops[8] == pytest.approx(4.0, rel=0.05)
+        # Perfectly linear in R: one kernel at every panel width.
+        for r in (4, 8, 32):
+            assert flops[r] / flops[1] == pytest.approx(r, rel=0.05)
 
     def test_ard_beats_rd_in_virtual_time(self):
         from repro.core.distribute import distribute_matrix as dm
@@ -266,72 +282,77 @@ def stored_arrays(obj):
             yield from stored_arrays(getattr(obj, name, None))
 
 
-def _narrow(n, m, seed):
-    """A panel the band solve takes: ``k M <= BAND_MAX_WORK``."""
-    return random_rhs(n, m, BAND_MAX_WORK // m, seed=seed)
+def held(fact):
+    """Every array the factorization's rank states hold, with a copy of
+    its contents."""
+    return [(a, a.copy()) for s in fact._states for a in stored_arrays(s)]
 
 
-def _wide(n, m, seed):
-    """A panel the lockstep kernel takes: ``k M > BAND_MAX_WORK``."""
-    return random_rhs(n, m, BAND_MAX_WORK // m + 1, seed=seed)
+def assert_still_held(fact, before):
+    """The states hold the very arrays of ``before``, unchanged."""
+    after = [a for s in fact._states for a in stored_arrays(s)]
+    assert len(after) == len(before)
+    for a, (b, copy) in zip(after, before):
+        assert a is b
+        np.testing.assert_array_equal(a, copy)
 
 
 class TestStoredState:
-    """A rank state holds what its solve reads, and ``nbytes`` says how
-    much that is.  The band is built by the first narrow solve, so these
-    run on the thread backend, where the ranks solve against the
-    factorization's own states."""
+    """A rank state holds what its solve reads, fixed at factor time,
+    and ``nbytes`` says how much that is.  These run on the thread
+    backend, where the ranks solve against the factorization's own
+    states."""
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_nbytes_is_every_stored_array_and_the_pickled_size(self, p):
         """``nbytes`` sums every array the state holds, and a state
-        pickles to within 1% + 4 KiB of it, before and after a narrow
-        solve builds the band."""
+        pickles to within 1% + 4 KiB of it; solves of widths 1 to 17
+        change neither, nor any stored array."""
         mat, _ = helmholtz_block_system(256, 8)
         fact = ARDFactorization(mat, nranks=p, backend="threads")
-        for narrow_solves in (0, 1):
-            if narrow_solves:
-                fact.solve(_narrow(256, 8, seed=1))
-            for state in fact._states:
-                assert state.nbytes == sum(
-                    a.nbytes for a in stored_arrays(state))
-                pickled = len(pickle.dumps(state, protocol=5))
-                assert abs(pickled - state.nbytes) <= (
-                    0.01 * state.nbytes + 4096), (narrow_solves, pickled)
+        before = held(fact)
+        nbytes = [state.nbytes for state in fact._states]
+        pickled = [len(pickle.dumps(state, protocol=5))
+                   for state in fact._states]
+        for state, size in zip(fact._states, pickled):
+            assert state.nbytes == sum(
+                a.nbytes for a in stored_arrays(state))
+            assert abs(size - state.nbytes) <= 0.01 * state.nbytes + 4096
+        for k in range(1, 18):
+            fact.solve(random_rhs(256, 8, k, seed=k))
+        assert [state.nbytes for state in fact._states] == nbytes
+        assert [len(pickle.dumps(state, protocol=5))
+                for state in fact._states] == pickled
+        assert_still_held(fact, before)
 
     def test_footprint_at_the_stream_shape(self):
-        """At (1024, 8, P = 2) a factorization that has solved only wide
-        panels holds at most 2.85 MB, and its pickled size is within 1%
-        of ``nbytes``; one narrow solve adds ``3 t M^2`` numbers per
-        rank."""
+        """At (1024, 8, P = 2) a factorization holds at most 2.85 MB,
+        its pickled size is within 1% of ``nbytes``, and wide and
+        one-column solves add nothing to it."""
         n, m = 1024, 8
         mat, _ = helmholtz_block_system(n, m)
         fact = ARDFactorization(mat, nranks=2, backend="threads")
-        fact.solve(random_rhs(n, m, 16, seed=2))
-        wide_only = fact.nbytes
-        assert wide_only <= 2.85e6
+        factored = fact.nbytes
+        assert factored <= 2.85e6
         pickled = sum(len(pickle.dumps(s, protocol=5)) for s in fact._states)
-        assert abs(pickled - wide_only) <= 0.01 * wide_only
-        fact.solve(_narrow(n, m, seed=3))
-        assert fact.nbytes - wide_only == sum(
-            3 * s.ops.ntransfer * m * m * 8 for s in fact._states)
+        assert abs(pickled - factored) <= 0.01 * factored
+        fact.solve(random_rhs(n, m, 16, seed=2))
+        fact.solve(random_rhs(n, m, 1, seed=3))
+        assert fact.nbytes == factored
 
     def test_band_is_built_once_by_the_first_narrow_solve(self):
+        """The ``?tbtrs`` band this test once watched being built is
+        gone: narrow and wide solves, interleaved, leave every state
+        holding the very arrays the factor stored, unchanged."""
         mat, _ = helmholtz_block_system(64, 4)
         fact = ARDFactorization(mat, nranks=3, backend="threads")
-        wide_only = fact.nbytes
-        for seed in range(2):
-            fact.solve(_wide(64, 4, seed))
-        assert all(s.ops.band is None for s in fact._states)
-        assert fact.nbytes == wide_only
-        fact.solve(_narrow(64, 4, seed=2))
-        bands = [s.ops.band for s in fact._states]
-        assert all(band is not None for band in bands)
-        for seed in range(3, 5):
-            fact.solve(_narrow(64, 4, seed))
-            fact.solve(_wide(64, 4, seed))
-        assert all(s.ops.band is band
-                   for s, band in zip(fact._states, bands))
+        factored = fact.nbytes
+        before = held(fact)
+        for seed in range(4):
+            fact.solve(random_rhs(64, 4, 17, seed=seed))
+            fact.solve(random_rhs(64, 4, 1 + 8 * (seed % 2), seed=seed))
+        assert fact.nbytes == factored
+        assert_still_held(fact, before)
 
     @pytest.mark.parametrize("n, p", [(64, 1), (64, 2), (64, 3), (3, 5)])
     def test_only_the_closing_rank_keeps_closing_blocks(self, n, p):
@@ -341,7 +362,7 @@ class TestStoredState:
         m = 4
         mat, _ = helmholtz_block_system(n, m)
         fact = ARDFactorization(mat, nranks=p, backend="threads")
-        fact.solve(_narrow(n, m, seed=4))
+        fact.solve(random_rhs(n, m, 16, seed=4))
         closing = [r for r, s in enumerate(fact._states)
                    if s.closing_blocks is not None]
         assert closing == [fact._states[0].closing_rank]
@@ -356,14 +377,11 @@ class TestStoredState:
                            for a in stored_arrays(state))
 
     def test_concurrent_first_narrow_solves_are_bitwise_sequential(self):
-        """Threads whose solves all build the band (more threads than
-        cores, a short switch interval) each get the answer a sequential
-        solve gives, bit for bit, and the band left behind is the one a
-        sequential solve builds.  The panels have one column: with more
-        than one, the closing solve calls LAPACK ``getrs`` on factors
-        every thread shares, and SciPy's bundled OpenBLAS 0.3.30 corrupts
-        the heap under such concurrent calls unless it runs a single
-        BLAS thread."""
+        """Threads that each make a fresh factorization's first
+        one-column solve at once (more threads than cores, a short
+        switch interval) each get the answer a sequential solve gives,
+        bit for bit, and leave the states as the factor stored them:
+        concurrent solves share only arrays they read."""
         mat, _ = helmholtz_block_system(128, 8)
         nthreads = 4
         panels = [random_rhs(128, 8, 1, seed=seed) for seed in range(nthreads)]
@@ -374,6 +392,7 @@ class TestStoredState:
         try:
             for _ in range(3):
                 fact = ARDFactorization(mat, nranks=2, backend="threads")
+                before = held(fact)
                 start = threading.Barrier(nthreads)  # repro: noqa[RC103]
                 got = [None] * nthreads
 
@@ -390,25 +409,24 @@ class TestStoredState:
                 assert not any(t.is_alive() for t in threads)
                 for x, ref in zip(got, expected):
                     assert x is not None and np.array_equal(x, ref)
-                for state, ref in zip(fact._states, reference._states):
-                    assert np.array_equal(state.ops.band, ref.ops.band)
+                assert_still_held(fact, before)
         finally:
             sys.setswitchinterval(interval)
 
     def test_process_solves_leave_the_parent_states_unchanged(self):
         """On processes each worker solves against a shipped copy of its
-        state, so the band it builds stays there; the answer is the
-        thread backend's, bit for bit."""
+        state; the answer is the thread backend's, bit for bit, and the
+        parent's states hold what they held."""
         from repro.comm.mp import shutdown_pool
 
         mat, _ = helmholtz_block_system(32, 4)
-        b = _narrow(32, 4, seed=7)
+        b = random_rhs(32, 4, 16, seed=7)
         threads = ARDFactorization(mat, nranks=2, backend="threads")
         procs = ARDFactorization(mat, nranks=2, backend="processes")
         try:
-            before = procs.nbytes
+            nbytes, before = procs.nbytes, held(procs)
             assert np.array_equal(procs.solve(b), threads.solve(b))
-            assert procs.nbytes == before
-            assert all(s.ops.band is None for s in procs._states)
+            assert procs.nbytes == nbytes
+            assert_still_held(procs, before)
         finally:
             shutdown_pool()

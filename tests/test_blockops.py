@@ -1,11 +1,18 @@
 """Tests for the block kernels (repro.linalg.blockops): batched GEMM,
 the transfer-block inverse, and the per-block LU."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.config import config_context
 from repro.exceptions import ShapeError, SingularBlockError
 from repro.linalg.blockops import BatchedLU, as_block_batch, gemm, invert_blocks
@@ -263,3 +270,65 @@ class TestBatchedLU:
         b = rng.standard_normal((n, m, r))
         x = BatchedLU(a).solve(b)
         np.testing.assert_allclose(a @ x, b, atol=1e-8)
+
+
+#: Four threads solve against shared factors: 3,000 ``BatchedLU.solve``
+#: and ``solve_one`` calls each on one 8x8 LU with 8 right-hand sides,
+#: then 150 ``ARDFactorization.solve`` calls each, 2 to 16 columns, on
+#: one (64, 4, P = 2) factorization.  Exits nonzero on a wrong answer.
+_SHARED_FACTORS_PROBE = textwrap.dedent("""
+    import sys
+    import threading
+
+    import numpy as np
+
+    from repro.core.ard import ARDFactorization
+    from repro.linalg.blockops import BatchedLU
+    from repro.workloads import helmholtz_block_system, random_rhs
+
+    rng = np.random.default_rng(0)
+    lu = BatchedLU(rng.standard_normal((1, 8, 8)) + 8 * np.eye(8))
+    b = rng.standard_normal((1, 8, 8))
+    want = lu.solve(b)
+    mat, _ = helmholtz_block_system(64, 4)
+    fact = ARDFactorization(mat, nranks=2, backend="threads")
+    wrong = []
+
+    def lu_solves():
+        for _ in range(3000):
+            if not (np.array_equal(lu.solve(b), want)
+                    and np.array_equal(lu.solve_one(0, b[0]), want[0])):
+                wrong.append("lu")
+
+    def ard_solves(i):
+        for j in range(150):
+            panel = random_rhs(64, 4, 2 + (7 * i + j) % 15, seed=1000 * i + j)
+            if not mat.residual(fact.solve(panel), panel) < 1e-10:
+                wrong.append("ard")
+
+    for target, args in ((lu_solves, ()), (ard_solves, None)):
+        threads = [threading.Thread(target=target,
+                                    args=(i,) if args is None else args)
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    sys.exit(1 if wrong else 0)
+""")
+
+
+class TestSharedFactors:
+    def test_concurrent_solves_on_shared_factors(self):
+        """Threads solving against the same LU factors, with OpenBLAS
+        free to use four threads, get right answers and do not corrupt
+        the heap.  It runs in a subprocess, so a crash shows as a
+        nonzero exit rather than taking down the test session."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="4",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _SHARED_FACTORS_PROBE],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]

@@ -154,14 +154,24 @@ class TestBitwiseParity:
                                  rel=1e-12))
 
     def test_ard_parity_wide_panel(self):
-        """A panel wide enough for the lockstep kernel (R M > BAND_MAX_WORK),
-        with each rank's rows written in place on threads and copied
-        back on processes."""
+        """A 17-column panel, with each rank's rows written in place on
+        threads and copied back on processes."""
         from repro.core.ard import ARDFactorization
-        from repro.core.recurrence import BAND_MAX_WORK
 
         matrix, _ = helmholtz_block_system(64, M)
-        b = random_rhs(64, M, nrhs=BAND_MAX_WORK // M + 1, seed=8)
+        b = random_rhs(64, M, nrhs=17, seed=8)
+        xt = ARDFactorization(matrix, nranks=P, backend="threads").solve(b)
+        xp = ARDFactorization(matrix, nranks=P, backend="processes").solve(b)
+        np.testing.assert_array_equal(xt, xp)
+        assert matrix.residual(xt, b) < 1e-10
+
+    def test_ard_parity_one_column(self):
+        """A one-column panel runs the same kernel on both backends, bit
+        for bit."""
+        from repro.core.ard import ARDFactorization
+
+        matrix, _ = helmholtz_block_system(64, M)
+        b = random_rhs(64, M, nrhs=1, seed=9)
         xt = ARDFactorization(matrix, nranks=P, backend="threads").solve(b)
         xp = ARDFactorization(matrix, nranks=P, backend="processes").solve(b)
         np.testing.assert_array_equal(xt, xp)

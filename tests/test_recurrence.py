@@ -2,20 +2,20 @@
 
 These validate the algebra the solvers build on: the transfer maps
 reproduce the block-row equations, the aggregates equal the explicit
-product of ``2M x 2M`` companion matrices, and the trajectory kernels
-(band solve and the lockstep sub-chunk loop), the composed response
-``E_loc Ê``, the vector aggregate and the solution rows ``f + E s_lo``
-match a sequential recurrence kept in this file.
+product of ``2M x 2M`` companion matrices, and the trajectory kernel
+(the lockstep sub-chunk loop, at narrow and wide panel widths), the
+composed response ``E_loc Ê``, the vector aggregate and the solution
+rows ``f + E s_lo`` match a sequential recurrence kept in this file.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
-import repro.core.recurrence as rec
 from repro.config import config_context
 from repro.core.distribute import distribute_matrix
 from repro.core.recurrence import (
-    BAND_MAX_WORK,
     TransferOperators,
     ZeroEntryStates,
     forward_solution,
@@ -23,10 +23,10 @@ from repro.core.recurrence import (
     local_vector_aggregate,
     sub_chunks,
 )
-from repro.exceptions import ReproError, ShapeError, SingularBlockError
+from repro.exceptions import ShapeError, SingularBlockError
 from repro.linalg.blocktridiag import BlockTridiagonalMatrix
 from repro.linalg.reference import dense_solve
-from repro.util.flops import counting_flops, gemm_flops, tbtrs_flops
+from repro.util.flops import counting_flops, gemm_flops
 from repro.workloads import helmholtz_block_system, random_rhs
 
 
@@ -73,12 +73,9 @@ def restarted_states(ops, rhs):
 
 
 def chunk_relative(ops, f):
-    """A kernel's zero-entry states relative to the chunk's entry:
-    ``rows + E_loc sub_entries`` (the rows as they are for the band
-    solve)."""
+    """The kernel's zero-entry states relative to the chunk's entry:
+    ``rows + E_loc sub_entries``."""
     t, m = ops.ntransfer, ops.block_size
-    if f.sub_entries is None:
-        return f.rows
     s, b = ops.nsub, ops.sub_rows
     k = f.rows.shape[2]
     response = ops.e.reshape(s, b * m, 2 * m) @ f.sub_entries
@@ -169,38 +166,29 @@ class TestTransferOperators:
 
     def test_nbytes(self, chunk_and_matrix):
         """Each block is stored once: ``T1``, ``T2`` and ``U^{-1}`` are
-        views of ``W``.  The band is counted once it is built."""
+        views of ``W``.  ``nbytes`` is ``W``, ``E_loc`` and ``Ê``, and
+        solves of widths 1 to 17 change neither it, the stored arrays
+        nor the pickled size."""
         chunk, _ = chunk_and_matrix
         ops = TransferOperators(chunk)
         for view in (ops.t1, ops.t2, ops.t21, ops.uinv):
             assert view.base is ops.w
-        assert ops.band is None
-        assert ops.nbytes == ops.w.nbytes + ops.e.nbytes + ops.e_hat.nbytes
-        band = ops.lower_band()
-        assert ops.lower_band() is band and ops.band is band
-        assert ops.nbytes == (ops.w.nbytes + band.nbytes + ops.e.nbytes
-                              + ops.e_hat.nbytes)
-
-    @pytest.mark.parametrize("t", [1, 2, 3, 7])
-    def test_band_is_the_trajectory_system(self, t):
-        """Unpacking the LAPACK band gives the unit block lower-triangular
-        matrix with ``-T1_j`` and ``-T2_j`` below the diagonal."""
-        m = 3
-        ops = TransferOperators(random_chunk(t + 1, m))
-        n = t * m
-        band = ops.lower_band()
-        assert band.shape == (3 * m, n) and band.flags.f_contiguous
-        dense = np.zeros((n, n))
-        for d in range(3 * m):
-            for c in range(n - d):
-                dense[c + d, c] = band[d, c]
-        expect = np.eye(n)
-        for j in range(t):
-            if j >= 1:
-                expect[j * m:(j + 1) * m, (j - 1) * m:j * m] = -ops.t1[j]
-            if j >= 2:
-                expect[j * m:(j + 1) * m, (j - 2) * m:(j - 1) * m] = -ops.t2[j]
-        np.testing.assert_array_equal(dense, expect)
+        stored = (ops.w, ops.e, ops.e_hat)
+        copies = [a.copy() for a in stored]
+        nbytes = ops.nbytes
+        assert nbytes == sum(a.nbytes for a in stored)
+        pickled = len(pickle.dumps(ops, protocol=5))
+        rng = np.random.default_rng(0)
+        for k in range(1, 18):
+            d = rng.standard_normal((chunk.nrows, 3, k))
+            _, f = local_vector_aggregate(ops, d)
+            forward_solution(ops, f, rng.standard_normal((6, k)), chunk.nrows)
+        assert ops.nbytes == nbytes
+        assert len(pickle.dumps(ops, protocol=5)) == pickled
+        for held, array, copy in zip((ops.w, ops.e, ops.e_hat), stored,
+                                     copies):
+            assert held is array
+            np.testing.assert_array_equal(held, copy)
 
     @pytest.mark.parametrize("m", [2, 8, 16])
     def test_e_is_the_entry_response(self, m):
@@ -305,7 +293,7 @@ class TestForwardSolution:
         mat, _ = helmholtz_block_system(2, 2)
         chunk = distribute_matrix(mat, 3)[2]
         ops = TransferOperators(chunk)
-        f = ZeroEntryStates(np.zeros((0, 2, 1)), None)
+        f = ZeroEntryStates(np.zeros((0, 2, 1)), np.zeros((0, 4, 1)))
         out = forward_solution(ops, f, np.zeros((4, 1)), 0)
         assert out.shape == (0, 2, 1)
 
@@ -322,7 +310,8 @@ class TestForwardSolution:
     def test_too_many_rows_rejected(self, chunk_and_matrix):
         chunk, _ = chunk_and_matrix
         ops = TransferOperators(chunk)
-        f = ZeroEntryStates(np.zeros((ops.ntransfer, 3, 1)), None)
+        f = ZeroEntryStates(np.zeros((ops.ntransfer, 3, 1)),
+                            np.zeros((ops.nsub, 6, 1)))
         with pytest.raises(ShapeError):
             forward_solution(ops, f, np.zeros((6, 1)), ops.ntransfer + 2)
 
@@ -345,9 +334,9 @@ class TestForwardSolution:
                              out=np.empty((chunk.nrows, 3, 1)))
 
 
-#: (matrix dtype, rhs dtype, relative tolerance) the trajectory kernels
-#: are checked at: ``stbtrs``, ``dtbtrs``, ``ztbtrs``, and a real band
-#: against a complex panel.
+#: (matrix dtype, rhs dtype, relative tolerance) the trajectory kernel
+#: is checked at: single, double and complex precision, and a real
+#: matrix against a complex panel.
 DTYPE_CASES = [
     (np.float32, np.float32, 1e-5),
     (np.float64, np.float64, 1e-13),
@@ -356,17 +345,12 @@ DTYPE_CASES = [
 ]
 
 
-def run_kernel(kernel, ops, d):
-    """One trajectory kernel, called directly on right-hand-side rows
-    ``d``: ``band`` is ``g = U^{-1} d`` and the one ``?tbtrs`` call,
-    ``loop`` the row loop the wide panels take, which advances all
-    sub-chunks in lockstep with ``U^{-1}`` folded into each step (then
-    one pass over their entry states)."""
-    if kernel == "band":
-        return ZeroEntryStates(
-            rec._band_trajectory(ops.lower_band(), ops.g(d)), None)
-    _, f = rec._lockstep_trajectory(ops, d)
-    return f
+def widths(kernel, m, panel):
+    """Panel widths a ``kernel`` id checks the one kernel at: ``band``
+    the widths the retired ``?tbtrs`` path served (one column, and the
+    widest with ``k M <= 16``), ``loop`` the test's own ``panel``
+    width."""
+    return (1, 16 // m) if kernel == "band" else (panel,)
 
 
 def _panel(rng, shape, dtype):
@@ -382,31 +366,31 @@ def _panel(rng, shape, dtype):
 TRAJECTORY_ROWS = [0, 1, 2, 3, 7, 13, 15, 16, 17, 64, 511]
 
 
-def check_kernel(kernel, ops, d, tol):
-    """A kernel's states from right-hand-side rows ``d`` against the
-    sequential recurrence on ``g = U^{-1} d``; the lockstep rows also
-    against the recurrence restarted per sub-chunk.  The caller's rows
-    are only read."""
+def check_kernel(ops, d, tol):
+    """The kernel's states from right-hand-side rows ``d`` against the
+    sequential recurrence on ``g = U^{-1} d``, and its rows against the
+    recurrence restarted per sub-chunk.  The caller's rows are only
+    read."""
     before = d.copy()
     d.flags.writeable = False
-    f = run_kernel(kernel, ops, d)
+    _, f = local_vector_aggregate(ops, d)
     np.testing.assert_array_equal(d, before)
     g = ops.g(d)
     ref = sequential_states(ops, g)
     got = chunk_relative(ops, f)
     assert got.shape == ref.shape and got.dtype == ref.dtype
     assert rel_err(got, ref) <= tol
-    if kernel == "loop":
-        local = restarted_states(ops, g)
-        assert f.rows.shape == local.shape and f.rows.dtype == local.dtype
-        assert rel_err(f.rows, local) <= tol
-        assert f.sub_entries.shape == (ops.nsub, 2 * ops.block_size,
-                                       d.shape[2])
+    local = restarted_states(ops, g)
+    assert f.rows.shape == local.shape and f.rows.dtype == local.dtype
+    assert rel_err(f.rows, local) <= tol
+    assert f.sub_entries.shape == (ops.nsub, 2 * ops.block_size, d.shape[2])
 
 
 class TestTrajectory:
-    """Both trajectory kernels, called directly, against the sequential
-    recurrence, and the three public kernels built on them."""
+    """The trajectory kernel, called at each test's panel width
+    (``loop``) and at the widths the retired ``?tbtrs`` path served
+    (``band``), against the sequential recurrence, and the three public
+    kernels built on it."""
 
     @pytest.mark.parametrize("kernel", ["band", "loop"])
     @pytest.mark.parametrize("t", TRAJECTORY_ROWS)
@@ -417,8 +401,9 @@ class TestTrajectory:
         chunk = random_chunk(t + 1, 3, dtype=mat_dtype)
         ops = TransferOperators(chunk)
         assert ops.ntransfer == chunk.nrows - 1 == t
-        d = _panel(np.random.default_rng(t), (t + 1, 3, 4), rhs_dtype)
-        check_kernel(kernel, ops, d, tol)
+        for k in widths(kernel, 3, panel=4):
+            d = _panel(np.random.default_rng(t), (t + 1, 3, k), rhs_dtype)
+            check_kernel(ops, d, tol)
 
     @pytest.mark.parametrize("kernel", ["band", "loop"])
     @pytest.mark.parametrize("t", TRAJECTORY_ROWS[1:])
@@ -430,8 +415,9 @@ class TestTrajectory:
         chunk = random_chunk(2 * t, 3, dtype=mat_dtype, nranks=2)
         ops = TransferOperators(chunk)
         assert ops.ntransfer == chunk.nrows == t
-        d = _panel(np.random.default_rng(t), (t, 3, 4), rhs_dtype)
-        check_kernel(kernel, ops, d, tol)
+        for k in widths(kernel, 3, panel=4):
+            d = _panel(np.random.default_rng(t), (t, 3, k), rhs_dtype)
+            check_kernel(ops, d, tol)
 
     @pytest.mark.parametrize("kernel", ["band", "loop"])
     def test_interior_chunk(self, kernel):
@@ -439,51 +425,33 @@ class TestTrajectory:
         chunk = random_chunk(40, 4, nranks=2, rank=0)
         ops = TransferOperators(chunk)
         assert ops.ntransfer == chunk.nrows == 20
-        rhs = np.random.default_rng(5).standard_normal((20, 4, 3))
-        check_kernel(kernel, ops, rhs, 1e-13)
+        for k in widths(kernel, 4, panel=3):
+            rhs = np.random.default_rng(5).standard_normal((20, 4, k))
+            check_kernel(ops, rhs, 1e-13)
 
-    @pytest.mark.parametrize("m, k", [(8, BAND_MAX_WORK // 8),
-                                      (8, BAND_MAX_WORK // 8 + 1),
-                                      (8, 16), (8, 17), (4, 1), (16, 64)])
+    @pytest.mark.parametrize("m, k", [(8, 8), (8, 9), (8, 16), (8, 17),
+                                      (4, 1), (16, 64)])
     def test_dispatch_and_flops(self, m, k):
-        """``g`` and one ``?tbtrs`` call up to ``BAND_MAX_WORK`` (the
-        band built on the way), the lockstep kernel above it (no band),
-        each charged what it runs: per sub-chunk one ``U^{-1}`` gemm
-        for row 0, one ``[T1, U^{-1}]`` for row 1 and ``b - 2`` ``W``
-        gemms for the rest (padding rows included), then ``S - 2``
-        across the sub-chunk entries and one for the exit state."""
+        """One kernel at every width, charged what it runs: per
+        sub-chunk one ``U^{-1}`` gemm for row 0, one ``[T1, U^{-1}]``
+        for row 1 and ``b - 2`` ``W`` gemms for the rest (padding rows
+        included), then ``S - 2`` across the sub-chunk entries and one
+        for the exit state.  The operators do not grow."""
         ops = TransferOperators(random_chunk(11, m))
         t, s, b = ops.ntransfer, ops.nsub, ops.sub_rows
         assert (s, b) == (3, 4)
+        nbytes = ops.nbytes
         d = np.random.default_rng(0).standard_normal((t + 1, m, k))
         with config_context(flop_counting=True), counting_flops() as fc:
             _, f = local_vector_aggregate(ops, d)
-        if k * m <= BAND_MAX_WORK:
-            assert f.sub_entries is None and ops.band is not None
-            assert fc.snapshot() == {
-                "gemm": t * gemm_flops(m, m, k),
-                "trsm": tbtrs_flops(t * m, 3 * m - 1, k)}
-        else:
-            assert f.sub_entries is not None and ops.band is None
-            assert fc.snapshot() == {"gemm": (
-                s * gemm_flops(m, m, k) + s * gemm_flops(m, 2 * m, k)
-                + s * (b - 2) * gemm_flops(m, 3 * m, k)
-                + (s - 1) * gemm_flops(2 * m, 2 * m, k))}
+        assert f.sub_entries.shape == (s, 2 * m, k)
+        assert fc.snapshot() == {"gemm": (
+            s * gemm_flops(m, m, k) + s * gemm_flops(m, 2 * m, k)
+            + s * (b - 2) * gemm_flops(m, 3 * m, k)
+            + (s - 1) * gemm_flops(2 * m, 2 * m, k))}
+        assert ops.nbytes == nbytes
         assert rel_err(chunk_relative(ops, f),
                        sequential_states(ops, ops.g(d))) <= 1e-13
-
-    def test_nonzero_info_raises(self, monkeypatch):
-        ops = TransferOperators(random_chunk(5, 2))
-
-        def fake_lapack(names, arrays):
-            def tbtrs(ab, b, **kwargs):
-                return b, -3
-            tbtrs.typecode = "d"
-            return (tbtrs,)
-
-        monkeypatch.setattr(rec, "get_lapack_funcs", fake_lapack)
-        with pytest.raises(ReproError, match="info=-3"):
-            rec._band_trajectory(ops.lower_band(), np.ones((4, 2, 1)))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 8, 16, 19])
     def test_all_kernels_match_sequential(self, n):
@@ -517,7 +485,7 @@ class TestTrajectory:
                                             (48, 32, 2, 8)])
     def test_forward_solution_through_e_matches_two_passes(self, n, m, p, r):
         """``f + E s_lo`` against a second recurrence pass from the entry
-        state, on interior and closing chunks, both kernels."""
+        state, on interior and closing chunks, narrow and wide panels."""
         for rank in range(p):
             chunk = random_chunk(n, m, nranks=p, rank=rank, seed=rank)
             ops = TransferOperators(chunk)

@@ -1,9 +1,11 @@
 """Tests for the SPMD runtime: lifecycle, errors, deadlock, timing."""
 
+import gc
 import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -208,6 +210,26 @@ class TestKeptRankThreads:
             run_spmd(lambda comm, x: x, 2, rank_args=[(1,), 5])
         res = run_spmd(lambda comm, x: x, 2, rank_args=[(1,), (2,)])
         assert res.values == [1, 2]
+
+    def test_idle_thread_drops_finished_job(self):
+        """An idle kept thread holds nothing of the run it served: once
+        the run has returned, every rank's arguments can be collected.
+        A helper drops its job just after reporting it done, so this
+        waits up to 10 s for that."""
+        p0, p1 = np.zeros(4), np.zeros(4)
+        refs = [weakref.ref(p0), weakref.ref(p1)]
+        res = run_spmd(lambda comm, panel: comm.allreduce(panel.size), 2,
+                       rank_args=[(p0,), (p1,)])
+        assert res.values == [8, 8]
+        del p0, p1, res
+        deadline = time.monotonic() + 10
+        while True:
+            gc.collect()
+            alive = [r() is not None for r in refs]
+            if not any(alive) or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert alive == [False, False]
 
     def test_concurrent_runs_get_disjoint_threads(self):
         """Two runs live at once, launched from different threads, never

@@ -181,34 +181,29 @@ class TestFactorizationCache:
         assert cache.get("a") is a and cache.nbytes == 50
 
     def test_budget_follows_ard_bands(self):
-        """A budget that holds two wide-only ARD factorizations but not
-        two with their bands: the first hit after a narrow solve built a
-        band evicts the other entry."""
-        from repro.core.recurrence import BAND_MAX_WORK
-
+        """ARD entries keep the charge they were inserted with, with no
+        ``?tbtrs`` band to grow any more: narrow and wide solves leave
+        both at their factor-time size, so a budget of exactly two
+        entries evicts nothing."""
         n, m = 64, 4
         facts = {}
         for key, theta in (("a", 0.3), ("b", 0.9)):
             matrix, _ = helmholtz_block_system(n, m, theta=theta)
             facts[key] = factor(matrix, method="ard", nranks=2,
                                 backend="threads")
-        wide_only = facts["a"].nbytes
-        assert facts["b"].nbytes == wide_only
-        band = sum(3 * s.ops.ntransfer * m * m * 8
-                   for s in facts["a"]._states)
-        cache = FactorizationCache(max_bytes=2 * wide_only + band // 2)
+        charge = facts["a"].nbytes
+        assert facts["b"].nbytes == charge
+        cache = FactorizationCache(max_bytes=2 * charge)
         for key, fact in facts.items():
             assert cache.get_or_create(key, lambda f=fact: f) == (fact, False)
-        wide = random_rhs(n, m, BAND_MAX_WORK // m + 1, seed=1)
+        for key, k in (("a", 17), ("b", 1), ("a", 1), ("b", 17), ("a", 4)):
+            cache.get(key).solve(random_rhs(n, m, k, seed=k))
         for key in ("a", "b", "a"):
-            cache.get(key).solve(wide)
+            assert cache.get(key) is facts[key]
+        assert all(fact.nbytes == charge for fact in facts.values())
         assert "a" in cache and "b" in cache
-        assert cache.nbytes == 2 * wide_only
-        cache.get("a").solve(random_rhs(n, m, 1, seed=2))
-        assert facts["a"].nbytes == wide_only + band
-        assert "b" in cache                 # one-hit lag
-        assert cache.get("a") is facts["a"]
-        assert "b" not in cache and cache.nbytes == wide_only + band
+        assert cache.nbytes == 2 * charge
+        assert cache.stats().evictions == 0
 
     def test_single_flight_exactly_one_build(self, system):
         matrix, _ = system
