@@ -65,6 +65,10 @@ LOCKSTEP_OVER_LOOP_FLOOR = 1.0
 FOLDED_OVER_G_LOCKSTEP_FLOOR = 1.2
 FASTCOPY_SPEEDUP_FLOOR = 5.0
 
+#: Copies per timed call in the fastcopy comparison: one copy takes
+#: microseconds, too short to time alone.
+FASTCOPY_INNER = 200
+
 #: (n, m, r) grid for the transfer-kernel comparison; (256, 8, 16) is
 #: the acceptance point, the other rows are recorded, not asserted.
 LU_GRID = [(256, 8, 16), (1024, 4, 8), (64, 8, 16), (256, 16, 32), (128, 32, 32)]
@@ -89,14 +93,13 @@ LOCKSTEP_ROW = (512, 8, 16)
 WIDE_ROW = (512, 8, 256)
 
 
-def _best(fn, reps=7, inner=1):
-    """Best-of-``reps`` wall seconds of ``inner`` calls to ``fn``."""
+def _best(fn, reps=7):
+    """Best-of-``reps`` wall seconds of one call to ``fn``."""
     out = float("inf")
     for _ in range(reps):
         t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        out = min(out, (time.perf_counter() - t0) / inner)
+        fn()
+        out = min(out, time.perf_counter() - t0)
     return out
 
 
@@ -400,11 +403,22 @@ class TestFastcopy:
             "pair": pair,
             "rows": (RNG.standard_normal((8, 4, 4)), [np.arange(6.0)]),
         }
+
+        def copies(copier, payload):
+            def run():
+                for _ in range(FASTCOPY_INNER):
+                    copier(payload)
+            return run
+
         rows = []
         for label, payload in [("affine_pair", pair),
                                ("structured_dict", structured)]:
-            t_fast = _best(lambda: fastcopy(payload), reps=20, inner=200)
-            t_deep = _best(lambda: copy.deepcopy(payload), reps=20, inner=200)
+            # Interleaved, so a change in host speed reaches both sides.
+            times = _best_interleaved(
+                {"fastcopy": copies(fastcopy, payload),
+                 "deepcopy": copies(copy.deepcopy, payload)}, reps=20)
+            t_fast = times["fastcopy"] / FASTCOPY_INNER
+            t_deep = times["deepcopy"] / FASTCOPY_INNER
             rows.append({
                 "payload": label,
                 "fastcopy_s": t_fast,

@@ -9,11 +9,9 @@ expose modelled timings via ``return_info=True``.
 Methods
 -------
 ``"auto"``
-    Let the planner (:mod:`repro.perfmodel.planner`) pick the method
-    and rank count for this problem shape: ARD on ``nranks`` ranks
-    unless this host's tuning table measured a faster method.  The
-    chosen :class:`~repro.perfmodel.Plan` lands on ``SolveInfo.plan``
-    and in ``plan.*`` trace instants.
+    The planner's reference (:mod:`repro.perfmodel.planner`): ARD on
+    ``nranks`` ranks.  The :class:`~repro.perfmodel.Plan` lands on
+    ``SolveInfo.plan`` and in ``plan.*`` trace instants.
 ``"ard"``
     Accelerated recursive doubling (the paper's contribution).
 ``"rd"``
@@ -59,10 +57,6 @@ __all__ = ["solve", "factor", "fingerprint", "SolveInfo", "SOLVE_METHODS",
 SOLVE_METHODS = ("auto", "ard", "rd", "spike", "thomas", "cyclic", "dense",
                  "banded", "sparse")
 FACTOR_METHODS = ("auto", "ard", "spike", "thomas", "cyclic")
-
-#: What ``method="auto"`` may resolve to in :func:`factor` — the
-#: planner portfolio restricted to methods with reusable factorizations.
-_AUTO_FACTOR_PORTFOLIO = ("ard", "spike", "thomas", "cyclic")
 
 
 @dataclasses.dataclass
@@ -366,9 +360,6 @@ def solve(
 
     fields = {"method": method, "nranks": info.nranks, "nrhs": nrhs,
               "residual": residual, "virtual_time": virtual_time}
-    if planned is not None:
-        fields["plan_provenance"] = planned.provenance
-        fields["plan_predicted_time"] = planned.predicted_time
     if tc is not None:  # the dispatch context is uninstalled by now
         fields["trace_id"] = tc.trace_id
     get_logger("core.api").info("solve.completed", **fields)
@@ -411,14 +402,10 @@ def factor(
             f"matrix must be a BlockTridiagonalMatrix, got {type(matrix).__name__}"
         )
     if method == "auto":
-        # Plan over the factorable portfolio at a representative
-        # single-column panel (factor cost dominates the choice; the
-        # held factorization then serves any RHS width).
         from ..perfmodel.planner import plan as _resolve_plan
 
         planned = _resolve_plan(matrix.nblocks, matrix.block_size, p=nranks,
-                                r=1, dtype=matrix.dtype,
-                                methods=_AUTO_FACTOR_PORTFOLIO)
+                                r=1, dtype=matrix.dtype)
         method = planned.method
         nranks = planned.nranks
     if method == "ard":

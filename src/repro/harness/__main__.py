@@ -13,7 +13,6 @@ Usage::
     python -m repro.harness serve-bench [--scale smoke] [--rhs 10,100,256]
     python -m repro.harness serve-bench --http [PORT]
     python -m repro.harness bench-history [--check] [--out FILE]
-    python -m repro.harness tune [--quick] [--check] [--out FILE]
     python -m repro.harness postmortem [BUNDLE] [--json] [--chrome OUT]
     python -m repro.harness postmortem --synthetic --check
 
@@ -41,13 +40,6 @@ newest bundle in the incident store is used; ``--synthetic`` first
 forces a tiny two-rank deadlock to produce one, and ``--check`` exits
 nonzero unless the analysis identifies a culprit rank and op (the CI
 smoke contract).
-``tune`` runs the planner sweep
-(:func:`repro.perfmodel.tune_machine`) and writes the per-host tuning
-table (``results/TUNE_host.json`` by default).  ``--quick`` is the CI
-smoke sweep (tiny shapes, seconds not minutes); ``--check`` reloads
-the written table, verifies the schema/host round-trip, and plans
-every measured shape against it, exiting nonzero unless each plan is
-that shape's measured argmin.  See docs/PLANNER.md.
 
 ``run``/``all``/``trace``/``serve-bench`` accept ``--verify``: every
 simulated solve runs with the SPMD runtime verifier enabled
@@ -195,22 +187,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(default: 0.15)")
     _add_verify(hist_p)
 
-    tune_p = sub.add_parser(
-        "tune",
-        help="run the planner sweep and write the per-host "
-        "tuning table (see docs/PLANNER.md)",
-    )
-    tune_p.add_argument("--quick", action="store_true",
-                        help="CI smoke sweep: tiny shapes, one timing "
-                        "rep")
-    tune_p.add_argument("--check", action="store_true",
-                        help="after writing, reload the table and plan "
-                        "every measured shape against it; exit nonzero "
-                        "unless each plan is the measured argmin")
-    tune_p.add_argument("--out", default=None,
-                        help="output path (default: results/TUNE_host.json)")
-    _add_verify(tune_p)
-
     pm_p = sub.add_parser(
         "postmortem",
         help="analyze a cross-rank incident bundle: merged timeline, "
@@ -292,10 +268,6 @@ def main(argv: list[str] | None = None) -> int:
 
         return run_bench_history(args.out, args.scale, check=args.check,
                                  threshold=args.threshold)
-    if args.command == "tune":
-        from .tune import run_tune
-
-        return run_tune(out=args.out, quick=args.quick, check=args.check)
     if args.command == "postmortem":
         from ..obs.postmortem import run_postmortem
 

@@ -137,41 +137,6 @@ def _backend_metrics(n: int, m: int, p: int, r: int) -> dict[str, float]:
     }
 
 
-def _planner_metrics(n: int, m: int, p: int, r: int) -> dict[str, float]:
-    """Planner regret at the history shape (docs/PLANNER.md).
-
-    Tunes this shape in-process (the deployed workflow: ``harness
-    tune`` once, plan forever), then times ``method="auto"`` against
-    the fixed portfolio methods on the same problem; regret is auto's
-    wall time over the best fixed configuration.  With the shape
-    measured, ``auto`` plans its measured argmin, so this stays near
-    1.0 — the :data:`~repro.obs.regress.GATED_METRICS` gate fires when
-    a planner change makes it drift up.
-    """
-    from ..core.api import solve
-    from ..perfmodel.planner import set_default_table, tune_machine
-    from ..workloads import helmholtz_block_system, random_rhs
-
-    matrix, _ = helmholtz_block_system(n, m)
-    b = random_rhs(n, m, r, seed=0)
-
-    def run(method: str) -> Callable[[], Any]:
-        return lambda: solve(matrix, b, method=method, nranks=p)
-
-    set_default_table(tune_machine(quick=True, shapes=[(n, m, p, r)]))
-    try:
-        run("auto")()  # warm: plan resolution + kernel setup
-        auto_s = _best_of(run("auto"), rounds=2)
-        fixed_s = min(_best_of(run(meth), rounds=2)
-                      for meth in ("ard", "rd", "thomas"))
-    finally:
-        set_default_table(None)
-    return {
-        "planner.auto_wall_s": auto_s,
-        "planner.regret": auto_s / fixed_s if fixed_s > 0 else 0.0,
-    }
-
-
 def _flightrec_metrics(n: int, m: int, p: int, r: int) -> dict[str, float]:
     """Always-on flight-recorder cost at the canonical solve shape.
 
@@ -218,7 +183,6 @@ def collect_record(scale: str = "smoke") -> dict[str, Any]:
     metrics.update(_service_metrics(scale, cfg["requests"]))
     metrics.update(_solve_metrics(*cfg["solve"]))
     metrics.update(_backend_metrics(*cfg["solve"]))
-    metrics.update(_planner_metrics(*cfg["solve"]))
     metrics.update(_flightrec_metrics(*cfg["solve"]))
     metrics.update(_span_guard_metrics())
     return {

@@ -63,7 +63,7 @@ __all__ = ["ExperimentResult", "Experiment", "EXPERIMENTS", "get_experiment",
            "f3_strong_scaling", "f4_runtime_vs_n", "f5_runtime_vs_m",
            "f6_model_validation", "f7_wallclock", "s1_stability",
            "s2_refinement", "a1_scan_ablation", "a2_batching", "a3_baselines",
-           "a4_solver_domains", "a5_banded", "a6_planner_ablation"]
+           "a4_solver_domains", "a5_banded"]
 
 _CM = PAPER_ERA_MODEL
 
@@ -839,76 +839,6 @@ def a5_banded(scale: str = "full") -> ExperimentResult:
 
 
 # --------------------------------------------------------------------------
-# abl-A6: planner ablation — method="auto" vs every fixed configuration
-# --------------------------------------------------------------------------
-
-
-def a6_planner_ablation(scale: str = "full") -> ExperimentResult:
-    """Wall-clock ``method="auto"`` against the fixed portfolio.
-
-    Every portfolio method the planner chooses among is timed at the
-    canonical bench shapes; the ``auto`` row carries its regret —
-    auto's time over the best fixed time.  The
-    experiment first tunes these exact shapes in-process and installs
-    the table (the deployed workflow: ``harness tune`` once, plan
-    forever), so ``auto`` runs table-backed, not cold: it picks the
-    measured argmin, and regret departs from 1.0 only by timing noise
-    between the sweep and these runs (docs/PLANNER.md).
-    """
-    from ..core.api import solve
-    from ..perfmodel.planner import PLAN_METHODS, set_default_table, tune_machine
-
-    if scale == "smoke":
-        shapes = [(64, 8, 2, 8)]
-        reps = 1
-    else:
-        shapes = [(512, 8, 4, 16), (256, 16, 4, 32), (1024, 4, 4, 8)]
-        reps = 3
-    table = tune_machine(quick=(scale == "smoke"), shapes=shapes)
-    set_default_table(table)
-    rows = []
-    for n, m, p, r in shapes:
-        a, _ = helmholtz_block_system(n, m)
-        b = random_rhs(n, m, r, seed=16)
-
-        def timed(method: str) -> float:
-            def run() -> None:
-                solve(a, b, method=method, nranks=p)
-
-            run()  # warm (plan cache, BLAS)
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                run()
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        try:
-            fixed = {method: timed(method) for method in PLAN_METHODS}
-            auto_s = timed("auto")
-            _, info = solve(a, b, method="auto", nranks=p, return_info=True)
-        except BaseException:
-            set_default_table(None)
-            raise
-        best_fixed = min(fixed.values())
-        for method in PLAN_METHODS:
-            rows.append([n, m, p, r, method, fixed[method], float("nan"), ""])
-        rows.append([n, m, p, r, "auto", auto_s, auto_s / best_fixed,
-                     info.method])
-    set_default_table(None)
-    return ExperimentResult(
-        "abl-A6",
-        "Planner ablation: method=auto vs every fixed configuration",
-        ["N", "M", "P", "R", "config", "wall_s", "regret", "auto_choice"],
-        rows,
-        notes="regret = auto wall time / best fixed configuration; auto "
-        "plans the measured argmin of the in-process sweep, and "
-        "repro.obs.regress gates the bench-history planner.regret "
-        "metric at <= 1.15.",
-    )
-
-
-# --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
 
@@ -947,8 +877,6 @@ EXPERIMENTS: dict[str, Experiment] = {
                    "ARD vs SPIKE vs Thomas across stability regimes."),
         Experiment("abl-A5", "Banded generalization", a5_banded,
                    "The acceleration for block banded systems."),
-        Experiment("abl-A6", "Planner ablation", a6_planner_ablation,
-                   "method=auto vs every fixed configuration (regret)."),
     ]
 }
 

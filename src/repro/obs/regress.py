@@ -65,12 +65,6 @@ GATED_METRICS: dict[str, str] = {
     # (median |log ratio| over recon-F6's parity points): rises when the
     # analytic model or a calibration change degrades parity.
     "perfmodel.model_error": "lower",
-    # Planner regret: time of the planner's method="auto" choice
-    # divided by the best fixed configuration in the portfolio at the
-    # same shapes (benchmarks/bench_planner.py).  1.0 is a perfect
-    # planner; rising regret means the planner started losing to
-    # hand-tuning, which the never-lose guard is supposed to prevent.
-    "planner.regret": "lower",
 }
 
 

@@ -30,21 +30,7 @@ from .machine import (
     calibrated_cost_model,
     calibration_cost_model,
 )
-from .planner import (
-    DEFAULT_TUNE_PATH,
-    PLAN_METHODS,
-    TUNE_SCHEMA_VERSION,
-    Plan,
-    TuneEntry,
-    TuningTable,
-    default_table,
-    host_fingerprint,
-    load_table,
-    plan,
-    save_table,
-    set_default_table,
-    tune_machine,
-)
+from .planner import Plan, plan
 from .predictor import PREDICTABLE_METHODS, predict_cost, predict_flops, predict_time
 from .scaling import (
     ard_breakeven_r,
@@ -79,19 +65,8 @@ __all__ = [
     "calibrate_flop_rate",
     "calibrated_cost_model",
     "calibration_cost_model",
-    "DEFAULT_TUNE_PATH",
-    "PLAN_METHODS",
-    "TUNE_SCHEMA_VERSION",
     "Plan",
-    "TuneEntry",
-    "TuningTable",
-    "default_table",
-    "host_fingerprint",
-    "load_table",
     "plan",
-    "save_table",
-    "set_default_table",
-    "tune_machine",
     "PREDICTABLE_METHODS",
     "predict_cost",
     "predict_flops",

@@ -2,8 +2,8 @@
 
 The analytic predictor and the virtual-time simulation both run on
 :data:`~repro.perfmodel.machine.PAPER_ERA_MODEL` constants by default —
-fine for reproducing the paper's speedup *shapes*, useless for deciding
-what *this* host will do (the ROADMAP's autotuned-portfolio item).
+fine for reproducing the paper's speedup *shapes*, useless for
+predicting what *this* host will do.
 :func:`calibrate_machine` times the real block kernels the solvers
 execute — block inversion, per-block LU solve, dense GEMM — and the
 ``fastcopy`` message-payload path, then writes a schema-versioned
@@ -13,8 +13,9 @@ JSON snapshot (``results/CALIB_machine.json`` by default) that
 hard-coded constants.
 
 Produced by ``python -m repro.harness profile --calibrate``; consumed
-by the predictor, :class:`repro.obs.roofline.MachineRates`, and (soon)
-the method auto-planner.  See docs/PROFILING.md for the workflow.
+by the predictor and :class:`repro.obs.roofline.MachineRates`, never
+by the planner (``method="auto"`` reads no file).  See
+docs/PROFILING.md for the workflow.
 """
 
 from __future__ import annotations

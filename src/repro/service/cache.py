@@ -14,16 +14,14 @@ the leader's exception to every waiter — retrying an already-failing
 factorization from each waiter would multiply the damage, not fix it.
 
 **Byte budget.**  Every entry is charged its factorization's ``nbytes``
-(all factorization classes expose it); inserting past ``max_bytes``
-evicts least-recently-used entries until the budget holds again.  No
-factorization class of this package changes size after it is built
-(an ARD factorization's rank states are fixed at factor time), but an
-entry is whatever the build callable returns, and its ``nbytes`` may
-change; so every hit re-reads the entry's ``nbytes`` and evicts again
-if the total grew past the budget.  The entry being returned is never
-evicted.  A single entry larger than the whole budget is still
-admitted (evicting everything else) — rejecting it would livelock the
-request that needs it.
+(all factorization classes expose it) once, at insert; inserting past
+``max_bytes`` evicts least-recently-used entries until the budget holds
+again.  A hit only counts and refreshes the entry: no factorization
+that :func:`~repro.core.api.factor` builds changes size after it is
+built (an ARD factorization's rank states are fixed at factor time).
+A single entry larger than the whole budget is still admitted
+(evicting everything else) — rejecting it would livelock the request
+that needs it.
 
 **Honest counters.**  ``hits`` counts requests served without building
 (including single-flight waiters), ``misses`` counts builds, and
@@ -232,17 +230,10 @@ class FactorizationCache:
         self._evict_locked()
 
     def _hit_locked(self, key: str) -> Any:
-        """Count a hit on a present ``key``, make it most recent, charge
-        its current ``nbytes`` and evict other entries if it grew."""
-        fact, charged = self._entries[key]
+        """Count a hit on a present ``key`` and make it most recent."""
         self._entries.move_to_end(key)
         self._hits += 1
-        nbytes = _entry_nbytes(fact)
-        if nbytes != charged:
-            self._entries[key] = (fact, nbytes)
-            self._bytes += nbytes - charged
-            self._evict_locked()
-        return fact
+        return self._entries[key][0]
 
     def _evict_locked(self) -> None:
         """Evict least-recently-used entries until the budget holds,

@@ -191,11 +191,9 @@ class SolverService:
         Defaults applied when :meth:`submit` receives a bare matrix
         instead of a :class:`FactorHandle`.  The default method is
         ``"auto"``: the planner (:mod:`repro.perfmodel.planner`)
-        resolves each registered matrix to a concrete method and rank
-        count (ARD unless this host's tuning table measured something
-        faster), cached per matrix fingerprint
-        alongside the factorization; pass an explicit method to opt
-        out.
+        resolves each registered matrix to ARD on ``nranks`` ranks,
+        cached per matrix fingerprint alongside the factorization;
+        pass an explicit method to opt out.
     workers:
         Worker threads serving batches (>= 1).  Batches for distinct
         keys run concurrently; per key, batches are serialized so a
@@ -373,13 +371,12 @@ class SolverService:
     def _plan_for(self, matrix: BlockTridiagonalMatrix, nranks: int) -> Any:
         """Resolve (and cache) the planner decision for one matrix.
 
-        The plan is cached per (matrix fingerprint, rank count) —
-        exactly the granularity of the factorization cache — so the
-        planner runs once per distinct matrix, not once per request.
-        The batcher's coalescing width is the representative RHS panel:
-        that is the width the service actually solves at.
+        A request for a bare matrix registers it again, so the plan is
+        cached per (matrix fingerprint, rank count) — exactly the
+        granularity of the factorization cache: the planner runs and
+        ``plan.selected`` is logged once per distinct matrix, not once
+        per request.
         """
-        from ..core.api import _AUTO_FACTOR_PORTFOLIO
         from ..perfmodel.planner import plan as resolve_plan
 
         key = (matrix.fingerprint(), nranks)
@@ -390,7 +387,6 @@ class SolverService:
         chosen = resolve_plan(
             matrix.nblocks, matrix.block_size, p=nranks,
             r=self._batcher.max_batch_rhs, dtype=matrix.dtype,
-            methods=_AUTO_FACTOR_PORTFOLIO,
         )
         _log.info("plan.selected", fingerprint=key[0], **chosen.to_dict())
         note_event("plan.selected", fingerprint=key[0], **chosen.to_dict())

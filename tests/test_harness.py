@@ -15,7 +15,6 @@ class TestRegistry:
             "recon-T1", "recon-T2", "recon-F1", "recon-F2", "recon-F3",
             "recon-F4", "recon-F5", "recon-F6", "recon-F7", "recon-S1",
             "recon-S2", "abl-A1", "abl-A2", "abl-A3", "abl-A4", "abl-A5",
-            "abl-A6",
         }
         assert set(EXPERIMENTS) == expected
 

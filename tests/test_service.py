@@ -17,7 +17,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from repro.core.api import factor
+from repro.core.api import FACTOR_METHODS, factor
 from repro.exceptions import (
     ConfigError,
     DeadlineExceededError,
@@ -160,50 +160,34 @@ class TestFactorizationCache:
         cache.put("a", _FakeFact(30))
         assert cache.nbytes == 30 and len(cache) == 1
 
-    def test_hit_recharges_an_entry_that_grew(self):
-        """A hit re-reads the entry's ``nbytes`` and evicts least
-        recently used entries until the budget holds, never the entry it
-        returns; a shrunken entry frees budget."""
-        cache = FactorizationCache(max_bytes=250)
-        a, b, c = _FakeFact(100), _FakeFact(100), _FakeFact(10)
-        cache.put("a", a)
-        cache.put("b", b)
-        a.nbytes = 160
-        assert cache.nbytes == 200          # charged at insert until a hit
-        assert cache.get_or_create("a", _FakeFact) == (a, True)
-        assert "b" not in cache and cache.nbytes == 160
-        assert cache.stats().evictions == 1
-        cache.put("c", c)
-        a.nbytes = 400                      # larger than the whole budget
-        assert cache.get("a") is a
-        assert list(cache.keys()) == ["a"] and cache.nbytes == 400
-        a.nbytes = 50
-        assert cache.get("a") is a and cache.nbytes == 50
-
     def test_budget_follows_ard_bands(self):
-        """ARD entries keep the charge they were inserted with, with no
-        ``?tbtrs`` band to grow any more: narrow and wide solves leave
-        both at their factor-time size, so a budget of exactly two
-        entries evicts nothing."""
+        """Every factorization ``factor()`` builds keeps the charge it
+        was inserted with, which is what lets a hit skip re-charging:
+        narrow and wide solves leave both entries of each method at
+        their factor-time size, so a budget of exactly two entries
+        evicts nothing."""
         n, m = 64, 4
-        facts = {}
-        for key, theta in (("a", 0.3), ("b", 0.9)):
-            matrix, _ = helmholtz_block_system(n, m, theta=theta)
-            facts[key] = factor(matrix, method="ard", nranks=2,
-                                backend="threads")
-        charge = facts["a"].nbytes
-        assert facts["b"].nbytes == charge
-        cache = FactorizationCache(max_bytes=2 * charge)
-        for key, fact in facts.items():
-            assert cache.get_or_create(key, lambda f=fact: f) == (fact, False)
-        for key, k in (("a", 17), ("b", 1), ("a", 1), ("b", 17), ("a", 4)):
-            cache.get(key).solve(random_rhs(n, m, k, seed=k))
-        for key in ("a", "b", "a"):
-            assert cache.get(key) is facts[key]
-        assert all(fact.nbytes == charge for fact in facts.values())
-        assert "a" in cache and "b" in cache
-        assert cache.nbytes == 2 * charge
-        assert cache.stats().evictions == 0
+        for method in FACTOR_METHODS:
+            facts = {}
+            for key, theta in (("a", 0.3), ("b", 0.9)):
+                matrix, _ = helmholtz_block_system(n, m, theta=theta)
+                facts[key] = factor(matrix, method=method, nranks=2,
+                                    backend="threads")
+            charge = facts["a"].nbytes
+            assert charge > 0 and facts["b"].nbytes == charge, method
+            cache = FactorizationCache(max_bytes=2 * charge)
+            for key, fact in facts.items():
+                assert cache.get_or_create(key, lambda f=fact: f) == (
+                    fact, False)
+            for key, k in (("a", 17), ("b", 1), ("a", 1), ("b", 17),
+                           ("a", 4)):
+                cache.get(key).solve(random_rhs(n, m, k, seed=k))
+            for key in ("a", "b", "a"):
+                assert cache.get(key) is facts[key]
+            assert [f.nbytes for f in facts.values()] == [charge] * 2, method
+            assert "a" in cache and "b" in cache
+            assert cache.nbytes == 2 * charge
+            assert cache.stats().evictions == 0
 
     def test_single_flight_exactly_one_build(self, system):
         matrix, _ = system
