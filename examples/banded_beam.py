@@ -3,11 +3,12 @@
 
 Fourth-order operators (beam bending, plate problems, high-order
 compact stencils) discretize to *pentadiagonal* systems — bandwidth 2,
-outside the tridiagonal world the paper treats.  The `repro.banded`
-extension generalizes accelerated recursive doubling to any symmetric
-block bandwidth: the affine-recurrence state grows from 2M to 2bM and
-everything else (traced scan, replay, closing solve, refinement)
-carries over.
+outside the tridiagonal world the paper treats — until b block
+rows are grouped into one: a bandwidth-b matrix is block tridiagonal in
+super-blocks of order bM.  The `repro.banded` extension regroups it
+that way and runs the paper's accelerated recursive doubling unchanged
+(state 2bM; traced scan, replay, closing solve and refinement as in the
+tridiagonal case).
 
 This script builds an oscillatory block pentadiagonal system, solves it
 for many right-hand sides with the banded ARD factorization across

@@ -13,8 +13,6 @@ Demonstrates the 60-second tour of the library:
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro import factor, solve
 from repro.core.diagnostics import diagnose
 from repro.workloads import helmholtz_block_system, random_rhs

@@ -17,8 +17,6 @@ stability domain:
 Run:  python examples/solver_selection.py
 """
 
-import numpy as np
-
 from repro import factor
 from repro.core.diagnostics import diagnose
 from repro.exceptions import ReproError

@@ -1,28 +1,12 @@
 """Block banded generalization of accelerated recursive doubling.
 
-Extends the paper's tridiagonal algorithm (bandwidth 1) to symmetric
-block bandwidth ``b``: the affine-recurrence state grows to ``2bM``,
-the closing system to ``bM``, and everything else — traced scan,
-replay, factor/solve split, iterative refinement — carries over
-unchanged (see :mod:`repro.banded.solver`).
+A matrix of symmetric block bandwidth ``b`` is block tridiagonal in
+super-blocks of order ``bM``, so the paper's algorithm solves it
+unchanged once ``b`` rows are grouped into one (see
+:mod:`repro.banded.solver`).
 """
 
 from .matrix import BlockBandedMatrix
-from .solver import (
-    BandedARDFactorization,
-    BandedChunk,
-    BandedTransferOperators,
-    banded_ard_factor_spmd,
-    banded_ard_solve_spmd,
-)
-from .solver import distribute_banded
+from .solver import BandedARDFactorization
 
-__all__ = [
-    "BlockBandedMatrix",
-    "BandedARDFactorization",
-    "BandedChunk",
-    "BandedTransferOperators",
-    "banded_ard_factor_spmd",
-    "banded_ard_solve_spmd",
-    "distribute_banded",
-]
+__all__ = ["BlockBandedMatrix", "BandedARDFactorization"]

@@ -9,7 +9,11 @@ Generalizes :class:`repro.linalg.blocktridiag.BlockTridiagonalMatrix`
 Storage: one array ``bands`` of shape ``(2b + 1, N, M, M)`` where
 ``bands[b + k, i]`` is the coefficient of ``x_{i+k}`` in row ``i``
 (rows whose offset falls outside the matrix hold zero blocks), chosen so
-per-row slicing — what the distributed solver needs — is contiguous.
+one band offset across every row is one contiguous slice.
+
+Grouping ``b`` consecutive block rows makes the matrix block
+*tridiagonal* in blocks of order ``bM`` (:meth:`BlockBandedMatrix.
+to_block_tridiagonal`), which is how the solver handles it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,11 @@ import numpy as np
 
 from ..config import get_config
 from ..exceptions import ShapeError
-from ..linalg.blocktridiag import reshape_rhs, restore_rhs_shape
+from ..linalg.blocktridiag import (
+    BlockTridiagonalMatrix,
+    reshape_rhs,
+    restore_rhs_shape,
+)
 
 __all__ = ["BlockBandedMatrix"]
 
@@ -130,6 +138,51 @@ class BlockBandedMatrix:
                         f"nonzero block ({i}, {j}) outside bandwidth {b}"
                     )
         return cls(bands, copy=False)
+
+    # -- regrouping ----------------------------------------------------------
+
+    def to_block_tridiagonal(self) -> BlockTridiagonalMatrix:
+        """The same system as ``N' = ceil(N / b)`` block tridiagonal
+        super-rows of order ``bM``.
+
+        Super-row ``I`` holds rows ``bI .. bI + b - 1``; its blocks are,
+        for ``r, c < b``,
+
+        - ``D'_I[r, c] = A_{bI+r, bI+c}``,
+        - ``U'_I[r, c] = A_{bI+r, b(I+1)+c}`` (zero unless ``c <= r``),
+        - ``L'_I[r, c] = A_{bI+r, b(I-1)+c}`` (zero unless ``c >= r``).
+
+        Each ``U'_I`` is lower block triangular with the outermost blocks
+        ``A_{i,i+b}`` on its diagonal.  When ``b`` does not divide ``N``
+        the last super-row gets ``p = bN' - N`` pad unknowns with
+        identity diagonal blocks, and rows ``N - b .. N - b + p - 1``
+        reach them through identity outermost blocks.  A pad's
+        right-hand side is zero, so it solves to zero, and every ``U'_I``
+        is invertible exactly when the outermost blocks of its rows are.
+        """
+        n, m, b = self.nblocks, self.block_size, self.bandwidth
+        nsup = -(-n // b)
+        bands = np.zeros((2 * b + 1, b * nsup, m, m), dtype=self.dtype)
+        bands[:, :n] = self.bands
+        eye = np.eye(m, dtype=self.dtype)
+        bands[b, n:] = eye
+        bands[2 * b, max(0, n - b):b * (nsup - 1)] = eye
+        # rows[k, I, r] is band offset k - b of row bI + r.
+        rows = bands.reshape(2 * b + 1, nsup, b, m, m)
+        diag, lower, upper = (np.zeros((nsup, b, m, b, m), dtype=self.dtype)
+                              for _ in range(3))
+        for r in range(b):
+            for c in range(b):
+                diag[:, r, :, c] = rows[b + c - r, :, r]
+                if c <= r:
+                    upper[:, r, :, c] = rows[2 * b + c - r, :, r]
+                if c >= r:
+                    lower[:, r, :, c] = rows[c - r, :, r]
+        shape = (nsup, b * m, b * m)
+        return BlockTridiagonalMatrix(
+            lower.reshape(shape)[1:], diag.reshape(shape),
+            upper.reshape(shape)[:-1], copy=False,
+        )
 
     # -- operations ----------------------------------------------------------
 

@@ -36,10 +36,8 @@ from ..core import (
     diagnose,
     distribute_matrix,
     distribute_rhs,
-    gather_solution,
     rd_solve_spmd,
 )
-from ..core.ard import ard_solve_spmd
 from ..exceptions import ExperimentError
 from ..linalg.reference import dense_solve
 from ..perfmodel import PAPER_ERA_MODEL, predict_cost, predict_time, speedup_model
@@ -833,8 +831,9 @@ def a5_banded(scale: str = "full") -> ExperimentResult:
          "speedup", "residual"],
         rows,
         notes="the factor/solve split delivers the same R-fold win for "
-        "every bandwidth; state dim 2bM makes the per-round matrix work "
-        "grow as b^3 while the solve phase stays (bM)^2 per RHS.",
+        "every bandwidth; b-row super-blocks make the system block "
+        "tridiagonal of order bM (state 2bM), so the per-round matrix work "
+        "grows as b^3 while the solve phase stays (bM)^2 per RHS.",
     )
 
 

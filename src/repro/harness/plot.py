@@ -17,7 +17,7 @@ True
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..exceptions import ShapeError
 

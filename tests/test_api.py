@@ -6,7 +6,7 @@ import pytest
 from repro.core.api import FACTOR_METHODS, SOLVE_METHODS, SolveInfo, factor, solve
 from repro.exceptions import ConfigError, ShapeError, StabilityWarning
 from repro.linalg.reference import dense_solve
-from repro.workloads import helmholtz_block_system, poisson_block_system, random_rhs
+from repro.workloads import poisson_block_system, random_rhs
 
 
 @pytest.fixture

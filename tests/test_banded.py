@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.banded import (
-    BandedARDFactorization,
-    BandedChunk,
-    BlockBandedMatrix,
-    distribute_banded,
-)
+from repro.banded import BandedARDFactorization, BlockBandedMatrix
 from repro.core import ARDFactorization
-from repro.exceptions import ShapeError
+from repro.exceptions import ShapeError, SingularBlockError
 from repro.workloads import banded_oscillatory_system, helmholtz_block_system, random_rhs
 
 
@@ -67,31 +62,25 @@ class TestBlockBandedMatrix:
         with pytest.raises(ShapeError, match="out-of-range"):
             BlockBandedMatrix(bands)
 
+    def test_to_block_tridiagonal(self):
+        """b = 3 rows per super-row, N = 7: two pad unknowns, decoupled
+        identities reached through identity outermost blocks."""
+        n, m, b = 7, 2, 3
+        mat, _ = banded_oscillatory_system(n, m, bandwidth=b, seed=24)
+        tri = mat.to_block_tridiagonal()
+        assert (tri.nblocks, tri.block_size) == (3, b * m)
+        expected = np.zeros((9 * m, 9 * m))
+        expected[:n * m, :n * m] = mat.to_dense()
+        for j in (7, 8):  # pad unknown j = i + b of row i = 4, 5
+            expected[j * m:(j + 1) * m, j * m:(j + 1) * m] = np.eye(m)
+            expected[(j - b) * m:(j - b + 1) * m, j * m:(j + 1) * m] = np.eye(m)
+        np.testing.assert_array_equal(tri.to_dense(), expected)
+
     def test_residual(self):
         mat, _ = banded_oscillatory_system(8, 2, bandwidth=2, seed=5)
         b = random_rhs(8, 2, 1, seed=6)
         x = _dense_solve(mat, b)
         assert mat.residual(x, b) < 1e-11
-
-
-class TestDistribution:
-    def test_chunks_cover_rows(self):
-        mat, _ = banded_oscillatory_system(13, 2, bandwidth=2, seed=7)
-        chunks = distribute_banded(mat, 4)
-        rows = [i for c in chunks for i in range(c.lo, c.hi)]
-        assert rows == list(range(13))
-
-    def test_ntransfer(self):
-        mat, _ = banded_oscillatory_system(10, 2, bandwidth=2, seed=8)
-        chunks = distribute_banded(mat, 2)
-        # Transfers stop b=2 rows before the end.
-        assert chunks[0].ntransfer == chunks[0].nrows
-        assert chunks[1].ntransfer == chunks[1].nrows - 2
-
-    def test_chunk_validation(self):
-        with pytest.raises(ShapeError):
-            BandedChunk(nblocks=4, bandwidth=1, lo=3, hi=2,
-                        rows=np.zeros((3, 0, 2, 2)))
 
 
 @pytest.mark.parametrize("bandwidth", [1, 2, 3])
@@ -115,14 +104,14 @@ class TestBandedArdCorrectness:
 
 class TestBandwidthOneEquivalence:
     def test_matches_tridiagonal_ard(self):
-        """b=1 banded ARD must agree with the tridiagonal ARD to
-        rounding — the paper's algorithm is the special case."""
+        """b=1 banded ARD is the tridiagonal ARD: the paper's algorithm
+        is the special case, bit for bit."""
         tri, _ = helmholtz_block_system(16, 3)
         banded = BlockBandedMatrix.from_tridiagonal(tri)
         b = random_rhs(16, 3, nrhs=4, seed=13)
         x_tri = ARDFactorization(tri, nranks=4).solve(b)
         x_band = BandedARDFactorization(banded, nranks=4).solve(b)
-        np.testing.assert_allclose(x_band, x_tri, rtol=1e-9, atol=1e-11)
+        np.testing.assert_array_equal(x_band, x_tri)
 
 
 class TestFactorSolveSplit:
@@ -156,13 +145,34 @@ class TestFactorSolveSplit:
         assert fact.factor_virtual_time > 0
 
 
+class TestSmallSystems:
+    def test_n_up_to_2b_matches_dense(self):
+        """N = 1 .. 2b: one or two super-rows, padded when b does not
+        divide N."""
+        b, m = 2, 3
+        rng = np.random.default_rng(22)
+        for n in range(1, 2 * b + 1):
+            bands = rng.standard_normal((2 * b + 1, n, m, m))
+            for k in range(-b, b + 1):
+                bands[b + k, [i for i in range(n) if not 0 <= i + k < n]] = 0
+            mat = BlockBandedMatrix(bands)
+            rhs = random_rhs(n, m, nrhs=2, seed=n)
+            xref = _dense_solve(mat, rhs)
+            for p in (1, 2, 3):
+                x = BandedARDFactorization(mat, nranks=p).solve(rhs)
+                np.testing.assert_allclose(
+                    x, xref, rtol=0, atol=1e-12 * np.abs(xref).max(),
+                    err_msg=f"N={n}, P={p}")
+
+
 class TestValidation:
-    def test_too_small_n_rejected(self):
-        bands = np.zeros((5, 4, 2, 2))  # b=2 but only N=4 rows
-        bands[2] = np.eye(2)
-        small = BlockBandedMatrix(bands)
-        with pytest.raises(ShapeError, match="2b"):
-            BandedARDFactorization(small, nranks=1)
+    def test_singular_outermost_block_names_its_row(self):
+        mat, _ = banded_oscillatory_system(12, 2, bandwidth=2, seed=23)
+        bands = mat.bands.copy()
+        bands[4, 5] = 0.0  # A_{5,7}, row 5's outermost block
+        with pytest.raises(SingularBlockError) as exc:
+            BandedARDFactorization(BlockBandedMatrix(bands), nranks=2)
+        assert exc.value.block_index == 5
 
     def test_wrong_type_rejected(self):
         tri, _ = helmholtz_block_system(6, 2)

@@ -17,7 +17,6 @@ from repro.exceptions import ShapeError
 from repro.linalg.reference import dense_solve
 from repro.workloads import (
     heat_implicit_system,
-    helmholtz_block_system,
     poisson_block_system,
     random_block_dd_system,
     random_rhs,

@@ -1,7 +1,6 @@
 """Stress and randomized property tests across the whole stack."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.comm import run_spmd
