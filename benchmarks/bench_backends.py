@@ -25,9 +25,7 @@ claims the backend PR makes:
   the solve does not read.  Recorded beside the solve-only wall time of
   each backend against one factorization.
 
-Measurements land in ``results/BENCH_backends.json``; the
-perf-trajectory record (``harness bench-history``) carries the speedup
-as ``backends.process_speedup`` when the host can measure it.  Only the
+Measurements land in ``results/BENCH_backends.json``.  Only the
 speedup floor depends on the host's core count, so CI runs
 ``TestSpeedup::test_process_backend_speedup`` in a non-blocking step
 and everything else in the blocking benchmark smoke.

@@ -1,15 +1,15 @@
 """recon-F6 — analytic model vs simulated virtual time (parity data)."""
 
-import datetime
-import platform
-
 import numpy as np
-from conftest import SCALE, run_and_save
+from conftest import run_and_save
 
-from repro.harness.bench_history import (
-    BENCH_HISTORY_SCHEMA_VERSION,
-    append_record,
-)
+#: Ceiling on ``perfmodel.model_error``, the median |log ratio| of
+#: predicted over simulated time across recon-F6's points.  Both sides
+#: are modelled, so the value is exact for a given tree (0.3466 at smoke
+#: scale, 0.2011 at full).  0.405 is 0.3527, the smoke value of an
+#: earlier model, plus 15%; scaling every predicted time by 1.1 reads
+#: 0.442 and fails it.
+MODEL_ERROR_CEILING = 0.405
 
 
 def test_f6_model_parity(benchmark, results_dir):
@@ -23,20 +23,11 @@ def test_f6_model_parity(benchmark, results_dir):
     # simulator may overlap) and trends preserved per method.
     for ratio in ratios:
         assert 0.35 < ratio < 2.5
-    # Record model drift into the perf-trajectory history so the
-    # regression gate (repro.obs.regress) watches predictor quality the
-    # same way it watches throughput — calibration changes that degrade
-    # predicted-vs-measured parity surface as a rising metric.
+    # A calibration or model change that degrades predicted-vs-simulated
+    # parity as a whole raises the median even while every point stays
+    # inside the per-point band.
     model_error = float(np.median([abs(np.log(r)) for r in ratios]))
-    append_record(results_dir / "BENCH_history.jsonl", {
-        "schema_version": BENCH_HISTORY_SCHEMA_VERSION,
-        "written_at": datetime.datetime.now(
-            datetime.timezone.utc).isoformat(),
-        "scale": SCALE,
-        "metrics": {"perfmodel.model_error": model_error},
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-    })
+    print(f"perfmodel.model_error = {model_error:.4f}")
+    assert model_error <= MODEL_ERROR_CEILING, (
+        f"perfmodel.model_error {model_error:.4f} exceeds the "
+        f"{MODEL_ERROR_CEILING} ceiling")

@@ -6,10 +6,8 @@ the canonical bench shape (docs/INCIDENTS.md).  Three questions, one
 benchmark each: what does a single hot-path ring record cost (the
 per-message price), what does a representative ARD factor+solve cost
 with the recorder off vs on, and does the paired on/off ratio stay
-inside the 3% budget?  The ratio is also recorded as
-``obs.flightrec_overhead`` by ``python -m repro.harness bench-history``
-and gated against its rolling median by :mod:`repro.obs.regress`.
-Run with ``REPRO_BENCH_SCALE=full`` for the paper-scale problem.
+inside the 3% budget?  Run with ``REPRO_BENCH_SCALE=full`` for the
+paper-scale problem.
 """
 
 import os

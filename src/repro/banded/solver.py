@@ -73,6 +73,9 @@ class BandedARDFactorization(RefinableFactorization):
                                          nranks=nranks, cost_model=cost_model)
         except SingularBlockError as exc:
             raise self._row_error(exc) from exc
+        # Refinement runs against the banded matrix and the inner solve
+        # reads only its rank states, so the regrouped copy is not kept.
+        self._ard.matrix = None
 
     def _row_error(self, exc: SingularBlockError) -> SingularBlockError:
         """Re-point an error about super-row ``I`` at the first row

@@ -233,6 +233,7 @@ class ARDFactorization(RefinableFactorization):
         self.matrix = matrix
         self.nblocks = matrix.nblocks
         self.block_size = matrix.block_size
+        self.dtype = matrix.dtype
         self.nranks = nranks
         self.cost_model = cost_model
         self.trace = trace
@@ -265,7 +266,7 @@ class ARDFactorization(RefinableFactorization):
         # One solution array: each rank writes its own rows in place;
         # the ranks only read their views of ``bb``.
         x = np.empty((self.nblocks, self.block_size, bb.shape[2]),
-                     dtype=np.result_type(self.matrix.dtype, bb.dtype))
+                     dtype=np.result_type(self.dtype, bb.dtype))
         part = BlockPartition(nblocks=self.nblocks, nranks=self.nranks)
         x_chunks = [x[lo:hi] for lo, hi in part]
         d_chunks = distribute_rhs(bb, self.nranks)

@@ -17,9 +17,8 @@ factor (RHS-independent, ``O((N/P) M^3 + P M^3)``):
     3. the per-interface unknowns ``u_r = [x_r^bot; x_{r+1}^top]``
        satisfy a **block tridiagonal system of block size 2M with
        (K-1) block rows** (K = populated ranks), assembled by gathering
-       four small blocks per rank and factored at the root with the
-       library's own :class:`~repro.core.thomas.ThomasFactorization` —
-       the substrate eats its own cooking.
+       four small blocks per rank and block-Thomas factored at the
+       root.
 
 solve (per RHS batch, ``O((N/P) M^2 R + P M^2 R)``):
     local Thomas solve for ``y = A_r^{-1} d_r``, gather its top/bottom
@@ -60,11 +59,14 @@ def max_spike_ranks(nblocks: int, nranks: int) -> int:
 
 
 class _LocalThomas:
-    """Block Thomas factorization of one rank's interior system.
+    """Block Thomas factorization of a system given as raw ``(h, M, M)``
+    batches: one rank's interior system, or the interface system at the
+    root.
 
-    A trimmed-down in-chunk version of
-    :class:`repro.core.thomas.ThomasFactorization` operating on raw
-    ``(h, M, M)`` batches (no global matrix object exists rank-side).
+    A trimmed-down version of
+    :class:`repro.core.thomas.ThomasFactorization` (same arithmetic) that
+    keeps only what its solve reads: ``sub[i]`` couples row ``i`` to
+    ``i - 1`` (``sub[0]`` is unused), and ``diag``/``sup`` are not kept.
     """
 
     __slots__ = ("h", "m", "_sub", "_slu", "_v")
@@ -102,15 +104,19 @@ class _LocalThomas:
 
     @property
     def nbytes(self) -> int:
-        return self._slu.nbytes + self._v.nbytes
+        return self._sub.nbytes + self._slu.nbytes + self._v.nbytes
 
 
 @dataclasses.dataclass
 class SpikeRankState:
-    """Per-rank stored SPIKE factorization.
+    """Per-rank stored SPIKE factorization, and nothing the solve does
+    not read: :attr:`nbytes` counts every array it holds.
 
     Attributes
     ----------
+    nrows, block_size:
+        The rank's row count ``h`` and block order ``M`` (the shape
+        each solve's right-hand-side rows must have).
     local:
         Factored interior system (``None`` on empty ranks).
     w, v:
@@ -119,8 +125,8 @@ class SpikeRankState:
     kranks:
         Number of populated ranks (all ranks agree on it).
     reduced:
-        ``reduced_mode == "root"``: root-only factorization of the
-        interface system (``None`` elsewhere).
+        ``reduced_mode == "root"``: root-only block Thomas
+        factorization of the interface system (``None`` elsewhere).
         ``reduced_mode == "bcyclic"``: this rank's interface-row blocks
         ``(lower, diag, upper)`` of size ``2M`` (``None`` on ranks
         owning no interface).
@@ -130,19 +136,25 @@ class SpikeRankState:
         interfaces, one per rank — no root bottleneck).
     """
 
-    chunk: LocalChunk
+    nrows: int
+    block_size: int
     local: _LocalThomas | None
     w: np.ndarray
     v: np.ndarray
     kranks: int
-    reduced: "object | None"
+    reduced: "_LocalThomas | tuple[np.ndarray, ...] | None"
     reduced_mode: str = "root"
 
     @property
     def nbytes(self) -> int:
+        """Bytes of every array the state holds."""
         total = self.w.nbytes + self.v.nbytes
         if self.local is not None:
             total += self.local.nbytes
+        if isinstance(self.reduced, _LocalThomas):
+            total += self.reduced.nbytes
+        elif self.reduced is not None:
+            total += sum(block.nbytes for block in self.reduced)
         return total
 
 
@@ -237,25 +249,25 @@ def spike_factor_spmd(comm, chunk: LocalChunk, reduced_mode: str = "root"
                     up[m:, m:] = v_top_next
                 reduced = (low, diag, up)
     return SpikeRankState(
-        chunk=chunk, local=local, w=w, v=v, kranks=kranks, reduced=reduced,
-        reduced_mode=reduced_mode,
+        nrows=h, block_size=m, local=local, w=w, v=v, kranks=kranks,
+        reduced=reduced, reduced_mode=reduced_mode,
     )
 
 
-def _assemble_reduced(gathered, kranks: int, m: int, dtype):
+def _assemble_reduced(gathered, kranks: int, m: int, dtype) -> _LocalThomas:
     """Build and factor the (K-1)-row, 2M-block interface system.
 
     Interface ``r`` unknown: ``u_r = [b_r; t_{r+1}]``; equations
     ``b_r + W_r^bot b_{r-1} + V_r^bot t_{r+1} = y_r^bot`` and
     ``t_{r+1} + W_{r+1}^top b_r + V_{r+1}^top t_{r+2} = y_{r+1}^top``.
     """
-    from .thomas import ThomasFactorization
-
     n_iface = kranks - 1
     dim = 2 * m
     diag = np.zeros((n_iface, dim, dim), dtype=dtype)
-    lower = np.zeros((max(n_iface - 1, 0), dim, dim), dtype=dtype)
-    upper = np.zeros((max(n_iface - 1, 0), dim, dim), dtype=dtype)
+    # _LocalThomas layout: lower[r] couples row r to r - 1, upper[r] row
+    # r to r + 1.
+    lower = np.zeros((n_iface, dim, dim), dtype=dtype)
+    upper = np.zeros((n_iface, dim, dim), dtype=dtype)
     eye = np.eye(m, dtype=dtype)
     for r in range(n_iface):
         gr = gathered[r]
@@ -266,15 +278,11 @@ def _assemble_reduced(gathered, kranks: int, m: int, dtype):
         diag[r, m:, m:] = eye
         if r > 0:
             # b_r's equation couples b_{r-1} = first component of u_{r-1}.
-            lower[r - 1, :m, :m] = gr["w_bot"]
+            lower[r, :m, :m] = gr["w_bot"]
         if r + 1 < n_iface:
             # t_{r+1}'s equation couples t_{r+2} = second comp of u_{r+1}.
             upper[r, m:, m:] = gr1["v_top"]
-    matrix = BlockTridiagonalMatrix(
-        lower if n_iface > 1 else None, diag,
-        upper if n_iface > 1 else None, copy=False,
-    )
-    return ThomasFactorization(matrix)
+    return _LocalThomas(lower, diag, upper)
 
 
 def spike_solve_spmd(comm, state: SpikeRankState, d_rows: np.ndarray) -> np.ndarray:
@@ -283,9 +291,8 @@ def spike_solve_spmd(comm, state: SpikeRankState, d_rows: np.ndarray) -> np.ndar
     ``d_rows`` is the rank's ``(h, M, R)`` right-hand-side rows; returns
     the ``(h, M, R)`` solution rows.
     """
-    chunk = state.chunk
-    d_rows = validate_rhs_rows(chunk, d_rows) if chunk.nrows > 0 else np.asarray(d_rows)
-    h, m = chunk.nrows, chunk.block_size
+    h, m = state.nrows, state.block_size
+    d_rows = validate_rhs_rows(state, d_rows) if h > 0 else np.asarray(d_rows)
     r = d_rows.shape[2] if d_rows.ndim == 3 else 1
 
     with _span("local_solve"):
@@ -309,7 +316,7 @@ def spike_solve_spmd(comm, state: SpikeRankState, d_rows: np.ndarray) -> np.ndar
 
 def _reduced_solve_root(comm, state: SpikeRankState, y, m: int, r: int):
     """Gather interface samples to rank 0, solve, scatter corrections."""
-    h = state.chunk.nrows
+    h = state.nrows
     sample = None
     if h > 0:
         sample = {"y_top": y[0].copy(), "y_bot": y[-1].copy()}
@@ -350,7 +357,7 @@ def _reduced_solve_bcyclic(comm, state: SpikeRankState, y, m: int, r: int):
     rank = comm.rank
     kranks = state.kranks
     n_iface = kranks - 1
-    h = state.chunk.nrows
+    h = state.nrows
 
     if n_iface < 1:
         # Every rank must still participate in the (collective) split.

@@ -1,6 +1,5 @@
 """Experiment harness: regenerates every table/figure in EXPERIMENTS.md."""
 
-from .bench_history import append_record, collect_record, run_bench_history
 from .experiments import (
     EXPERIMENTS,
     Experiment,
@@ -14,12 +13,9 @@ __all__ = [
     "EXPERIMENTS",
     "Experiment",
     "ExperimentResult",
-    "append_record",
-    "collect_record",
     "collecting_sim_stats",
     "get_experiment",
     "run_all",
-    "run_bench_history",
     "run_experiment",
     "trace_experiment",
 ]

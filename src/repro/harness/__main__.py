@@ -12,7 +12,6 @@ Usage::
     python -m repro.harness profile --calibrate
     python -m repro.harness serve-bench [--scale smoke] [--rhs 10,100,256]
     python -m repro.harness serve-bench --http [PORT]
-    python -m repro.harness bench-history [--check] [--out FILE]
     python -m repro.harness postmortem [BUNDLE] [--json] [--chrome OUT]
     python -m repro.harness postmortem --synthetic --check
 
@@ -26,10 +25,6 @@ and writes ``results/CALIB_machine.json`` for the predictor and later
 profiles (see docs/PROFILING.md).
 ``serve-bench --http`` exposes the live telemetry endpoint
 (``/metrics``, ``/healthz``, ``/traces``) while the benchmark runs.
-``bench-history`` appends one perf-trajectory record to
-``results/BENCH_history.jsonl``; with ``--check`` it then runs the
-regression gate (:mod:`repro.obs.regress`) and exits nonzero on a
-regression.
 ``postmortem`` analyzes a cross-rank incident bundle
 (``results/incidents/INCIDENT_<id>.json``, written automatically on
 runtime failures; docs/INCIDENTS.md): it reconstructs the merged
@@ -168,25 +163,6 @@ def main(argv: list[str] | None = None) -> int:
                          "unless PORT is given)")
     _add_verify(serve_p)
 
-    hist_p = sub.add_parser(
-        "bench-history",
-        help="append a perf-trajectory record and (with --check) run "
-        "the regression gate",
-    )
-    hist_p.add_argument("--out", default="results/BENCH_history.jsonl",
-                        help="history file (default: "
-                        "results/BENCH_history.jsonl)")
-    hist_p.add_argument("--scale", choices=("full", "smoke"),
-                        default="smoke")
-    hist_p.add_argument("--check", action="store_true",
-                        help="after recording, compare the new record "
-                        "against the rolling median and exit nonzero "
-                        "on a >threshold regression")
-    hist_p.add_argument("--threshold", type=float, default=0.15,
-                        help="relative regression threshold "
-                        "(default: 0.15)")
-    _add_verify(hist_p)
-
     pm_p = sub.add_parser(
         "postmortem",
         help="analyze a cross-rank incident bundle: merged timeline, "
@@ -263,11 +239,6 @@ def main(argv: list[str] | None = None) -> int:
         serve_bench(args.scale, rhs, workers=args.workers, out_dir=args.out,
                     http=args.http)
         return 0
-    if args.command == "bench-history":
-        from .bench_history import run_bench_history
-
-        return run_bench_history(args.out, args.scale, check=args.check,
-                                 threshold=args.threshold)
     if args.command == "postmortem":
         from ..obs.postmortem import run_postmortem
 

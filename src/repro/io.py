@@ -28,8 +28,8 @@ __all__ = ["save", "load", "write_stats_json", "FormatError",
 _MAGIC = "repro-factorization-v1"
 
 #: Version stamped into every ``*.stats.json`` document; bump when the
-#: document shape changes incompatibly so downstream consumers (the
-#: perf-trajectory gate, dashboards) can dispatch on it.
+#: document shape changes incompatibly so downstream consumers can
+#: dispatch on it.
 STATS_SCHEMA_VERSION = 1
 
 

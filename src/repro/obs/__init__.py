@@ -52,9 +52,6 @@ package makes that story observable instead of analytic.  Three pieces:
     ``python -m repro.harness postmortem`` reconstructs the merged
     timeline and names the blocked op and culprit rank
     (docs/INCIDENTS.md).
-:mod:`repro.obs.regress`
-    Rolling-median regression gate over the benchmark history written
-    by ``python -m repro.harness bench-history``.
 :mod:`repro.obs.critpath`
     Cross-rank span-DAG reconstruction (send→recv edges from the
     runtime's per-message ``seq`` stamps), critical-path extraction,

@@ -27,8 +27,7 @@ Design constraints, in order:
    bundle says so instead of lying by omission.
 3. **Always on, bounded overhead.**  ``ReproConfig.flightrec`` defaults
    to on; ``benchmarks/bench_flightrec.py`` asserts the recorder costs
-   <3% of solve wall time at the canonical shape and
-   ``obs.flightrec_overhead`` is gated in BENCH_history.
+   <3% of solve wall time at the canonical shape.
 
 Record layout (a plain tuple, indexed by :data:`RECORD_FIELDS`)::
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,19 @@ def invertible_block(rng: np.random.Generator, m: int) -> np.ndarray:
     """A random block guaranteed comfortably invertible."""
     a = rng.standard_normal((m, m))
     return a + m * np.eye(m)
+
+
+def stored_arrays(obj):
+    """Every array ``obj`` holds: through dataclass fields, ``__slots__``
+    and tuples or lists."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from stored_arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from stored_arrays(getattr(obj, field.name))
+    elif hasattr(obj, "__slots__"):
+        for name in obj.__slots__:
+            yield from stored_arrays(getattr(obj, name, None))

@@ -1,7 +1,6 @@
 """Tests for accelerated recursive doubling — the paper's contribution."""
 
 import builtins
-import dataclasses
 import pickle
 import sys
 import threading
@@ -20,6 +19,8 @@ from repro.exceptions import ShapeError
 from repro.linalg.blocktridiag import BlockTridiagonalMatrix
 from repro.linalg.reference import dense_solve
 from repro.workloads import helmholtz_block_system, random_rhs
+
+from .conftest import stored_arrays
 
 
 def _ard_spmd(matrix, b, nranks):
@@ -264,22 +265,6 @@ class TestAcceleration:
             fact.factor_result.total_bytes_sent
             > fact.last_solve_result.total_bytes_sent
         )
-
-
-def stored_arrays(obj):
-    """Every array ``obj`` holds: through dataclass fields, ``__slots__``
-    and tuples or lists."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from stored_arrays(item)
-    elif dataclasses.is_dataclass(obj):
-        for field in dataclasses.fields(obj):
-            yield from stored_arrays(getattr(obj, field.name))
-    elif hasattr(obj, "__slots__"):
-        for name in obj.__slots__:
-            yield from stored_arrays(getattr(obj, name, None))
 
 
 def held(fact):

@@ -1,5 +1,8 @@
 """Tests for the block banded generalization (repro.banded)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +146,28 @@ class TestFactorSolveSplit:
         assert fact.bandwidth == 2
         assert fact.nbytes > 0
         assert fact.factor_virtual_time > 0
+
+    def test_regrouped_matrix_is_not_kept(self, monkeypatch):
+        """The factorization keeps its rank states, not the regrouped
+        block tridiagonal matrix it factored: refinement runs against
+        the banded matrix."""
+        regroup = BlockBandedMatrix.to_block_tridiagonal
+        refs = []
+
+        def regroup_and_watch(matrix):
+            tri = regroup(matrix)
+            refs.append(weakref.ref(tri.diag))
+            return tri
+
+        monkeypatch.setattr(BlockBandedMatrix, "to_block_tridiagonal",
+                            regroup_and_watch)
+        mat, _ = banded_oscillatory_system(128, 4, bandwidth=4, seed=20)
+        fact = BandedARDFactorization(mat, nranks=2)
+        gc.collect()
+        (ref,) = refs
+        assert ref() is None
+        b = random_rhs(128, 4, nrhs=2, seed=21)
+        assert mat.residual(fact.solve(b, refine=1), b) < 1e-12
 
 
 class TestSmallSystems:

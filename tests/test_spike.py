@@ -1,5 +1,7 @@
 """Tests for the SPIKE-style partitioned solver (stable extension)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +10,13 @@ from repro.comm import run_spmd
 from repro.core.distribute import distribute_matrix, distribute_rhs, gather_solution
 from repro.core.spike import (
     SpikeFactorization,
+    _LocalThomas,
     max_spike_ranks,
     spike_factor_spmd,
     spike_solve,
     spike_solve_spmd,
 )
+from repro.core.thomas import ThomasFactorization
 from repro.exceptions import ShapeError
 from repro.linalg.reference import dense_solve
 from repro.workloads import (
@@ -21,6 +25,8 @@ from repro.workloads import (
     random_block_dd_system,
     random_rhs,
 )
+
+from .conftest import stored_arrays
 
 
 class TestMaxSpikeRanks:
@@ -113,6 +119,38 @@ class TestFactorSolveSplit:
             SpikeFactorization(np.eye(8), nranks=2)
         with pytest.raises(ShapeError):
             SpikeFactorization(mat, nranks=0)
+
+
+class TestStoredState:
+    """A rank state holds what its solve reads and ``nbytes`` says how
+    much that is: of its matrix rows a rank keeps only the sub-diagonal
+    blocks its forward sweep reads.  The process backend pickles every
+    state into each solve, so the pickled size is what a solve ships."""
+
+    @pytest.mark.parametrize("mode", ["root", "bcyclic"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_nbytes_is_every_stored_array_and_the_pickled_size(self, p, mode):
+        mat, _ = random_block_dd_system(256, 8, seed=30)
+        fact = SpikeFactorization(mat, nranks=p, reduced_mode=mode,
+                                  backend="threads")
+        for state in fact._states:
+            assert state.nbytes == sum(a.nbytes for a in stored_arrays(state))
+            size = len(pickle.dumps(state, protocol=5))
+            assert abs(size - state.nbytes) <= 0.01 * state.nbytes + 4096
+        b = random_rhs(256, 8, nrhs=3, seed=31)
+        assert mat.residual(fact.solve(b), b) < 1e-11
+
+    def test_block_thomas_is_thomas_factorization_bitwise(self):
+        """The rank-local block Thomas, which also factors the root's
+        interface system, keeps no ``diag``/``sup`` blocks and computes
+        exactly what :class:`ThomasFactorization` does."""
+        mat, _ = random_block_dd_system(7, 4, seed=32)
+        b = random_rhs(7, 4, nrhs=3, seed=33)
+        edge = np.zeros_like(mat.diag[:1])
+        local = _LocalThomas(np.concatenate([edge, mat.lower]), mat.diag,
+                             np.concatenate([mat.upper, edge]))
+        np.testing.assert_array_equal(local.solve(b),
+                                      ThomasFactorization(mat).solve(b))
 
 
 class TestSpmdLevel:

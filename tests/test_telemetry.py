@@ -1,10 +1,9 @@
 """Tests for the production telemetry pipeline.
 
-Covers the five tentpole pieces end to end: trace-context propagation
-(one ``trace_id`` across every rank of a solve and every span of a
-service request), the structured JSONL event log, the Prometheus-text
-renderer and loopback HTTP endpoint, the numerical-health probes, and
-the perf-trajectory regression gate.
+Covers the pipeline end to end: trace-context propagation (one
+``trace_id`` across every rank of a solve and every span of a service
+request), the structured JSONL event log, the Prometheus-text renderer
+and loopback HTTP endpoint, and the numerical-health probes.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ from repro.obs.log import (
     disable_logging,
     get_logger,
 )
-from repro.obs.regress import check_regressions
-from repro.obs.regress import main as regress_main
 from repro.service import SolverService
 from repro.workloads import helmholtz_block_system, random_rhs
 
@@ -48,10 +45,6 @@ def _no_global_log():
     disable_logging()
     yield
     disable_logging()
-
-
-def _history_record(**metrics):
-    return {"schema_version": 1, "scale": "smoke", "metrics": metrics}
 
 
 # ---------------------------------------------------------------------------
@@ -376,75 +369,3 @@ class TestServiceTelemetry:
             assert t1.request_id != t2.request_id
         finally:
             service.close()
-
-
-# ---------------------------------------------------------------------------
-# Perf-trajectory regression gate
-# ---------------------------------------------------------------------------
-
-
-class TestRegressionGate:
-    def test_synthetic_20pct_kernel_slowdown_fails(self, tmp_path):
-        history = [_history_record(**{"kernels.lu_batched_s": 1.0})
-                   for _ in range(4)]
-        history.append(_history_record(**{"kernels.lu_batched_s": 1.2}))
-        regressions = check_regressions(history, threshold=0.15)
-        (reg,) = regressions
-        assert reg.metric == "kernels.lu_batched_s"
-        assert reg.change == pytest.approx(0.2)
-        assert "rose" in reg.describe()
-
-    def test_higher_is_better_direction(self):
-        history = [_history_record(**{"service.req_per_s": 100.0})
-                   for _ in range(4)]
-        history.append(_history_record(**{"service.req_per_s": 80.0}))
-        (reg,) = check_regressions(history, threshold=0.15)
-        assert reg.metric == "service.req_per_s"
-        assert "fell" in reg.describe()
-
-    def test_improvement_and_noise_pass(self):
-        history = [_history_record(**{"kernels.lu_batched_s": 1.0,
-                                      "service.req_per_s": 100.0})
-                   for _ in range(4)]
-        history.append(_history_record(**{"kernels.lu_batched_s": 0.5,
-                                          "service.req_per_s": 108.0}))
-        assert check_regressions(history, threshold=0.15) == []
-
-    def test_rolling_median_absorbs_one_outlier(self):
-        values = [1.0, 1.0, 5.0, 1.0, 1.0, 1.0]
-        history = [_history_record(**{"kernels.lu_batched_s": v})
-                   for v in values]
-        assert check_regressions(history, threshold=0.15) == []
-
-    def test_short_history_is_seed_not_failure(self):
-        assert check_regressions([]) == []
-        assert check_regressions([_history_record(x=1.0)]) == []
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        path = tmp_path / "history.jsonl"
-        with path.open("w") as fh:
-            for v in (1.0, 1.0, 1.0, 1.3):
-                fh.write(json.dumps(
-                    _history_record(**{"kernels.lu_batched_s": v})) + "\n")
-        assert regress_main([str(path)]) == 1
-        assert "kernels.lu_batched_s" in capsys.readouterr().out
-        assert regress_main([str(path), "--threshold", "0.5"]) == 0
-        assert regress_main([str(tmp_path / "missing.jsonl")]) == 2
-
-
-class TestBenchHistory:
-    def test_two_runs_append_two_records(self, tmp_path, capsys):
-        from repro.harness.bench_history import run_bench_history
-
-        path = tmp_path / "BENCH_history.jsonl"
-        assert run_bench_history(path, "smoke", verbose=False) == 0
-        assert run_bench_history(path, "smoke", verbose=False) == 0
-        records = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(records) == 2
-        for rec in records:
-            assert rec["schema_version"] == 1
-            assert rec["scale"] == "smoke"
-            assert "written_at" in rec and "env" in rec
-            for metric in ("kernels.lu_batched_s", "service.req_per_s",
-                           "solve.ard_wall_s", "obs.disabled_span_us"):
-                assert rec["metrics"][metric] > 0
