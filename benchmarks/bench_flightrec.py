@@ -27,16 +27,18 @@ REC_REPS = 1000
 
 
 def test_record_hot_path(benchmark):
-    """Cost of 1000 send-record + retire pairs on a full-size ring.
+    """Cost of 1000 send-row + record + retire triples on a full-size ring.
 
-    This is the exact sequence the runtime's send path executes per
-    message; no allocation happens (the ring is preallocated), so the
-    per-pair cost should sit in the sub-microsecond range."""
+    This is the sequence the runtime's send path executes per message
+    (build the row, store it, retire it on receipt); the ring itself is
+    preallocated, so the per-triple cost should sit in the
+    sub-microsecond range."""
     rec = FlightRecorder(0, 2048)
 
     def run():
         for i in range(REC_REPS):
-            rec.record_send(1, 0, i, 128)
+            rec.record(("send", time.perf_counter(), 0.0, "send", 1,
+                             0, i, 128, None))
             rec.mark_consumed(i)
         return rec
 

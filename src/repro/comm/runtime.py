@@ -14,10 +14,10 @@ alternatively dispatch the same program to the process backend
 (:mod:`repro.comm.mp`) for true multi-core execution — select it with
 ``backend="processes"`` or the ``comm_backend`` config field (see
 docs/BACKENDS.md).  Both backends subclass :class:`Fabric`, whose one
-``post`` and one ``match`` keep the clocks, ``seq`` ids, statistics,
-tracer and flight-recorder records; each backend supplies only its
-transport.  Matching and deadlock reporting are shared through
-:mod:`repro.comm.matching`.
+``post`` and one ``match`` keep the clocks, ``seq`` ids, statistics
+and the one record (a flight-recorder row) of each message event; each
+backend supplies only its transport.  Matching and deadlock reporting
+are shared through :mod:`repro.comm.matching`.
 
 Key properties
 --------------
@@ -124,12 +124,13 @@ _SEQ_STRIDE = 1 << 40
 
 
 class RankContext:
-    """Per-rank simulation state: clock, flop counter, statistics, and
-    the tracer and flight recorder every message is recorded on."""
+    """Per-rank simulation state: clock, flop counter, statistics,
+    tracer, and where message rows go (the ring; when traced, also the
+    trace)."""
 
     __slots__ = ("rank", "clock", "counter", "stats", "runtime", "tracer",
                  "trace_ctx", "coll_depth", "current_coll", "flightrec",
-                 "seqs")
+                 "comm", "keeps_rows", "seqs")
 
     def __init__(self, rank: int, runtime: "Fabric"):
         self.rank = rank
@@ -157,6 +158,8 @@ class RankContext:
             FlightRecorder(rank, cfg.flightrec_capacity, clock=self.clock)
             if cfg.flightrec else None
         )
+        self.comm = self.tracer.comm if self.tracer is not None else None
+        self.keeps_rows = self.flightrec is not None or self.comm is not None
         self.seqs = itertools.count(rank * _SEQ_STRIDE)
         # Collective nesting depth: user-facing collectives compose
         # (allgather = gather + bcast), so only depth-0 entries count.
@@ -182,38 +185,34 @@ class RankContext:
             return fn(world, *args, **kwargs)
 
     # -- the one record of each message event -----------------------------
+    # One row each (repro.obs.flightrec.RECORD_FIELDS).  A send and its
+    # receive carry the same ``seq``, the edge repro.obs.critpath pairs.
 
-    def record_send(self, dest: int, tag: int, seq: int, nbytes: int,
-                    arrival: float) -> None:
+    def record_send(self, dest: int, tag: int, seq: int, nbytes: int) -> None:
         self.stats.bytes_sent += nbytes
         self.stats.msgs_sent += 1
-        if self.tracer is not None:
-            # ``seq`` is the cross-rank happens-before edge: the matched
-            # receive records the same value, so repro.obs.critpath can
-            # reconstruct the send->recv DAG.
-            self.tracer.instant("send", dest=dest, tag=tag, nbytes=nbytes,
-                                seq=seq, arrival=arrival)
-        if self.flightrec is not None:
-            self.flightrec.record_send(dest, tag, seq, nbytes)
+        if self.keeps_rows:
+            self._keep(("send", time.perf_counter(), self.clock.now, "send",
+                        dest, tag, seq, nbytes, None))
 
     def record_wait(self, source: int, tag: int) -> None:
-        if self.flightrec is not None:
-            self.flightrec.record_wait(self.current_coll or "recv", source,
-                                       tag)
+        if self.keeps_rows:
+            self._keep(("wait", time.perf_counter(), self.clock.now,
+                        self.current_coll or "recv", source, tag, -1, 0,
+                        None))
 
     def record_recv(self, msg: "_Message", v_wait: float,
                     w_wait: float) -> None:
-        if self.tracer is not None:
-            self.tracer.closed_span(
-                "recv", "comm", v_wait, self.clock.now,
-                w_wait, time.perf_counter(),
-                source=msg.source, tag=msg.tag, nbytes=msg.nbytes,
-                seq=msg.seq, source_world=msg.source_world,
-                arrival=msg.arrival_time,
-            )
+        if self.keeps_rows:
+            self._keep(("recv", time.perf_counter(), self.clock.now, "recv",
+                        msg.source_world, msg.tag, msg.seq, msg.nbytes,
+                        (v_wait, w_wait, msg.arrival_time)))
+
+    def _keep(self, row: tuple) -> None:
         if self.flightrec is not None:
-            self.flightrec.record_recv(msg.source_world, msg.tag, msg.seq,
-                                       msg.nbytes)
+            self.flightrec.record(row)
+        if self.comm is not None:
+            self.comm.append(row)
 
     def finalize_stats(self) -> RankStats:
         self.clock.sync_compute()
@@ -227,9 +226,8 @@ class Fabric:
     """The backend-independent half of every message: :meth:`post` and
     :meth:`match`.
 
-    Both backends share the clock, cost-model, ``seq``, statistics,
-    tracer and flight-recorder steps here.  A subclass supplies only
-    the transport:
+    Both backends share the clock, cost-model, ``seq``, statistics and
+    message-row steps here.  A subclass supplies only the transport:
 
     - ``_pack(ctx, payload, nbytes)`` — the send-side copy (or wire form);
     - ``_deliver(dest_world, msg)`` — hand the envelope to the destination;
@@ -262,7 +260,7 @@ class Fabric:
         arrival = ctx.clock.now + self.cost_model.message_time(nbytes)
         wire = self._pack(ctx, payload, nbytes)
         seq = next(ctx.seqs)
-        ctx.record_send(dest_world, tag, seq, nbytes, arrival)
+        ctx.record_send(dest_world, tag, seq, nbytes)
         self._deliver(dest_world, _Message(
             comm_key, source_commrank, tag, wire, nbytes, arrival, seq,
             ctx.rank,
@@ -279,7 +277,7 @@ class Fabric:
         detection and its diagnostics.
         """
         v_wait = ctx.clock.sync_compute()
-        w_wait = time.perf_counter() if ctx.tracer is not None else 0.0
+        w_wait = time.perf_counter()
         msg = self._poll(ctx.rank, comm_key, source, tag)
         if msg is None:
             # Recorded *before* blocking so a stuck rank's ring ends

@@ -18,10 +18,11 @@ docs/PORTING_TO_MPI.md) — travel through
   ``frombuffer``): the receive side copies nothing.
 - Ownership travels with the message.  The sender unregisters the
   segment from its ``resource_tracker`` after posting; the receiver
-  leases it and a ``weakref.finalize`` on the view base closes and
-  unlinks the segment once the last deserialized array is garbage
-  collected.  Crashed receivers leave segments behind; the pool sweeps
-  its name prefix (``/dev/shm/rshm…``) at shutdown.
+  maps it without ever telling the tracker, and a ``weakref.finalize``
+  on the view base unlinks the name and closes the mapping once the
+  last deserialized array is garbage collected.  Crashed receivers
+  leave segments behind; the pool sweeps its name prefix
+  (``/dev/shm/rshm…``) at shutdown.
 
 Payloads whose array bytes fall below ``threshold`` stay in-band
 (pickled buffers riding the control channel) — a few hundred bytes of
@@ -35,12 +36,14 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import mmap
 import os
 import pickle
 import weakref
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
 
+import _posixshmem
 import numpy as np
 
 __all__ = ["ShmPacked", "pack", "unpack", "release_segment",
@@ -63,8 +66,7 @@ def _untrack(name: str) -> None:
 
     Ownership of a posted segment transfers to the receiver; without
     this the creator's tracker would warn about — and unlink — segments
-    it no longer owns.  Only the create side registers on Python
-    ≤ 3.12, so only :func:`pack` calls this.
+    it no longer owns.
     """
     try:
         resource_tracker.unregister("/" + name.lstrip("/"), "shared_memory")
@@ -72,19 +74,19 @@ def _untrack(name: str) -> None:
         pass
 
 
-def _attach(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without tracker registration.
+def _attach(name: str) -> mmap.mmap:
+    """Map an existing segment without telling the resource tracker.
 
-    Python ≤ 3.12 never tracks on attach; 3.13+ does unless told not
-    to, which would double-unlink a segment the receiver only leases.
+    ``SharedMemory(name=...)`` registers every open on CPython ≤ 3.12,
+    attach included, and its ``unlink()`` unregisters; the receiver's
+    tracker would then report the sender's segment as leaked.  So the
+    receive side maps and unlinks segments itself.
     """
-    if _ATTACH_TRACKS:  # pragma: no cover - Python ≥ 3.13
-        return shared_memory.SharedMemory(name=name, track=False)
-    return shared_memory.SharedMemory(name=name)
-
-
-_ATTACH_TRACKS = (
-    "track" in shared_memory.SharedMemory.__init__.__code__.co_varnames)
+    fd = _posixshmem.shm_open("/" + name, os.O_RDWR, mode=0o600)
+    try:
+        return mmap.mmap(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
 
 
 class ShmPacked:
@@ -151,33 +153,29 @@ def pack(obj: Any, *, threshold: int = DEFAULT_SHM_THRESHOLD,
     return packed, True
 
 
-#: Segments unlinked but not yet closeable: the lease finalizer fires
-#: while the dying arrays still export pointers into the mapping, so
-#: ``close()`` raises BufferError there.  Holding the handle here keeps
-#: ``SharedMemory.__del__`` from running against live exports; the list
-#: drains on subsequent pack/unpack calls and at exit.
-_PENDING_CLOSE: list[shared_memory.SharedMemory] = []
+#: Mappings of unlinked segments not yet closeable: the lease finalizer
+#: fires while the dying arrays still export pointers into the mapping,
+#: so ``close()`` raises BufferError there.  The list drains on
+#: subsequent pack/unpack calls and at exit.
+_PENDING_CLOSE: list[mmap.mmap] = []
 
 
 def _drain_pending() -> None:
-    for seg in _PENDING_CLOSE[:]:
+    for buf in _PENDING_CLOSE[:]:
         try:
-            seg.close()
+            buf.close()
         except BufferError:
             continue
-        _PENDING_CLOSE.remove(seg)
+        _PENDING_CLOSE.remove(buf)
 
 
-def _release_shm(seg: shared_memory.SharedMemory) -> None:
+def _release_shm(name: str, buf: mmap.mmap) -> None:
     """Unlink a leased segment; the mapping closes once exports die."""
+    release_segment(name)
     try:
-        seg.unlink()
-    except FileNotFoundError:
-        pass
-    try:
-        seg.close()
+        buf.close()
     except BufferError:
-        _PENDING_CLOSE.append(seg)
+        _PENDING_CLOSE.append(buf)
 
 
 def unpack(packed: ShmPacked) -> Any:
@@ -189,23 +187,22 @@ def unpack(packed: ShmPacked) -> Any:
     _drain_pending()
     if packed.shm_name is None:
         return pickle.loads(packed.data, buffers=packed.inline or ())
-    seg = _attach(packed.shm_name)
-    base = np.frombuffer(seg.buf, dtype=np.uint8)
+    buf = _attach(packed.shm_name)
+    base = np.frombuffer(buf, dtype=np.uint8)
     views = [base[off:off + n] for off, n in packed.spans]
     obj = pickle.loads(packed.data, buffers=views)
     # The deserialized arrays chain to ``base`` through frombuffer; when
     # the last one is collected, base goes with it and the lease ends.
-    weakref.finalize(base, _release_shm, seg)
+    weakref.finalize(base, _release_shm, packed.shm_name, buf)
     return obj
 
 
 def release_segment(name: str) -> None:
     """Unlink a segment by name without deserializing (stray cleanup)."""
     try:
-        seg = _attach(name)
+        _posixshmem.shm_unlink("/" + name)
     except FileNotFoundError:
-        return
-    _release_shm(seg)
+        pass
 
 
 def sweep_prefix(pool_id: int) -> int:

@@ -44,7 +44,8 @@ package makes that story observable instead of analytic.  Three pieces:
     Always-on per-rank flight recorder: a fixed-capacity, preallocated
     ring of compact comm/phase records every rank keeps at all times
     (no allocation on the hot path), snapshotted only when something
-    fails.
+    fails.  Its row is the one record of every message event; traced
+    ranks keep the same rows in ``RankTrace.comm``.
 :mod:`repro.obs.postmortem`
     Cross-rank incident bundles: on any runtime failure path the
     rings, config, plan notes, calibration fingerprint, and log tail
@@ -53,8 +54,8 @@ package makes that story observable instead of analytic.  Three pieces:
     timeline and names the blocked op and culprit rank
     (docs/INCIDENTS.md).
 :mod:`repro.obs.critpath`
-    Cross-rank span-DAG reconstruction (send→recv edges from the
-    runtime's per-message ``seq`` stamps), critical-path extraction,
+    Cross-rank span-DAG reconstruction (send→recv edges paired by the
+    ``seq`` stamps of message rows), critical-path extraction,
     and per-rank compute/comm/idle/overlap attribution
     (``python -m repro.harness profile <exp-id>``).
 :mod:`repro.obs.roofline`

@@ -11,10 +11,13 @@ The export carries **two clock domains** for every traced run:
   included),
 
 each with one timeline track (``tid``) per simulated rank.  Spans
-become ``"X"`` (complete) events, sends become ``"i"`` (instant)
-events; ``args`` carry flop/byte deltas and causal partner ranks.
-Matched send→recv pairs additionally become flow events (``"s"`` /
-``"f"``), so Perfetto draws the cross-rank message arrows, and a
+become ``"X"`` (complete) events with flop/byte deltas in ``args``.
+Message rows (``RankTrace.comm``) go through :func:`row_events`, which
+renders incident bundles too: a send is an ``"i"`` (instant) event, a
+receive an ``"X"`` event over its wait, each carrying ``seq``, ``tag``,
+``nbytes`` and the partner's world rank (``peer``).  Matched send→recv
+pairs additionally become flow events (``"s"`` / ``"f"``), so Perfetto
+draws the cross-rank message arrows, and a
 :class:`~repro.obs.critpath.CritPathReport` can be rendered as an
 extra ``critical`` track highlighting exactly the chain of spans and
 messages that determined the makespan (``write_chrome_trace(...,
@@ -30,11 +33,48 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
-__all__ = ["chrome_trace_events", "write_chrome_trace"]
+from .flightrec import recv_wait
+
+__all__ = ["chrome_trace_events", "row_events", "write_chrome_trace"]
 
 _US = 1.0e6  # seconds -> microseconds (trace-event timestamp unit)
+
+
+def row_events(rows: Iterable[Sequence[Any]], *, pid: int, tid: int,
+               wall: bool, shift: float,
+               args: dict[str, Any] | None = None) -> list[dict[str, Any]]:
+    """Trace events of one rank's flight-recorder rows on one track.
+
+    A row's virtual (or, with ``wall``, wall) time plus ``shift``
+    seconds is its timestamp.  A ``recv`` row is an ``"X"`` span over
+    its wait, a phase row a ``"B"``/``"E"`` boundary, any other row an
+    instant; each is named after the row's ``op``, in category ``comm``
+    (sends and receives) or the row's kind.
+    """
+    out = []
+    for row in rows:
+        kind, w_ts, v_ts, op, peer, tag, seq, nbytes, _ = row
+        at = w_ts if wall else v_ts
+        event = {"name": op, "pid": pid, "tid": tid,
+                 "cat": "comm" if kind in ("send", "recv") else kind}
+        if kind in ("phase", "phase_end"):
+            event.update(cat="phase", ph="B" if kind == "phase" else "E",
+                         ts=(at + shift) * _US)
+            out.append(event)
+            continue
+        event["args"] = {**(args or {}), "peer": peer, "tag": tag,
+                         "seq": seq, "nbytes": nbytes}
+        if kind == "recv":
+            v_wait, w_wait, _ = recv_wait(row)
+            start = w_wait if wall else v_wait
+            event.update(ph="X", ts=(start + shift) * _US,
+                         dur=(at - start) * _US)
+        else:
+            event.update(ph="i", s="t", ts=(at + shift) * _US)
+        out.append(event)
+    return out
 
 
 def _span_args(span) -> dict[str, Any]:
@@ -80,36 +120,27 @@ def chrome_trace_events(
     -------
     list of event dicts ready for ``json.dump`` under ``traceEvents``.
     """
-    from ..exceptions import ReproError
+    from .critpath import _comm_rows, reconstruct_edges
 
     v_pid = base_pid
     w_pid = base_pid + 1
     events: list[dict[str, Any]] = []
     ranks: set[int] = set()
 
-    wall_zero = None
-    for _, result in segments:
-        if result is None or getattr(result, "traces", None) is None:
-            raise ReproError(
-                "segment has no traces; run with trace=True "
-                "(e.g. solve(..., trace=True) or run_spmd(..., trace=True))"
-            )
+    # _comm_rows raises for a segment run without trace=True.
+    segment_rows = [_comm_rows(result) for _, result in segments]
+    starts: list[float] = []
+    for (_, result), rows in zip(segments, segment_rows):
         for trace in result.traces:
-            for s in trace.spans:
-                wall_zero = s.w_start if wall_zero is None else min(
-                    wall_zero, s.w_start)
-            for e in trace.events:
-                wall_zero = e.w_ts if wall_zero is None else min(
-                    wall_zero, e.w_ts)
-    wall_zero = wall_zero or 0.0
-
-    from .critpath import reconstruct_edges
+            starts += [s.w_start for s in trace.spans]
+            starts += [e.w_ts for e in trace.events]
+            starts += [recv_wait(r)[1] for r in rows[trace.rank]]
+    wall_zero = min(starts, default=0.0)
 
     v_offset = 0.0
     flow_id = 0
-    for seg_label, result in segments:
-        edge_set, _ = reconstruct_edges(result, segment=seg_label)
-        for edge in edge_set.edges:
+    for (seg_label, result), rows in zip(segments, segment_rows):
+        for edge in reconstruct_edges(rows, segment=seg_label).edges:
             # Flow-event pair: Perfetto draws an arrow from the send
             # instant on the sender's track to the matched receive's
             # end on the receiver's track.
@@ -170,6 +201,17 @@ def chrome_trace_events(
                         "pid": w_pid,
                         "ts": (e.w_ts - wall_zero) * _US,
                     })
+            # Each wait of a finished run ends in a receive span drawn
+            # here, and whether a receive waited at all depends on host
+            # timing, so wait rows are not drawn.
+            messages = [r for r in rows[trace.rank] if r[0] != "wait"]
+            events.extend(row_events(messages, pid=v_pid, tid=trace.rank,
+                                     wall=False, shift=v_offset,
+                                     args=seg_args))
+            if include_wall:
+                events.extend(row_events(messages, pid=w_pid,
+                                         tid=trace.rank, wall=True,
+                                         shift=-wall_zero, args=seg_args))
         v_offset += result.virtual_time
 
     crit_tid = None

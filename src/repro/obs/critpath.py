@@ -2,13 +2,14 @@
 
 A traced SPMD run (``run_spmd(..., trace=True)``) yields one
 :class:`~repro.obs.tracer.RankTrace` per rank: phase spans tiling the
-rank's virtual timeline, ``recv`` wait spans, and ``send`` instant
-events.  The runtime stamps every message with a ``seq`` identifier,
-unique per message and rank-strided (each rank allocates from its own
-range), recorded on *both* the send event and the matched receive
-span — exactly one cross-rank happens-before edge per message.  This
-module reassembles those per-rank timelines plus the message edges
-into the execution DAG and answers the question the per-rank
+rank's virtual timeline and, in ``comm``, one flight-recorder row per
+send, wait and receive (:mod:`repro.obs.flightrec`; incident bundles
+hold the same rows).  The runtime stamps every message with a ``seq``
+identifier, unique per message and rank-strided (each rank allocates
+from its own range), recorded on *both* the send row and the matched
+receive row — exactly one cross-rank happens-before edge per message.
+This module reassembles those per-rank timelines plus the message
+edges into the execution DAG and answers the question the per-rank
 :class:`~repro.obs.report.PhaseReport` cannot: *which chain of work
 actually determined the makespan, and what was every other rank doing
 meanwhile?*
@@ -21,7 +22,7 @@ timeline decomposes exactly into
 
 - **compute** — the rank's own final virtual time minus its receive
   waits (flops + send/recv overhead charges),
-- **comm** — time blocked inside ``recv`` waits (the clock jumped to a
+- **comm** — time blocked inside receive waits (the clock jumped to a
   message's modelled arrival), and
 - **idle** — the gap between the rank's final virtual time and the
   segment makespan (the rank finished early and sat out the rest).
@@ -54,7 +55,9 @@ See docs/PROFILING.md for interpretation guidance.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
+
+from .flightrec import RECORD_FIELDS, recv_wait
 
 __all__ = [
     "MessageEdge",
@@ -66,9 +69,12 @@ __all__ = [
     "analyze_critical_path",
 ]
 
-#: Relative tolerance below which a wait span is considered zero-length
+#: Relative tolerance below which a wait is considered zero-length
 #: (the message had already arrived when the receive was posted).
 _REL_TOL = 1e-12
+
+_V_TS, _TAG, _SEQ, _NBYTES = (RECORD_FIELDS.index(f)
+                               for f in ("v_ts", "tag", "seq", "nbytes"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,10 +136,10 @@ class MessageEdge:
 class EdgeSet:
     """Matched message edges of one traced segment, plus the leftovers.
 
-    ``unmatched_sends`` / ``unmatched_recvs`` count trace records that
-    could not be paired (no ``seq``, or no partner with the same
-    ``seq``) — a nonzero count degrades the critical-path walk, which
-    simply treats such waits as local time.
+    ``unmatched_sends`` / ``unmatched_recvs`` count rows that could not
+    be paired (a negative ``seq``, or no partner with the same ``seq``)
+    — a nonzero count degrades the critical-path walk, which simply
+    treats such waits as local time.
     """
 
     edges: list[MessageEdge]
@@ -141,89 +147,70 @@ class EdgeSet:
     unmatched_recvs: int = 0
 
 
-def _send_events(trace: Any) -> list[Any]:
-    return [e for e in trace.events if e.name == "send"]
-
-
-def _recv_spans(trace: Any) -> list[Any]:
-    return [s for s in trace.spans if s.cat == "comm" and s.name == "recv"]
-
-
-def _edge_from(segment: str, seq: int, src: int, dst: int,
-               send_evt: Any, recv_span: Any) -> MessageEdge:
-    arrival = recv_span.attrs.get(
-        "arrival", send_evt.attrs.get("arrival", recv_span.v_end))
-    return MessageEdge(
-        segment=segment,
-        seq=seq,
-        src=src,
-        dst=dst,
-        tag=int(recv_span.attrs.get("tag", -1)),
-        nbytes=int(recv_span.attrs.get("nbytes", 0)),
-        send_v=send_evt.v_ts,
-        arrival_v=float(arrival),
-        recv_start_v=recv_span.v_start,
-        recv_end_v=recv_span.v_end,
-    )
-
-
-def reconstruct_edges(result: Any, segment: str = "run"
-                      ) -> tuple[EdgeSet, dict[int, MessageEdge]]:
-    """Pair send events with receive spans into cross-rank edges.
-
-    Parameters
-    ----------
-    result:
-        A traced :class:`~repro.comm.stats.SimulationResult`.
-    segment:
-        Label stamped into the produced edges.
-
-    Returns
-    -------
-    ``(edge_set, recv_index)`` where ``recv_index`` maps ``id(span)``
-    of each matched receive span to its edge (the critical-path walk
-    uses it to hop from a gating wait to its sender).
-
-    Matching uses the runtime's per-message ``seq`` id, which every
-    send event and receive span carries; a record without one, or
-    without a partner, is counted in ``EdgeSet.unmatched_*``.
-    """
-    traces = result.traces
-    if traces is None:
+def _comm_rows(result: Any) -> dict[int, list[tuple]]:
+    """Each rank's message rows of a traced run, keyed by world rank."""
+    if getattr(result, "traces", None) is None:
         from ..exceptions import ReproError
 
         raise ReproError(
             "result has no traces; run with trace=True "
             "(e.g. solve(..., trace=True) or run_spmd(..., trace=True))"
         )
-    sends_by_seq: dict[int, tuple[int, Any]] = {}
+    return {trace.rank: trace.comm for trace in result.traces}
+
+
+def reconstruct_edges(rows: Mapping[int, Sequence[Sequence[Any]]],
+                      segment: str = "run") -> EdgeSet:
+    """Pair send rows with receive rows into cross-rank edges.
+
+    Parameters
+    ----------
+    rows:
+        World rank -> that rank's rows in program order (layout
+        :data:`repro.obs.flightrec.RECORD_FIELDS`): a traced run's
+        ``RankTrace.comm`` lists, or the records of an incident
+        bundle's rings.  Only ``send`` and ``recv`` rows are read.
+    segment:
+        Label stamped into the produced edges.
+
+    Matching uses the runtime's per-message ``seq`` id, which every
+    send row and receive row carries; a row without one (negative), or
+    without a partner, is counted in ``EdgeSet.unmatched_*``.  Edges
+    come out grouped by receiving rank, in receive order.
+    """
+    sends: dict[int, tuple[int, Any]] = {}
     unmatched_sends = 0
-    for trace in traces:
-        for evt in _send_events(trace):
-            seq = evt.attrs.get("seq")
-            if seq is None:
-                unmatched_sends += 1
-            else:
-                sends_by_seq[int(seq)] = (trace.rank, evt)
+    for rank, rank_rows in rows.items():
+        for row in rank_rows:
+            if row[0] == "send":
+                if row[_SEQ] < 0:
+                    unmatched_sends += 1
+                else:
+                    sends[row[_SEQ]] = (rank, row)
 
     edges: list[MessageEdge] = []
-    recv_index: dict[int, MessageEdge] = {}
     unmatched_recvs = 0
     matched_seqs: set[int] = set()
-    for trace in traces:
-        for span in sorted(_recv_spans(trace), key=lambda s: s.v_end):
-            seq = span.attrs.get("seq")
-            if seq is None or int(seq) not in sends_by_seq:
+    for rank, rank_rows in rows.items():
+        for row in rank_rows:
+            if row[0] != "recv":
+                continue
+            seq = row[_SEQ]
+            if seq < 0 or seq not in sends:
                 unmatched_recvs += 1
                 continue
-            src, evt = sends_by_seq[int(seq)]
-            matched_seqs.add(int(seq))
-            edge = _edge_from(segment, int(seq), src, trace.rank, evt, span)
-            edges.append(edge)
-            recv_index[id(span)] = edge
-    unmatched_sends += len(sends_by_seq) - len(matched_seqs)
-    return (EdgeSet(edges=edges, unmatched_sends=unmatched_sends,
-                    unmatched_recvs=unmatched_recvs), recv_index)
+            src, send = sends[seq]
+            matched_seqs.add(seq)
+            v_wait, _, arrival = recv_wait(row)
+            edges.append(MessageEdge(
+                segment=segment, seq=seq, src=src, dst=rank,
+                tag=row[_TAG], nbytes=row[_NBYTES], send_v=send[_V_TS],
+                arrival_v=arrival, recv_start_v=v_wait,
+                recv_end_v=row[_V_TS],
+            ))
+    unmatched_sends += len(sends) - len(matched_seqs)
+    return EdgeSet(edges=edges, unmatched_sends=unmatched_sends,
+                   unmatched_recvs=unmatched_recvs)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -421,7 +408,7 @@ class CritPathReport:
 def _segment_walk(
     label: str,
     result: Any,
-    recv_index: dict[int, MessageEdge],
+    edges: list[MessageEdge],
     v_offset: float,
 ) -> tuple[list[CritSegment], int]:
     """Walk one segment's critical path backwards; return pieces
@@ -430,19 +417,14 @@ def _segment_walk(
     tol = max(makespan, 1.0) * _REL_TOL
     crit_rank = max(range(result.nranks),
                     key=lambda r: result.stats[r].virtual_time)
-    waits: dict[int, list[tuple[Any, MessageEdge]]] = {}
-    phases: dict[int, list[Any]] = {}
-    n_waits = 0
-    for trace in result.traces:
-        matched = [
-            (s, recv_index[id(s)])
-            for s in _recv_spans(trace)
-            if id(s) in recv_index and s.v_end - s.v_start > tol
-        ]
-        matched.sort(key=lambda pair: pair[0].v_end)
-        waits[trace.rank] = matched
-        n_waits += len(matched)
-        phases[trace.rank] = trace.phase_spans()
+    # Each rank's gating candidates: matched receives that waited, in
+    # receive order (the order reconstruct_edges emits them in).
+    waits: dict[int, list[MessageEdge]] = {}
+    for edge in edges:
+        if edge.waited > tol:
+            waits.setdefault(edge.dst, []).append(edge)
+    n_waits = sum(len(w) for w in waits.values())
+    phases = {trace.rank: trace.phase_spans() for trace in result.traces}
 
     def emit_compute(rank: int, t0: float, t1: float,
                      out: list[CritSegment]) -> None:
@@ -473,27 +455,27 @@ def _segment_walk(
     steps = 0
     while t > tol and steps <= n_waits + result.nranks + 1:
         steps += 1
-        gating = None
+        edge = None
         # Each wait gates the walk at most once: with zero-cost hops
         # (degenerate cost models) ``t`` can stall, and consuming the
         # wait is what guarantees termination.
-        for span, edge in reversed(waits.get(rank, [])):
-            if span.v_end <= t + tol and id(span) not in consumed:
-                gating = (span, edge)
+        for candidate in reversed(waits.get(rank, [])):
+            if (candidate.recv_end_v <= t + tol
+                    and id(candidate) not in consumed):
+                edge = candidate
                 break
-        if gating is None:
+        if edge is None:
             emit_compute(rank, 0.0, t, backward)
             t = 0.0
             break
-        span, edge = gating
-        consumed.add(id(span))
-        emit_compute(rank, span.v_end, t, backward)
-        if span.v_end - edge.send_v > tol:
+        consumed.add(id(edge))
+        emit_compute(rank, edge.recv_end_v, t, backward)
+        if edge.recv_end_v - edge.send_v > tol:
             backward.append(CritSegment(
                 segment=label, kind="message",
                 name=f"msg r{edge.src}->r{edge.dst}", rank=edge.dst,
                 v_start=v_offset + edge.send_v,
-                v_end=v_offset + span.v_end,
+                v_end=v_offset + edge.recv_end_v,
                 src=edge.src, dst=edge.dst,
             ))
         rank, t = edge.src, edge.send_v
@@ -531,7 +513,8 @@ def analyze_critical_path(source: Any) -> CritPathReport:
     nranks = 0
     v_offset = 0.0
     for label, result in segments:
-        edge_set, recv_index = reconstruct_edges(result, segment=label)
+        rows = _comm_rows(result)
+        edge_set = reconstruct_edges(rows, segment=label)
         edges_total += len(edge_set.edges)
         unmatched_sends += edge_set.unmatched_sends
         unmatched_recvs += edge_set.unmatched_recvs
@@ -539,7 +522,7 @@ def analyze_critical_path(source: Any) -> CritPathReport:
         segment_makespan[label] = makespan
         nranks = max(nranks, result.nranks)
 
-        walked, crit_rank = _segment_walk(label, result, recv_index,
+        walked, crit_rank = _segment_walk(label, result, edge_set.edges,
                                           v_offset)
         segment_critical[label] = crit_rank
         path.extend(walked)
@@ -559,9 +542,8 @@ def analyze_critical_path(source: Any) -> CritPathReport:
         for trace in result.traces:
             att = attribution.setdefault(
                 trace.rank, RankAttribution(rank=trace.rank))
-            waited = sum(
-                s.v_end - s.v_start for s in _recv_spans(trace)
-            )
+            waited = sum(row[_V_TS] - recv_wait(row)[0]
+                         for row in rows[trace.rank] if row[0] == "recv")
             busy = result.stats[trace.rank].virtual_time
             att.compute += busy - waited
             att.comm += waited

@@ -1,14 +1,18 @@
-"""Always-on per-rank flight recorder: a fixed-capacity comm ring buffer.
+"""Always-on per-rank flight recorder: a fixed-capacity event ring.
 
 Production failures rarely happen under ``trace=True``: the tracer,
 critpath profiler, and verifier histories are opt-in, so an untraced
 deadlock or worker death leaves nothing but an exception string.  The
 flight recorder closes that gap with the classic black-box pattern —
 every rank keeps a small **preallocated ring buffer** of compact
-records (one tuple per comm op, kernel phase boundary, or probe) that
-costs almost nothing while the run is healthy and is snapshotted into a
-:mod:`repro.obs.postmortem` incident bundle the moment a failure path
-fires.
+records (one tuple per message event, collective entry, or kernel
+phase boundary) that costs almost nothing while the run is healthy and
+is snapshotted into a :mod:`repro.obs.postmortem` incident bundle the
+moment a failure path fires.
+
+The row is the one record of every message event: the runtime builds
+one per send, wait and receive, stores it here and, when traced, in
+:attr:`repro.obs.tracer.RankTrace.comm` (which never wraps).
 
 Design constraints, in order:
 
@@ -34,10 +38,15 @@ Record layout (a plain tuple, indexed by :data:`RECORD_FIELDS`)::
     (kind, w_ts, v_ts, op, peer, tag, seq, nbytes, extra)
 
 ``kind`` is one of ``send``/``recv``/``wait``/``coll``/``phase``/
-``phase_end``; ``w_ts`` is epoch wall time (comparable across
-processes), ``v_ts`` the rank's virtual-clock reading (0.0 when no
-clock is attached, e.g. service worker threads); ``peer``/``tag``/
-``seq``/``nbytes`` are ``-1``/``0`` where not applicable.
+``phase_end``; ``w_ts`` is ``time.perf_counter()`` (on Linux
+``CLOCK_MONOTONIC``: one clock for every process on the host, and the
+tracer's), ``v_ts`` the rank's virtual-clock reading (0.0 when no
+clock is attached, e.g. service worker threads);
+``peer``/``tag``/``seq``/``nbytes`` are ``-1``/``0`` where not
+applicable.  A ``recv`` row, written when the receive completes,
+carries ``extra = (v_wait, w_wait, arrival)`` (:func:`recv_wait`);
+other rows, and rows written before receives carried it (with epoch
+``w_ts``), have ``extra = None``.
 
 Plan selections and health probes are process-global, not per-rank, so
 they go to a separate bounded note buffer via :func:`note_event`; the
@@ -61,6 +70,7 @@ __all__ = [
     "flight_recording",
     "note_event",
     "recent_notes",
+    "recv_wait",
 ]
 
 #: Field names of one ring record, positionally (tuple layout contract
@@ -70,6 +80,12 @@ RECORD_FIELDS = (
 )
 
 _log = get_logger("flightrec")
+
+
+def recv_wait(row: Any) -> tuple[float, float, float]:
+    """``(v_wait, w_wait, arrival)`` of a ``recv`` row; a row without
+    them (``extra`` None) counts as a zero-width wait at its own time."""
+    return row[8] or (row[2], row[1], row[2])
 
 
 class _PhaseSpan:
@@ -82,11 +98,11 @@ class _PhaseSpan:
         self._name = name
 
     def __enter__(self) -> "_PhaseSpan":
-        self._rec._record("phase", self._name, -1, -1, -1, 0)
+        self._rec._record("phase", self._name, -1, 0)
         return self
 
     def __exit__(self, *exc: object) -> None:
-        self._rec._record("phase_end", self._name, -1, -1, -1, 0)
+        self._rec._record("phase_end", self._name, -1, 0)
 
 
 class FlightRecorder:
@@ -122,9 +138,14 @@ class FlightRecorder:
         self._oldest_inflight: int | None = None
         self._warned = False
 
-    def _record(self, kind: str, op: str, peer: int, tag: int,
-                seq: int, nbytes: int, extra: Any = None) -> None:
+    def record(self, row: tuple) -> None:
+        """Store one row (layout :data:`RECORD_FIELDS`); a ``send`` row
+        stays in flight until :meth:`mark_consumed` retires its seq."""
         i = self._next
+        if row[0] == "send":
+            self._inflight[row[6]] = i
+            if self._oldest_inflight is None:
+                self._oldest_inflight = i
         oldest = self._oldest_inflight
         if oldest is not None and i >= self.capacity and i - self.capacity >= oldest:
             self.dropped += 1
@@ -136,33 +157,18 @@ class FlightRecorder:
                             "in-flight send; bundle will be truncated",
                     rank=self.rank, capacity=self.capacity,
                 )
-        clock = self.clock
-        self._ring[i % self.capacity] = (
-            kind, time.time(), clock.now if clock is not None else 0.0,
-            op, peer, tag, seq, nbytes, extra,
-        )
+        self._ring[i % self.capacity] = row
         self._next = i + 1
 
-    def record_send(self, dest: int, tag: int, seq: int, nbytes: int) -> None:
-        """Record a posted send and register it as in-flight."""
-        self._inflight[seq] = self._next
-        if self._oldest_inflight is None:
-            self._oldest_inflight = self._next
-        self._record("send", "send", dest, tag, seq, nbytes)
-
-    def record_recv(self, source: int, tag: int, seq: int, nbytes: int) -> None:
-        """Record a completed receive of message ``seq`` from ``source``."""
-        self._record("recv", "recv", source, tag, seq, nbytes)
-
-    def record_wait(self, op: str, source: Any, tag: Any) -> None:
-        """Record that the rank is about to block (op = recv/collective)."""
-        peer = source if isinstance(source, int) else -1
-        self._record("wait", op, peer, tag if isinstance(tag, int) else -1,
-                     -1, 0)
+    def _record(self, kind: str, op: str, peer: int, nbytes: int) -> None:
+        clock = self.clock
+        self.record((kind, time.perf_counter(),
+                     clock.now if clock is not None else 0.0,
+                     op, peer, -1, -1, nbytes, None))
 
     def record_coll(self, op: str, root: int | None, nbytes: int) -> None:
         """Record entry into an outermost collective operation."""
-        self._record("coll", op, -1 if root is None else root, -1, -1, nbytes)
+        self._record("coll", op, -1 if root is None else root, nbytes)
 
     def mark_consumed(self, seq: int) -> None:
         """Retire in-flight send ``seq`` (called when it is received).

@@ -22,12 +22,13 @@ bounded black-box ring; this module is the crash side of the pattern:
 - **Analysis.**  ``python -m repro.harness postmortem [<bundle>]``
   loads a bundle, rebuilds the merged cross-rank timeline — send→recv
   edges are matched by the runtime ``seq`` ids through
-  :func:`repro.obs.critpath.reconstruct_edges`, the same matcher the
-  critical-path profiler uses on full traces — names the blocked or
+  :func:`repro.obs.critpath.reconstruct_edges`, the matcher the
+  profiler runs on the same rows of traced runs — names the blocked or
   divergent operation, the culprit rank, and the straggler rank, and
-  renders text (per-rank last-N-event tables), JSON, or a Chrome
-  trace.  ``--check`` turns the analysis into an exit code for CI
-  smoke tests; ``--synthetic`` forces a tiny two-rank deadlock first.
+  renders text (per-rank last-N-event tables), JSON, or a Chrome trace
+  (:func:`repro.obs.chrome.row_events`).  ``--check`` turns the
+  analysis into an exit code for CI smoke tests; ``--synthetic`` forces
+  a tiny two-rank deadlock first.
 
 See docs/INCIDENTS.md for the bundle schema and a walkthrough.
 """
@@ -41,7 +42,6 @@ import json
 import os
 import pathlib
 import re
-import types
 from typing import Any
 
 from ..exceptions import (
@@ -328,47 +328,16 @@ def load_bundle(path: str | os.PathLike) -> dict[str, Any]:
     return bundle
 
 
-def _ring_rows(snap: dict[str, Any] | None) -> list[dict[str, Any]]:
-    """Ring records of one rank as field-keyed dicts, oldest first."""
-    if not snap:
-        return []
-    fields = snap.get("fields", list(RECORD_FIELDS))
-    return [dict(zip(fields, rec)) for rec in snap.get("records", [])]
+def _ring_records(bundle: dict[str, Any]) -> dict[int, list[Any]]:
+    """Each rank's ring rows, oldest first (empty for a lost ring)."""
+    return {int(k): (snap or {}).get("records", [])
+            for k, snap in bundle.get("rings", {}).items()}
 
 
-def _pseudo_traces(bundle: dict[str, Any]) -> list[Any]:
-    """Rebuild minimal per-rank timelines from ring snapshots.
-
-    Send records become ``send`` :class:`~repro.obs.tracer.EventRecord`
-    events and recv records zero-width ``cat="comm"`` spans, exactly
-    the shapes :func:`repro.obs.critpath.reconstruct_edges` matches by
-    ``seq`` — reusing the profiler's matcher on black-box data.
-    """
-    from .tracer import EventRecord, RankTrace, SpanRecord
-
-    traces = []
-    for key, snap in sorted(bundle.get("rings", {}).items(),
-                            key=lambda kv: int(kv[0])):
-        rank = int(key)
-        trace = RankTrace(rank=rank)
-        for row in _ring_rows(snap):
-            if row["kind"] == "send":
-                trace.events.append(EventRecord(
-                    name="send", cat="comm",
-                    v_ts=row["v_ts"], w_ts=row["w_ts"],
-                    attrs={"seq": row["seq"], "dest": row["peer"],
-                           "tag": row["tag"], "nbytes": row["nbytes"]},
-                ))
-            elif row["kind"] == "recv":
-                trace.spans.append(SpanRecord(
-                    name="recv", cat="comm", depth=0,
-                    v_start=row["v_ts"], v_end=row["v_ts"],
-                    w_start=row["w_ts"], w_end=row["w_ts"],
-                    attrs={"seq": row["seq"], "source": row["peer"],
-                           "tag": row["tag"], "nbytes": row["nbytes"]},
-                ))
-        traces.append(trace)
-    return traces
+def _ring_rows(bundle: dict[str, Any]) -> dict[int, list[dict[str, Any]]]:
+    """:func:`_ring_records` as :data:`RECORD_FIELDS`-keyed dicts."""
+    return {rank: [dict(zip(RECORD_FIELDS, row)) for row in rows]
+            for rank, rows in _ring_records(bundle).items()}
 
 
 def analyze_bundle(bundle: dict[str, Any]) -> dict[str, Any]:
@@ -383,12 +352,9 @@ def analyze_bundle(bundle: dict[str, Any]) -> dict[str, Any]:
 
     reason = bundle.get("reason", {})
     rings = {int(k): v for k, v in bundle.get("rings", {}).items()}
-    rows_by_rank = {rank: _ring_rows(snap) for rank, snap in rings.items()}
+    rows_by_rank = _ring_rows(bundle)
 
-    edge_set, _ = reconstruct_edges(
-        types.SimpleNamespace(traces=_pseudo_traces(bundle)),
-        segment="postmortem",
-    )
+    edge_set = reconstruct_edges(_ring_records(bundle), segment="postmortem")
 
     blocked = []
     for rank in sorted(rows_by_rank):
@@ -480,11 +446,9 @@ def render_text(bundle: dict[str, Any], analysis: dict[str, Any],
              for b in analysis["blocked"]],
             title="blocked ranks",
         ))
-    for key, snap in sorted(bundle.get("rings", {}).items(),
-                            key=lambda kv: int(kv[0])):
-        rows = _ring_rows(snap)
-        digest = analysis["ranks"].get(key, {})
-        title = (f"rank {key} — last {min(last_n, len(rows))} of "
+    for rank, rows in sorted(_ring_rows(bundle).items()):
+        digest = analysis["ranks"].get(str(rank), {})
+        title = (f"rank {rank} — last {min(last_n, len(rows))} of "
                  f"{digest.get('count', len(rows))} records "
                  f"({digest.get('dropped', 0)} dropped)")
         if not rows:
@@ -505,28 +469,20 @@ def to_chrome(bundle: dict[str, Any]) -> dict[str, Any]:
     """Bundle rings as a ``chrome://tracing`` / Perfetto event dict.
 
     Wall timestamps are rebased to the earliest record across ranks;
-    phases become duration (``B``/``E``) events and comm records
-    instant events on the rank's row.
+    rows render through :func:`repro.obs.chrome.row_events`, as traced
+    runs' message rows do: phases as ``B``/``E`` pairs, a receive as a
+    span over its wait, other rows as instants on the rank's row.
     """
-    rows_by_rank = {int(k): _ring_rows(snap)
-                    for k, snap in bundle.get("rings", {}).items()}
-    t0 = min((rows[0]["w_ts"] for rows in rows_by_rank.values() if rows),
+    from .chrome import row_events
+    from .flightrec import recv_wait
+
+    records = _ring_records(bundle)
+    t0 = min((recv_wait(r)[1] for rows in records.values() for r in rows),
              default=0.0)
     events: list[dict[str, Any]] = []
-    for rank in sorted(rows_by_rank):
-        for row in rows_by_rank[rank]:
-            ts = (row["w_ts"] - t0) * 1e6
-            base = {"pid": 0, "tid": rank, "ts": ts, "name": row["op"]}
-            if row["kind"] == "phase":
-                events.append({**base, "ph": "B", "cat": "phase"})
-            elif row["kind"] == "phase_end":
-                events.append({**base, "ph": "E", "cat": "phase"})
-            else:
-                events.append({
-                    **base, "ph": "i", "s": "t", "cat": row["kind"],
-                    "args": {"peer": row["peer"], "tag": row["tag"],
-                             "seq": row["seq"], "nbytes": row["nbytes"]},
-                })
+    for rank in sorted(records):
+        events.extend(row_events(records[rank], pid=0, tid=rank, wall=True,
+                                 shift=-t0))
     return {"traceEvents": events, "displayTimeUnit": "ms",
             "otherData": {"incident_id": bundle.get("incident_id"),
                           "reason": bundle.get("reason", {}).get("type")}}

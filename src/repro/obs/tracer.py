@@ -34,9 +34,6 @@ Span categories (``cat``):
 ``"coll"``
     One span per user-facing collective call (``bcast``,
     ``allgather``, …), emitted by the communicator.
-``"comm"``
-    Point-to-point receive waits, emitted by the runtime with the
-    matched partner rank and byte count.
 ``"detail"``
     Fine-grained sub-steps (e.g. the closing factorization) that nest
     inside phases and are excluded from phase aggregation.
@@ -45,6 +42,10 @@ Span categories (``cat``):
     (:mod:`repro.service`): ``queued`` / ``batched`` / ``solved``
     spans per request, recorded with :meth:`Tracer.closed_span`
     because the stage boundaries are measured across threads.
+
+Messages are not spans: each send, wait and receive is one
+flight-recorder row (:mod:`repro.obs.flightrec`), kept in
+:attr:`RankTrace.comm` on traced runs.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class SpanRecord:
 
 @dataclasses.dataclass
 class EventRecord:
-    """One instantaneous event (e.g. a message send) on a timeline."""
+    """One instantaneous event (e.g. a verified collective)."""
 
     name: str
     cat: str
@@ -140,7 +141,10 @@ class RankTrace:
     """Finished timeline of one simulated rank.
 
     ``spans`` are appended at span *exit* (children precede parents);
-    sort by ``v_start`` for chronological order.  ``kernel_wall`` /
+    sort by ``v_start`` for chronological order.  ``comm`` holds the
+    rank's message rows in program order (layout
+    :data:`repro.obs.flightrec.RECORD_FIELDS`; unlike the flight
+    recorder's ring it never wraps).  ``kernel_wall`` /
     ``kernel_calls`` hold the measured wall seconds and call counts of
     the instrumented block kernels (``kernel.lu``, ``kernel.trsm``,
     ``kernel.gemm``, ``comm.copy``) — the wall-clock counterpart of the
@@ -150,6 +154,7 @@ class RankTrace:
     rank: int
     spans: list[SpanRecord] = dataclasses.field(default_factory=list)
     events: list[EventRecord] = dataclasses.field(default_factory=list)
+    comm: list[tuple] = dataclasses.field(default_factory=list)
     kernel_wall: dict[str, float] = dataclasses.field(default_factory=dict)
     kernel_calls: dict[str, int] = dataclasses.field(default_factory=dict)
     #: Correlation id of the operation this timeline belongs to
@@ -169,6 +174,7 @@ class RankTrace:
             "rank": self.rank,
             "spans": [s.to_dict() for s in self.spans],
             "events": [e.to_dict() for e in self.events],
+            "comm": [list(row) for row in self.comm],
             "kernel_wall": dict(self.kernel_wall),
             "kernel_calls": dict(self.kernel_calls),
         }
@@ -224,7 +230,7 @@ class _Span:
 
 
 class Tracer:
-    """Collects spans and events for one simulated rank.
+    """Collects spans, events and message rows for one simulated rank.
 
     Parameters
     ----------
@@ -248,7 +254,7 @@ class Tracer:
     """
 
     __slots__ = ("rank", "clock", "counter", "stats", "spans", "events",
-                 "kernel_wall", "kernel_calls", "trace_id", "_depth")
+                 "comm", "kernel_wall", "kernel_calls", "trace_id", "_depth")
 
     def __init__(self, rank: int = 0, clock=None, counter=None, stats=None,
                  trace_id: str | None = None):
@@ -259,6 +265,7 @@ class Tracer:
         self.trace_id = trace_id
         self.spans: list[SpanRecord] = []
         self.events: list[EventRecord] = []
+        self.comm: list[tuple] = []  # message rows, from the runtime
         self.kernel_wall: dict[str, float] = {}
         self.kernel_calls: dict[str, int] = {}
         self._depth = 0
@@ -281,7 +288,7 @@ class Tracer:
     def closed_span(self, name: str, cat: str, v_start: float, v_end: float,
                     w_start: float, w_end: float, **attrs: Any) -> None:
         """Record a span whose boundaries the caller already measured
-        (used by the runtime for receive waits)."""
+        (used by the service for request stages timed across threads)."""
         self.spans.append(SpanRecord(
             name=name, cat=cat, depth=self._depth,
             v_start=v_start, v_end=v_end, w_start=w_start, w_end=w_end,
@@ -296,7 +303,7 @@ class Tracer:
     def finish(self) -> RankTrace:
         """Freeze the collected records into a :class:`RankTrace`."""
         return RankTrace(rank=self.rank, spans=self.spans, events=self.events,
-                         kernel_wall=self.kernel_wall,
+                         comm=self.comm, kernel_wall=self.kernel_wall,
                          kernel_calls=self.kernel_calls,
                          trace_id=self.trace_id)
 

@@ -23,7 +23,7 @@ from repro.comm import ANY_SOURCE, ANY_TAG, MAX, SUM, Status, run_spmd
 from repro.comm.mp import shutdown_pool
 from repro.config import config_context
 from repro.exceptions import CommError, DeadlockError
-from repro.obs import current_flightrec
+from repro.obs import RECORD_FIELDS, current_flightrec
 
 BACKENDS = ("threads", "processes")
 
@@ -375,28 +375,16 @@ def test_received_arrays_are_writeable(backend, nbytes):
     assert result.values == [(True, nbytes / 8)] * 2
 
 
-#: Ring record fields that describe the program's traffic; timestamps
-#: and runtime-assigned ``seq`` ids are left out of the comparison.
+#: Row fields that describe the program's traffic; timestamps, wait
+#: fields and runtime-assigned ``seq`` ids are left out of the comparison.
 _RING_FIELDS = ("kind", "op", "peer", "tag", "nbytes")
 
 
-def _ring_events(snapshot):
-    cols = [snapshot["fields"].index(f) for f in _RING_FIELDS]
+def _ring_events(rows):
+    cols = [RECORD_FIELDS.index(f) for f in _RING_FIELDS]
     # Whether a receive waits depends on arrival timing, so ``wait``
     # records are left out.
-    return [tuple(rec[c] for c in cols) for rec in snapshot["records"]
-            if rec[0] != "wait"]
-
-
-def _comm_attrs(trace):
-    # ``arrival`` is a (modelled) timestamp.
-    def strip(attrs):
-        return {k: v for k, v in attrs.items() if k not in ("seq", "arrival")}
-
-    sends = [strip(e.attrs) for e in trace.events if e.name == "send"]
-    recvs = [strip(s.attrs) for s in trace.spans
-             if s.cat == "comm" and s.name == "recv"]
-    return sends, recvs
+    return [tuple(row[c] for c in cols) for row in rows if row[0] != "wait"]
 
 
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
@@ -406,12 +394,18 @@ def test_backends_record_the_same_events(backend, trace):
         reference = run_spmd(prog_p2p_and_collective, 3, backend="threads",
                              trace=trace)
     for got, ref in zip(result.values, reference.values):
-        assert _ring_events(got) == _ring_events(ref)
-        assert {"send", "recv", "coll"} <= {e[0] for e in _ring_events(got)}
+        assert got["fields"] == list(RECORD_FIELDS)
+        assert _ring_events(got["records"]) == _ring_events(ref["records"])
+        kinds = {e[0] for e in _ring_events(got["records"])}
+        assert {"send", "recv", "coll"} <= kinds
     if trace:
-        for got, ref in zip(result.traces, reference.traces):
-            assert _comm_attrs(got) == _comm_attrs(ref)
-            assert all(_comm_attrs(got))
+        # A traced rank keeps the same message rows as its ring.
+        for got, ref, snap in zip(result.traces, reference.traces,
+                                  result.values):
+            assert _ring_events(got.comm) == _ring_events(ref.comm)
+            assert {e[0] for e in _ring_events(got.comm)} == {"send", "recv"}
+            assert [tuple(r) for r in snap["records"] if r[0] != "coll"] \
+                == got.comm
 
 
 def test_deadlock_report_names_near_miss(backend):

@@ -24,12 +24,27 @@ from repro.obs import (
     reconstruct_edges,
     write_chrome_trace,
 )
-from repro.obs.tracer import EventRecord, RankTrace, SpanRecord
+from repro.obs.tracer import RankTrace, SpanRecord
 
 
 def _span(name, cat, v0, v1, **attrs):
     return SpanRecord(name=name, cat=cat, depth=0, v_start=v0, v_end=v1,
                       w_start=v0, w_end=v1, attrs=attrs)
+
+
+def _send(v, dest, seq, tag=7, nbytes=64):
+    """A send row (repro.obs.flightrec.RECORD_FIELDS) posted at ``v``."""
+    return ("send", v, v, "send", dest, tag, seq, nbytes, None)
+
+
+def _recv(v0, v1, source, arrival, seq, tag=7, nbytes=64):
+    """A recv row whose wait ran from ``v0`` to ``v1``."""
+    return ("recv", v1, v1, "recv", source, tag, seq, nbytes,
+            (v0, v0, arrival))
+
+
+def _rows(result):
+    return {t.rank: t.comm for t in result.traces}
 
 
 def _result(traces, vtimes):
@@ -41,24 +56,18 @@ def _result(traces, vtimes):
 def _two_rank_fixture():
     """Rank 0: compute [0,1], send at 1.0 (arrival 1.5).  Rank 1:
     compute [0,0.5], wait [0.5,1.5] for the message, compute [1.5,2]."""
-    send_attrs = {"dest": 1, "tag": 7, "nbytes": 64, "arrival": 1.5,
-                  "seq": 0}
-    recv_attrs = {"source": 0, "tag": 7, "nbytes": 64, "arrival": 1.5,
-                  "seq": 0}
     t0 = RankTrace(rank=0, spans=[_span("a", "phase", 0.0, 1.0)],
-                   events=[EventRecord(name="send", cat="comm", v_ts=1.0,
-                                       w_ts=1.0, attrs=send_attrs)])
+                   comm=[_send(1.0, dest=1, seq=0)])
     t1 = RankTrace(rank=1, spans=[
         _span("b", "phase", 0.0, 0.5),
-        _span("recv", "comm", 0.5, 1.5, **recv_attrs),
         _span("c", "phase", 1.5, 2.0),
-    ])
+    ], comm=[_recv(0.5, 1.5, source=0, arrival=1.5, seq=0)])
     return _result([t0, t1], [1.0, 2.0])
 
 
 def test_two_rank_edge_reconstruction():
     result = _two_rank_fixture()
-    edge_set, recv_index = reconstruct_edges(result)
+    edge_set = reconstruct_edges(_rows(result))
     assert edge_set.unmatched_sends == 0
     assert edge_set.unmatched_recvs == 0
     (edge,) = edge_set.edges
@@ -69,15 +78,15 @@ def test_two_rank_edge_reconstruction():
     assert edge.flight == pytest.approx(0.5)
     assert edge.hidden == 0.0
     assert edge.seq == 0
-    assert len(recv_index) == 1
 
 
 def test_records_without_seq_are_unmatched():
     result = _two_rank_fixture()
-    del result.traces[0].events[0].attrs["seq"]
-    del result.traces[1].spans[1].attrs["seq"]
-    edge_set, recv_index = reconstruct_edges(result)
-    assert edge_set.edges == [] and recv_index == {}
+    result.traces[0].comm[0] = _send(1.0, dest=1, seq=-1)
+    result.traces[1].comm[0] = _recv(0.5, 1.5, source=0, arrival=1.5,
+                                     seq=-1)
+    edge_set = reconstruct_edges(_rows(result))
+    assert edge_set.edges == []
     assert edge_set.unmatched_sends == 1
     assert edge_set.unmatched_recvs == 1
 
@@ -105,8 +114,9 @@ def test_two_rank_critical_path():
 
 def test_unmatched_recv_counted():
     result = _two_rank_fixture()
-    result.traces[1].spans[1].attrs["seq"] = 99  # no such send
-    edge_set, _ = reconstruct_edges(result)
+    result.traces[1].comm[0] = _recv(0.5, 1.5, source=0, arrival=1.5,
+                                     seq=99)  # no such send
+    edge_set = reconstruct_edges(_rows(result))
     assert edge_set.edges == []
     assert edge_set.unmatched_recvs == 1
     assert edge_set.unmatched_sends == 1
@@ -129,23 +139,20 @@ def _ping_pong(compute, latencies):
     latency ``latencies[i]``); the other rank waits for it."""
     clocks = [0.0, 0.0]
     spans = {0: [], 1: []}
-    events = {0: [], 1: []}
+    rows = {0: [], 1: []}
     for i, (c, lat) in enumerate(zip(compute, latencies)):
         src, dst = i % 2, 1 - (i % 2)
         spans[src].append(
             _span(f"work{i}", "phase", clocks[src], clocks[src] + c))
         clocks[src] += c
         arrival = clocks[src] + lat
-        events[src].append(EventRecord(
-            name="send", cat="comm", v_ts=clocks[src], w_ts=0.0,
-            attrs={"dest": dst, "tag": 0, "nbytes": 8, "seq": i,
-                   "arrival": arrival}))
+        rows[src].append(_send(clocks[src], dest=dst, seq=i, tag=0,
+                               nbytes=8))
         start = clocks[dst]
         clocks[dst] = max(start, arrival)
-        spans[dst].append(_span("recv", "comm", start, clocks[dst],
-                                source=src, tag=0, nbytes=8, seq=i,
-                                arrival=arrival))
-    traces = [RankTrace(rank=r, spans=spans[r], events=events[r])
+        rows[dst].append(_recv(start, clocks[dst], source=src,
+                               arrival=arrival, seq=i, tag=0, nbytes=8))
+    traces = [RankTrace(rank=r, spans=spans[r], comm=rows[r])
               for r in (0, 1)]
     return _result(traces, clocks), clocks
 

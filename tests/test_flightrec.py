@@ -118,6 +118,11 @@ def prog_chatter_then_cycle(comm):
 # FlightRecorder unit behavior
 # ---------------------------------------------------------------------------
 
+def _row(kind, seq):
+    """A message row (layout RECORD_FIELDS) from/to rank 1."""
+    return (kind, time.perf_counter(), 0.0, kind, 1, 0, seq, 64, None)
+
+
 class TestRecorder:
     def test_capacity_floor(self):
         with pytest.raises(ValueError, match=">= 8"):
@@ -126,7 +131,7 @@ class TestRecorder:
     def test_ring_keeps_newest(self):
         rec = FlightRecorder(0, 8)
         for i in range(20):
-            rec.record_recv(1, 0, i, 64)
+            rec.record(_row("recv", i))
         snap = rec.snapshot()
         assert snap["count"] == 20
         assert len(snap["records"]) == 8
@@ -136,20 +141,20 @@ class TestRecorder:
 
     def test_dropped_counts_overwritten_inflight_history(self, caplog):
         rec = FlightRecorder(0, 8)
-        rec.record_send(1, 0, seq=100, nbytes=64)  # stays in flight
+        rec.record(_row("send", 100))  # stays in flight
         for i in range(8):
-            rec.record_recv(1, 0, i, 64)  # fills the remaining ring
+            rec.record(_row("recv", i))  # fills the remaining ring
         assert rec.dropped == 1  # the 8th recv overwrote the live send
-        rec.record_recv(1, 0, 8, 64)
+        rec.record(_row("recv", 8))
         assert rec.dropped == 2
         assert rec.snapshot()["dropped"] == 2
 
     def test_consumed_send_stops_drop_accounting(self):
         rec = FlightRecorder(0, 8)
-        rec.record_send(1, 0, seq=100, nbytes=64)
+        rec.record(_row("send", 100))
         rec.mark_consumed(100)
         for i in range(40):
-            rec.record_recv(1, 0, i, 64)
+            rec.record(_row("recv", i))
         assert rec.dropped == 0
 
     def test_phase_span_records_boundaries(self):
@@ -375,8 +380,15 @@ class TestBundleMachinery:
         text = render_text(bundle, analyze_bundle(bundle))
         assert "verdict" in text
         assert "rank 0" in text and "rank 1" in text
+        # Each rank's ring ends in the wait it is stuck in: an instant
+        # naming the awaited peer and tag.
         events = to_chrome(bundle)["traceEvents"]
-        assert any(e["ph"] == "i" for e in events)
+        for rank in (0, 1):
+            last = [e for e in events if e["tid"] == rank][-1]
+            assert (last["ph"], last["cat"], last["name"]) == \
+                ("i", "wait", "recv")
+            assert (last["args"]["peer"], last["args"]["tag"]) == \
+                (1 - rank, 7)
         assert run_postmortem(path, as_json=True, verbose=True) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["reason"]["type"] == "deadlock"
@@ -389,10 +401,39 @@ class TestBundleMachinery:
         assert run_postmortem(None, verbose=False) == 2
 
     def test_chrome_out_written(self, tmp_path):
-        path = force_synthetic_incident()
+        with pytest.raises(DeadlockError) as exc_info:
+            run_spmd(prog_chatter_then_cycle, 2)
+        path = exc_info.value.incident_path
         out = tmp_path / "incident.trace.json"
         assert run_postmortem(path, chrome_out=out, verbose=False) == 0
-        assert json.loads(out.read_text())["traceEvents"]
+        events = json.loads(out.read_text())["traceEvents"]
+        # Message rows render as a traced run's do: sends as instants,
+        # receives as spans over their wait, paired by ``seq``.
+        sends = {e["args"]["seq"]: e for e in events if e["name"] == "send"}
+        recvs = [e for e in events if e["cat"] == "comm"
+                 and e["name"] == "recv"]
+        assert len(recvs) == len(sends) == 6
+        for recv in recvs:
+            send = sends[recv["args"]["seq"]]
+            assert recv["ph"] == "X" and recv["dur"] >= 0.0
+            assert (send["tid"], recv["tid"]) == \
+                (recv["args"]["peer"], send["args"]["peer"])
+        assert min(e["ts"] for e in events) == 0.0
+
+    def test_bundle_from_before_wait_fields_still_analyzes(self):
+        # The committed sample predates receive rows' wait fields: its
+        # rows carry epoch wall times and ``extra = None``.
+        path = (pathlib.Path(__file__).parent.parent / "results"
+                / "incidents" / "INCIDENT_d2b818ffcc814daf.json")
+        bundle = load_bundle(path)
+        analysis = analyze_bundle(bundle)
+        assert (analysis["culprit_rank"], analysis["culprit_op"]) == \
+            (3, "closing")
+        assert analysis["edges"] == {"matched": 14, "unmatched_sends": 0,
+                                     "unmatched_recvs": 0}
+        recvs = [e for e in to_chrome(bundle)["traceEvents"]
+                 if e["cat"] == "comm" and e["name"] == "recv"]
+        assert len(recvs) == 14 and all(e["dur"] == 0.0 for e in recvs)
 
 
 class TestHarnessCli:

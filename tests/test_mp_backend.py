@@ -279,6 +279,28 @@ class TestShmTransport:
         shm._drain_pending()
         assert not os.path.exists(f"/dev/shm/{name}")
 
+    def test_receiver_never_touches_the_resource_tracker(self, monkeypatch):
+        # The sender's tracker forgets a posted segment and the receiver
+        # unlinks it; a receiver-side register (CPython <= 3.12 registers
+        # every SharedMemory open) leaves the tracker believing it leaked.
+        from multiprocessing import resource_tracker
+
+        packed, used_shm = shm.pack(np.ones(1000))
+        assert used_shm
+        name = packed.shm_name
+        calls = []
+        for fn in ("register", "unregister"):
+            monkeypatch.setattr(
+                resource_tracker, fn,
+                lambda seg, rtype, fn=fn: calls.append((fn, seg)))
+        out = shm.unpack(packed)
+        np.testing.assert_array_equal(out, np.ones(1000))
+        del out
+        gc.collect()
+        shm._drain_pending()
+        assert not os.path.exists(f"/dev/shm/{name}")
+        assert [c for c in calls if c[1].lstrip("/") == name] == []
+
     def test_sweep_prefix_removes_leaked_segments(self):
         packed, _ = shm.pack(np.arange(4096, dtype=np.float64),
                              prefix=shm.segment_prefix(0xDEAD))
@@ -306,7 +328,8 @@ class TestObservability:
         for trace in result.traces:
             assert trace.trace_id == result.trace_id
             assert any(s.name == "work" for s in trace.spans)
-            assert any(e.name == "send" for e in trace.events)
+            # Message rows ship back with the trace.
+            assert any(row[0] == "send" for row in trace.comm)
 
     def test_divergent_collective_caught_cross_process(self):
         with pytest.raises(SpmdDivergenceError):

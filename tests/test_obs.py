@@ -16,12 +16,14 @@ import pytest
 
 from repro import solve
 from repro.comm import run_spmd
+from repro.config import config_context
 from repro.core.ard import ARDFactorization
 from repro.core.distribute import distribute_matrix, distribute_rhs
 from repro.core.rd import rd_solve_spmd
 from repro.core.spike import SpikeFactorization
 from repro.exceptions import ReproError
 from repro.obs import (
+    RECORD_FIELDS,
     Tracer,
     build_phase_report,
     chrome_trace_events,
@@ -303,12 +305,21 @@ def test_send_recv_events_when_traced():
             comm.recv(source=0, tag=7)
         return None
 
-    result = run_spmd(program, 2, trace=True)
-    sends = [e for e in result.traces[0].events if e.name == "send"]
-    assert len(sends) == 1 and sends[0].attrs["dest"] == 1
-    recvs = [s for s in result.traces[1].spans if s.name == "recv"]
+    with config_context(flightrec=False):  # traces keep rows regardless
+        result = run_spmd(program, 2, trace=True)
+    fields = RECORD_FIELDS.index
+    sends = [r for r in result.traces[0].comm if r[0] == "send"]
+    assert len(sends) == 1 and sends[0][fields("peer")] == 1
+    recvs = [r for r in result.traces[1].comm if r[0] == "recv"]
     assert len(recvs) == 1
-    assert recvs[0].attrs["source"] == 0 and recvs[0].attrs["nbytes"] == 32
+    assert recvs[0][fields("peer")] == 0 and recvs[0][fields("nbytes")] == 32
+    assert recvs[0][fields("seq")] == sends[0][fields("seq")]
+    v_wait, w_wait, arrival = recvs[0][fields("extra")]
+    assert v_wait <= arrival <= recvs[0][fields("v_ts")]
+    assert w_wait <= recvs[0][fields("w_ts")]
+    # Messages are rows only: no tracer event or span records them.
+    assert not result.traces[0].events
+    assert all(s.cat != "comm" for t in result.traces for s in t.spans)
 
 
 # -- stats serialization ---------------------------------------------------
